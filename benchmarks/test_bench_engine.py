@@ -65,26 +65,3 @@ def test_bench_fast_engine_telemetry_on(benchmark, trace, reference_fingerprint)
 
     result = benchmark.pedantic(replay, rounds=1, iterations=1)
     assert result.fingerprint() == reference_fingerprint
-
-
-def test_bench_batch_engine_sweep(benchmark, reference_fingerprint):
-    """B=32 replicas of the fig6 workload through the batched kernel.
-
-    Compare mean time against ``test_bench_engine[fast]`` × 32: the gap
-    is the per-replica interpreter cost the array-of-simulations layout
-    amortises.  Replica 0 shares seed/trace with the scalar benchmarks,
-    so its fingerprint doubles as the parity check.
-    """
-    from repro.cache.configs import HierarchyParams
-    from repro.engine.batch import run_batch_traces
-
-    params = HierarchyParams.xeon()
-    seeds = list(range(32))
-    traces = [fig6_workload(num_symbols=256, d=4, seed=s) for s in seeds]
-
-    def replay():
-        return run_batch_traces(params, seeds, traces)
-
-    results = benchmark.pedantic(replay, rounds=1, iterations=1)
-    assert len(results) == len(seeds)
-    assert results[0].fingerprint() == reference_fingerprint

@@ -24,15 +24,6 @@ disabled (``speedup_with_idle_bus``).  Telemetry is designed to be
 zero-cost when off — a disabled bus keeps the specialised SoA loop
 eligible — so this ratio must track ``speedup``; the gate fails if the
 bus's mere presence starts costing throughput.
-
-Schema v3 adds the ``batch_sweep`` section: B seeded fig6-style replicas
-replayed once through the vectorized batch engine
-(:mod:`repro.engine.batch`) versus one at a time through the fast
-engine.  Per-replica fingerprints must match exactly, replicas/sec and
-``speedup_vs_fast`` are recorded per B, and two gates apply: the ratio
-regression gate above (when the baseline carries a ``batch_sweep``) and
-an absolute ``--min-batch-speedup`` floor (default 10x, the tentpole
-target) on the best measured B.
 """
 
 from __future__ import annotations
@@ -45,9 +36,8 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cache.configs import HierarchyParams, make_xeon_hierarchy
+from repro.cache.configs import make_xeon_hierarchy
 from repro.engine import fig6_workload, random_workload, run_trace
-from repro.engine.batch import run_batch_traces
 
 #: Workload builders keyed by name; each returns a list of (address, is_write).
 WORKLOADS: Dict[str, Callable[[bool], List[Tuple[int, bool]]]] = {
@@ -64,13 +54,7 @@ WORKLOADS: Dict[str, Callable[[bool], List[Tuple[int, bool]]]] = {
     ),
 }
 
-SCHEMA_VERSION = 3
-
-#: Replica counts for the batch_sweep section (quick drops the largest:
-#: the per-replica fast baseline is timed too, and 256 replicas of it
-#: is full-measurement territory, not CI smoke).
-BATCH_SIZES = (16, 64, 256)
-BATCH_SIZES_QUICK = (16, 64)
+SCHEMA_VERSION = 4
 
 
 def time_engine(
@@ -137,71 +121,6 @@ def bench_workload(name: str, quick: bool, repeats: int) -> Dict[str, object]:
     }
 
 
-def bench_batch_sweep(quick: bool, repeats: int) -> List[Dict[str, object]]:
-    """Measure batch-vs-fast replica throughput at each sweep width.
-
-    The fast baseline replays the B (seed, trace) pairs one hierarchy at
-    a time — exactly what a sweep did before the batch engine — and is
-    timed once (B independent runs already average out noise).  The
-    batch engine is timed best-of-``repeats``, construction included.
-    Any per-replica fingerprint mismatch is a hard error.
-    """
-    params = HierarchyParams.xeon()
-    symbols = 64 if quick else 256
-    entries: List[Dict[str, object]] = []
-    for replicas in BATCH_SIZES_QUICK if quick else BATCH_SIZES:
-        seeds = list(range(replicas))
-        traces = [
-            fig6_workload(num_symbols=symbols, d=4, seed=seed)
-            for seed in seeds
-        ]
-        start = time.perf_counter()
-        fast_fps = [
-            run_trace(
-                params.build(rng=random.Random(seed), engine="fast"), trace
-            ).fingerprint()
-            for seed, trace in zip(seeds, traces)
-        ]
-        fast_seconds = time.perf_counter() - start
-        batch_seconds = float("inf")
-        batch_fps = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            results = run_batch_traces(params, seeds, traces)
-            elapsed = time.perf_counter() - start
-            batch_seconds = min(batch_seconds, elapsed)
-            current = [result.fingerprint() for result in results]
-            if batch_fps is None:
-                batch_fps = current
-            elif batch_fps != current:
-                raise AssertionError(
-                    "batch engine is non-deterministic on repeats at "
-                    f"B={replicas}"
-                )
-        if fast_fps != batch_fps:
-            mismatches = [
-                index
-                for index, (a, b) in enumerate(zip(fast_fps, batch_fps))
-                if a != b
-            ]
-            raise AssertionError(
-                f"PARITY FAILURE on batch_sweep B={replicas}: replicas "
-                f"{mismatches[:8]} diverge from the fast engine"
-            )
-        entries.append(
-            {
-                "replicas": replicas,
-                "accesses_per_replica": len(traces[0]),
-                "fast_seconds": round(fast_seconds, 6),
-                "batch_seconds": round(batch_seconds, 6),
-                "fast_replicas_per_second": round(replicas / fast_seconds, 1),
-                "batch_replicas_per_second": round(replicas / batch_seconds, 1),
-                "speedup_vs_fast": round(fast_seconds / batch_seconds, 3),
-            }
-        )
-    return entries
-
-
 def check_baseline(
     report: Dict[str, object], baseline_path: str, max_regression: float
 ) -> List[str]:
@@ -234,25 +153,6 @@ def check_baseline(
                 f"{max_regression:.0%} below the baseline "
                 f"{reference_entry['speedup']:.2f}x (floor {floor:.2f}x) — "
                 "the disabled bus is costing throughput"
-            )
-    # Batch-engine ratio gate: schema-2 baselines (no batch_sweep) skip
-    # it; widths absent from either side are ignored so quick runs can
-    # gate against a full-measurement baseline.
-    baseline_by_width = {
-        entry["replicas"]: entry for entry in baseline.get("batch_sweep", [])
-    }
-    for entry in report.get("batch_sweep", []):
-        reference_entry = baseline_by_width.get(entry["replicas"])
-        if reference_entry is None:
-            continue
-        floor = reference_entry["speedup_vs_fast"] * (1.0 - max_regression)
-        if entry["speedup_vs_fast"] < floor:
-            failures.append(
-                f"batch_sweep B={entry['replicas']}: speedup "
-                f"{entry['speedup_vs_fast']:.2f}x is more than "
-                f"{max_regression:.0%} below the baseline "
-                f"{reference_entry['speedup_vs_fast']:.2f}x "
-                f"(floor {floor:.2f}x)"
             )
     return failures
 
@@ -291,14 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="FRACTION",
         help="allowed fractional speedup drop vs the baseline (default 0.30)",
     )
-    parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=10.0,
-        metavar="RATIO",
-        help="absolute floor for the best batch_sweep speedup-vs-fast "
-        "(default 10.0, the tentpole target; 0 disables)",
-    )
     args = parser.parse_args(argv)
 
     report: Dict[str, object] = {
@@ -307,7 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "repeats": args.repeats,
         "python": platform.python_version(),
         "workloads": [],
-        "batch_sweep": [],
     }
     for name in WORKLOADS:
         entry = bench_workload(name, args.quick, args.repeats)
@@ -319,16 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"speedup {entry['speedup']:.2f}x "
             f"(idle bus {entry['speedup_with_idle_bus']:.2f}x, parity ok)"
         )
-    report["batch_sweep"] = bench_batch_sweep(args.quick, args.repeats)
-    for entry in report["batch_sweep"]:
-        print(
-            f"batch B={entry['replicas']:>3}: "
-            f"{entry['accesses_per_replica']:>5} accesses/replica | "
-            f"fast {entry['fast_seconds']:.3f}s | "
-            f"batch {entry['batch_seconds']:.3f}s | "
-            f"{entry['batch_replicas_per_second']:.0f} replicas/s | "
-            f"speedup {entry['speedup_vs_fast']:.2f}x (parity ok)"
-        )
 
     out_path = args.out
     if out_path is None and not args.quick:
@@ -338,22 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"report written to {out_path}")
-
-    if args.min_batch_speedup > 0:
-        best = max(
-            entry["speedup_vs_fast"] for entry in report["batch_sweep"]
-        )
-        if best < args.min_batch_speedup:
-            print(
-                f"REGRESSION: best batch_sweep speedup {best:.2f}x is below "
-                f"the {args.min_batch_speedup:.1f}x floor",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"batch speedup gate ok ({best:.2f}x >= "
-            f"{args.min_batch_speedup:.1f}x)"
-        )
 
     if args.baseline is not None:
         failures = check_baseline(report, args.baseline, args.max_regression)

@@ -30,25 +30,8 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.common.canonical import canonical_json  # noqa: E402
 from repro.scenario.zoo import expand_campaign, load_spec_file  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
-
-
-def geometry_hint(child) -> str:
-    """Batch-affinity label for one campaign point: its cache geometry.
-
-    Points of one campaign share a hierarchy (only the sweep axis
-    varies), so hashing the geometry sends the whole fan-out into one
-    scheduler batch group — while campaigns over *different* hierarchies
-    keep their points apart.  The hint is pure scheduling affinity; it
-    never enters result content addresses.
-    """
-    import zlib
-
-    hierarchy = None if child.hierarchy is None else child.hierarchy.to_dict()
-    digest = zlib.crc32(canonical_json(hierarchy).encode("utf-8"))
-    return f"geometry:{digest:08x}"
 
 
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
@@ -77,16 +60,9 @@ def run_campaign(client: ServiceClient, args) -> dict:
     children = expand_campaign(campaign)
 
     # Submit the whole fan-out first, then wait: points queue behind the
-    # scheduler's priority heap and run on its worker pool.  The shared
-    # geometry hint lets the scheduler coalesce queued points into batch
-    # groups instead of dispatching them one worker slot at a time.
+    # scheduler's priority heap and run on its worker pool.
     jobs = [
-        client.submit_scenario(
-            child,
-            profile=args.profile,
-            seed=args.seed,
-            batch_hint=geometry_hint(child),
-        )
+        client.submit_scenario(child, profile=args.profile, seed=args.seed)
         for child in children
     ]
     points = []
@@ -118,8 +94,6 @@ def run_campaign(client: ServiceClient, args) -> dict:
         "points": points,
         "computations": scheduler["computations"],
         "store_served": scheduler["store_served"],
-        "batch_groups": scheduler.get("batch_groups", 0),
-        "batch_coalesced": scheduler.get("batch_coalesced", 0),
         "ok": all(point["state"] == "done" for point in points),
     }
 
@@ -163,9 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  Ts={point['period']:>6}  {point['state']}: "
                       f"{point['error']}")
         print(f"  computations={report['computations']} "
-              f"store_served={report['store_served']} "
-              f"batch_groups={report['batch_groups']} "
-              f"coalesced={report['batch_coalesced']}")
+              f"store_served={report['store_served']}")
     return 0 if report["ok"] else 1
 
 

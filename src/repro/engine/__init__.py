@@ -14,24 +14,13 @@ bit (``tests/test_engine_parity.py``), several times the throughput:
 * integer-encoded replacement state in
   :mod:`repro.replacement.fast_state`;
 * :func:`~repro.engine.trace.run_trace` — batched trace replay;
-* :mod:`~repro.engine.batch` — the NumPy array-of-simulations kernel
-  stepping B same-geometry replicas per vectorized op;
-* :mod:`~repro.engine.selection` — the ``--engine {reference,fast,batch}``
+* :mod:`~repro.engine.selection` — the ``--engine {reference,fast}``
   switch consulted by the hierarchy builders.
 """
 
-from repro.engine.batch import (
-    BatchPoint,
-    BatchReplay,
-    batch_eligibility,
-    geometry_key,
-    run_batch_points,
-    run_batch_traces,
-)
 from repro.engine.fast_cache import FastCache
 from repro.engine.fast_set import FastSet
 from repro.engine.selection import (
-    BATCH,
     DEFAULT_ENGINE,
     FAST,
     REFERENCE,
@@ -46,9 +35,6 @@ from repro.engine.trace import TraceResult, event_stream, run_trace, run_trace_s
 from repro.engine.workloads import fig6_workload, random_workload
 
 __all__ = [
-    "BATCH",
-    "BatchPoint",
-    "BatchReplay",
     "DEFAULT_ENGINE",
     "FAST",
     "REFERENCE",
@@ -56,17 +42,13 @@ __all__ = [
     "FastSet",
     "TraceResult",
     "available_engines",
-    "batch_eligibility",
     "cache_class",
     "current_engine",
     "engine_context",
     "event_stream",
     "fig6_workload",
-    "geometry_key",
     "random_workload",
     "resolve_engine",
-    "run_batch_points",
-    "run_batch_traces",
     "run_trace",
     "run_trace_summary",
     "set_engine",

@@ -1,6 +1,6 @@
 """Engine selection: which cache-core implementation runs the simulation.
 
-Three engines exist:
+Two engines exist:
 
 ``reference``
     The original object-per-line :class:`~repro.cache.cache.Cache` /
@@ -13,15 +13,6 @@ Three engines exist:
     O(1) tag lookup, integer-encoded policy state.  Bit-identical to the
     reference engine (enforced by ``tests/test_engine_parity.py``) but
     several times faster on the access hot path.
-
-``batch``
-    The :mod:`repro.engine.batch` array-of-simulations kernel.  Individual
-    hierarchies built under this engine are plain :class:`FastCache`
-    hierarchies — "batch" changes *sweep* execution, not single-run
-    semantics: trace drivers and the service scheduler coalesce
-    same-geometry replicas into one :class:`~repro.engine.batch.BatchReplay`
-    stepping all of them per NumPy op (bit-identical to per-replica fast
-    replay, also enforced by the parity suite).
 
 The active engine is process-global state consulted by the hierarchy
 builders in :mod:`repro.cache.configs`.  Experiments select it through
@@ -40,9 +31,8 @@ from repro.common.errors import ConfigurationError
 
 REFERENCE = "reference"
 FAST = "fast"
-BATCH = "batch"
 
-_ENGINES = (REFERENCE, FAST, BATCH)
+_ENGINES = (REFERENCE, FAST)
 
 #: Engine used when nobody selected one explicitly.
 DEFAULT_ENGINE = REFERENCE
@@ -95,7 +85,7 @@ def engine_context(engine: Optional[str]) -> Iterator[str]:
 def cache_class(engine: Optional[str] = None) -> Type:
     """The :class:`~repro.cache.cache.Cache` subclass for ``engine``."""
     name = resolve_engine(engine)
-    if name in (FAST, BATCH):
+    if name == FAST:
         from repro.engine.fast_cache import FastCache
 
         return FastCache

@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_engines(),
         default=None,
         help=(
-            "simulation engine: reference (object-per-line oracle), fast "
-            "(struct-of-arrays core) or batch (vectorized replica sweeps); "
-            "results are bit-identical"
+            "simulation engine: reference (object-per-line oracle) or fast "
+            "(struct-of-arrays core); results are bit-identical"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")

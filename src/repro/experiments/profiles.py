@@ -41,7 +41,7 @@ class RunProfile:
     reduced: bool = False
     #: Multiplier applied to every resolved repetition count (min 1).
     scale: float = 1.0
-    #: Simulation engine ("reference", "fast" or "batch", see
+    #: Simulation engine ("reference" or "fast", see
     #: :mod:`repro.engine.selection`); ``None`` keeps the process default.
     #: Results are bit-identical across engines — this knob trades nothing
     #: but wall-clock time.

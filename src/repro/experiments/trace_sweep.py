@@ -1,4 +1,4 @@
-"""Seed-sweep replay statistics — the batch engine's target workload.
+"""Seed-sweep replay statistics over the paper's hierarchy.
 
 Every headline number in the paper is a statistic over many independent
 replays of one cache geometry (Fig 6-8 sweep seeds, Tables 4-7 average
@@ -7,14 +7,10 @@ experiment distils that shape: replay ``replicas`` fig6-style sender
 traces, one seed each, through the paper's Xeon E5-2650 hierarchy and
 report aggregate hit/latency/dirty-eviction statistics.
 
-The route depends on the selected engine.  Under ``--engine batch`` the
-whole sweep goes through :func:`repro.engine.batch.run_batch_traces` —
-all replicas advance one access per NumPy op in a single
-:class:`~repro.engine.batch.BatchReplay` kernel.  Any other engine
-replays the seeds one hierarchy at a time.  The reported result is
-bit-identical either way (the batch kernel's parity contract), so this
-experiment doubles as an end-to-end engine cross-check: same content
-address, same manifest entry, ~an order of magnitude less wall clock.
+Each seed replays on its own hierarchy, built by the selected engine.
+The reported result is bit-identical on every engine, so this experiment
+doubles as an end-to-end engine cross-check: any divergence in any
+replica's stream changes the sweep fingerprint.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ import zlib
 from typing import List
 
 from repro.cache.configs import HierarchyParams
-from repro.engine.batch import run_batch_traces
-from repro.engine.selection import BATCH, current_engine
 from repro.engine.trace import TraceResult, run_trace
 from repro.engine.workloads import fig6_workload
 from repro.experiments.base import ExperimentResult
@@ -43,9 +37,7 @@ def _sweep(
     seeds: List[int],
     traces: List[list],
 ) -> List[TraceResult]:
-    """Replay every (seed, trace) pair, batched when the engine allows."""
-    if current_engine() == BATCH:
-        return run_batch_traces(params, seeds, traces)
+    """Replay every (seed, trace) pair on a fresh hierarchy."""
     return [
         run_trace(params.build(rng=random.Random(seed)), trace)
         for seed, trace in zip(seeds, traces)
@@ -103,9 +95,8 @@ def run(
             "geometry": "xeon-e5-2650",
         },
         notes=(
-            "Every value here is engine-invariant: --engine batch routes "
-            "the sweep through the vectorized replica kernel, other "
-            "engines replay seeds one at a time, and the sweep "
-            "fingerprint certifies the streams matched bit for bit."
+            "Every value here is engine-invariant: each seed replays on "
+            "its own hierarchy, and the sweep fingerprint certifies the "
+            "streams matched bit for bit."
         ),
     )

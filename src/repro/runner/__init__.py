@@ -35,17 +35,10 @@ from repro.runner.manifest import (
     ManifestEntry,
     RunManifest,
 )
-from repro.runner.batching import (
-    MAX_GROUP_SIZE,
-    batch_group_key,
-    coalesce_tasks,
-    group_timeout,
-)
 from repro.runner.pool import (
     CRASH_RETRIES,
     RunInterrupted,
     crash_backoff_seconds,
-    execute_group_payload,
     execute_serial,
     execute_task_payload,
     execute_tasks,
@@ -63,7 +56,6 @@ __all__ = [
     "EXPERIMENT_WEIGHTS",
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA_VERSION",
-    "MAX_GROUP_SIZE",
     "STATUS_FAILED",
     "STATUS_INTERRUPTED",
     "STATUS_OK",
@@ -75,15 +67,11 @@ __all__ = [
     "RunInterrupted",
     "RunManifest",
     "TaskSpec",
-    "batch_group_key",
-    "coalesce_tasks",
     "crash_backoff_seconds",
     "dispatch_order",
-    "execute_group_payload",
     "execute_serial",
     "execute_task_payload",
     "execute_tasks",
-    "group_timeout",
     "plan_tasks",
     "run_experiments",
     "run_tasks",

@@ -42,7 +42,6 @@ from repro.runner.manifest import (
     STATUS_TIMEOUT,
     ManifestEntry,
 )
-from repro.runner.batching import coalesce_tasks, group_timeout
 from repro.runner.progress import NullProgress, ProgressListener
 from repro.runner.sharding import TaskSpec, dispatch_order
 
@@ -163,30 +162,6 @@ def _worker_main(task: TaskSpec, channel) -> None:
         channel.put(("error", traceback.format_exc()))
 
 
-def execute_group_payload(tasks: Sequence[TaskSpec]) -> List[tuple]:
-    """Run a batch group back to back; one verdict per member task.
-
-    A member failing does not abort the group — each task still computes
-    (or fails) independently, exactly as it would ungrouped; the group
-    only shares the process.
-    """
-    verdicts: List[tuple] = []
-    for task in tasks:
-        try:
-            verdicts.append(("ok", execute_task_payload(task)))
-        except Exception:  # noqa: BLE001 - per-member failure, keep going
-            verdicts.append(("error", traceback.format_exc()))
-    return verdicts
-
-
-def _group_worker_main(tasks: Sequence[TaskSpec], channel) -> None:
-    """Child-process entry for a batch group: per-task verdict list."""
-    try:
-        channel.put(("ok", execute_group_payload(tasks)))
-    except BaseException:  # noqa: BLE001 - the parent needs *any* failure
-        channel.put(("error", traceback.format_exc()))
-
-
 def _entry_from_payload(
     task: TaskSpec,
     payload: Dict[str, object],
@@ -281,19 +256,14 @@ def execute_serial(
 
 @dataclass
 class _Running:
-    """Bookkeeping for one live worker process (one batch group)."""
+    """Bookkeeping for one live worker process."""
 
-    group: List[TaskSpec]
+    task: TaskSpec
     process: multiprocessing.Process
     channel: object
     worker_id: int
     started: float
     attempt: int
-
-    @property
-    def group_id(self) -> str:
-        """Stable label for backoff derivation and progress messages."""
-        return self.group[0].task_id
 
 
 def execute_tasks(
@@ -345,40 +315,31 @@ def _execute_pool(
     context,
     progress: ProgressListener,
 ) -> Dict[str, ManifestEntry]:
-    """The scheduling loop: at most ``jobs`` worker processes alive.
+    """The scheduling loop: at most ``jobs`` single-task workers alive.
 
-    The schedulable unit is a *batch group*: tasks sharing a
-    ``batch_hint`` (plus profile and execution route — see
-    :mod:`repro.runner.batching`) ride one worker process back to back;
-    everything else is a singleton group, making this exactly the old
-    one-process-per-task loop.  Results are split back into per-task
-    entries either way.
-
-    ``pending`` holds ``(group, attempt, ready_at)`` triples; a crashed
-    group re-enters the queue with ``ready_at`` in the future per
+    ``pending`` holds ``(task, attempt, ready_at)`` triples; a crashed
+    task re-enters the queue with ``ready_at`` in the future per
     :func:`crash_backoff_seconds`, so retries back off exponentially
     instead of immediately hammering whatever made the worker die.
     """
-    groups = coalesce_tasks(dispatch_order(tasks))
-    pending = deque((group, 1, 0.0) for group in groups)
-    free_workers = list(range(min(jobs, len(groups))))
+    pending = deque((task, 1, 0.0) for task in dispatch_order(tasks))
+    free_workers = list(range(min(jobs, len(tasks))))
     running: List[_Running] = []
     finished: Dict[str, ManifestEntry] = {}
     backoffs: Dict[str, List[float]] = {}
     total = len(tasks)
 
-    def launch(group: List[TaskSpec], attempt: int) -> None:
+    def launch(task: TaskSpec, attempt: int) -> None:
         worker_id = free_workers.pop(0)
         channel = context.SimpleQueue()
         process = context.Process(
-            target=_group_worker_main, args=(group, channel), daemon=True
+            target=_worker_main, args=(task, channel), daemon=True
         )
         process.start()
         running.append(
-            _Running(group, process, channel, worker_id, time.perf_counter(), attempt)
+            _Running(task, process, channel, worker_id, time.perf_counter(), attempt)
         )
-        for task in group:
-            progress.task_started(task, worker_id)
+        progress.task_started(task, worker_id)
 
     def record(entry: ManifestEntry) -> None:
         finished[entry.task_id] = entry
@@ -389,109 +350,84 @@ def _execute_pool(
         free_workers.append(slot.worker_id)
         free_workers.sort()
 
-    def history(group_id: str) -> List[float]:
-        return backoffs.get(group_id, [])
+    def history(task_id: str) -> List[float]:
+        return backoffs.get(task_id, [])
 
     try:
         while pending or running:
             now = time.perf_counter()
             deferred: List[object] = []
             while pending and free_workers:
-                group, attempt, ready_at = pending.popleft()
+                task, attempt, ready_at = pending.popleft()
                 if ready_at > now:
-                    deferred.append((group, attempt, ready_at))
+                    deferred.append((task, attempt, ready_at))
                     continue
-                launch(group, attempt)
+                launch(task, attempt)
             for item in reversed(deferred):
                 pending.appendleft(item)
             time.sleep(POLL_INTERVAL)
             for slot in list(running):
+                task = slot.task
                 elapsed = time.perf_counter() - slot.started
-                budget = group_timeout(slot.group)
                 if not slot.channel.empty():
                     verdict, payload = slot.channel.get()
                     slot.process.join()
                     release(slot)
                     if verdict == "ok":
-                        for task, (task_verdict, task_payload) in zip(
-                            slot.group, payload
-                        ):
-                            if task_verdict == "ok":
-                                record(
-                                    _entry_from_payload(
-                                        task, task_payload, slot.worker_id,
-                                        slot.attempt, history(slot.group_id),
-                                    )
-                                )
-                            else:
-                                # A Python-level exception is
-                                # deterministic: no retry.
-                                record(
-                                    _failure_entry(
-                                        task, STATUS_FAILED, task_payload,
-                                        elapsed, slot.worker_id, slot.attempt,
-                                        history(slot.group_id),
-                                    )
-                                )
-                    else:
-                        for task in slot.group:
-                            record(
-                                _failure_entry(
-                                    task, STATUS_FAILED, payload, elapsed,
-                                    slot.worker_id, slot.attempt,
-                                    history(slot.group_id),
-                                )
+                        record(
+                            _entry_from_payload(
+                                task, payload, slot.worker_id, slot.attempt,
+                                history(task.task_id),
                             )
-                elif budget is not None and elapsed > budget:
+                        )
+                    else:
+                        # A Python-level exception is deterministic: no retry.
+                        record(
+                            _failure_entry(
+                                task, STATUS_FAILED, payload, elapsed,
+                                slot.worker_id, slot.attempt,
+                                history(task.task_id),
+                            )
+                        )
+                elif task.timeout is not None and elapsed > task.timeout:
                     slot.process.terminate()
                     slot.process.join()
                     release(slot)
-                    for task in slot.group:
-                        record(
-                            _failure_entry(
-                                task,
-                                STATUS_TIMEOUT,
-                                f"timed out after {budget:.1f}s"
-                                + (
-                                    f" (batch group of {len(slot.group)})"
-                                    if len(slot.group) > 1
-                                    else ""
-                                ),
-                                elapsed,
-                                slot.worker_id,
-                                slot.attempt,
-                                history(slot.group_id),
-                            )
+                    record(
+                        _failure_entry(
+                            task,
+                            STATUS_TIMEOUT,
+                            f"timed out after {task.timeout:.1f}s",
+                            elapsed,
+                            slot.worker_id,
+                            slot.attempt,
+                            history(task.task_id),
                         )
+                    )
                 elif not slot.process.is_alive():
-                    # Died without reporting: a genuine crash.  Retry the
-                    # whole group on a fresh process after a deterministic
-                    # backoff, up to CRASH_RETRIES times, then record the
-                    # failure on every member.
+                    # Died without reporting: a genuine crash.  Retry on a
+                    # fresh process after a deterministic backoff, up to
+                    # CRASH_RETRIES times, then record the failure.
                     error = (
                         f"worker crashed (exit code {slot.process.exitcode})"
                     )
                     release(slot)
                     if slot.attempt <= CRASH_RETRIES:
                         next_attempt = slot.attempt + 1
-                        delay = crash_backoff_seconds(
-                            slot.group_id, next_attempt
-                        )
-                        backoffs.setdefault(slot.group_id, []).append(delay)
-                        for task in slot.group:
-                            progress.task_retried(task, next_attempt, error)
+                        delay = crash_backoff_seconds(task.task_id, next_attempt)
+                        backoffs.setdefault(task.task_id, []).append(delay)
+                        progress.task_retried(task, next_attempt, error)
                         pending.appendleft(
-                            (slot.group, next_attempt, time.perf_counter() + delay)
+                            (task, next_attempt, time.perf_counter() + delay)
                         )
                     else:
-                        for task in slot.group:
-                            record(
-                                _failure_entry(
-                                    task, STATUS_FAILED, error, elapsed,
-                                    slot.worker_id, slot.attempt,
-                                    history(slot.group_id),
-                                )
+                        record(
+                            _failure_entry(
+                                task, STATUS_FAILED, error, elapsed,
+                                slot.worker_id, slot.attempt,
+                                history(task.task_id),
                             )
+                        )
     except KeyboardInterrupt:
         # Stop the fleet, record everything unfinished as interrupted,
         # and hand the partial record up for a manifest flush.
@@ -500,15 +436,11 @@ def _execute_pool(
             slot.process.join()
         entries = list(finished.values())
         entries.extend(
-            _interrupted_entry(task, slot.attempt)
-            for slot in running
-            for task in slot.group
-            if task.task_id not in finished
+            _interrupted_entry(slot.task, slot.attempt) for slot in running
         )
         entries.extend(
             _interrupted_entry(task, attempt)
-            for group, attempt, _ready_at in pending
-            for task in group
+            for task, attempt, _ready_at in pending
         )
         running.clear()
         raise RunInterrupted("interrupted during parallel execution", entries)

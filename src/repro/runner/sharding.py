@@ -79,11 +79,6 @@ class TaskSpec:
     entry_point: Optional[str] = None
     #: Serialised ScenarioSpec JSON for declarative scenario tasks.
     scenario: Optional[str] = None
-    #: Opaque coalescing label: tasks sharing a hint (and profile and
-    #: execution route) may be dispatched as one batch group — a pure
-    #: scheduling affinity, never a correctness input and never part of
-    #: any cache key.  ``None`` opts out.
-    batch_hint: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scenario is not None and self.entry_point is not None:

@@ -111,7 +111,6 @@ class ServiceClient:
         priority: int = 0,
         timeout: Optional[float] = None,
         entry_point: Optional[str] = None,
-        batch_hint: Optional[str] = None,
         wait: Union[bool, float] = False,
     ) -> Dict[str, object]:
         """``POST /jobs``; returns the job record (maybe already done)."""
@@ -127,8 +126,6 @@ class ServiceClient:
             body["timeout"] = timeout
         if entry_point is not None:
             body["entry_point"] = entry_point
-        if batch_hint is not None:
-            body["batch_hint"] = batch_hint
         http_timeout = self.timeout
         if wait:
             http_timeout += 3600.0 if wait is True else float(wait)
@@ -143,15 +140,12 @@ class ServiceClient:
         seed: int = 0,
         priority: int = 0,
         timeout: Optional[float] = None,
-        batch_hint: Optional[str] = None,
         wait: Union[bool, float] = False,
     ) -> Dict[str, object]:
         """``POST /jobs`` with an inline declarative scenario spec.
 
         ``scenario`` is a spec dict or anything with ``to_dict()`` (a
-        :class:`repro.scenario.ScenarioSpec`).  ``batch_hint`` lets
-        same-geometry submissions (e.g. one campaign's sweep points)
-        coalesce into a scheduler batch group.
+        :class:`repro.scenario.ScenarioSpec`).
         """
         spec_dict = (
             scenario if isinstance(scenario, dict) else scenario.to_dict()
@@ -166,8 +160,6 @@ class ServiceClient:
             body["profile"] = profile
         if timeout is not None:
             body["timeout"] = timeout
-        if batch_hint is not None:
-            body["batch_hint"] = batch_hint
         http_timeout = self.timeout
         if wait:
             http_timeout += 3600.0 if wait is True else float(wait)

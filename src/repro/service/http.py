@@ -54,7 +54,6 @@ average (see :meth:`repro.service.scheduler.JobScheduler
      "seed": 0,
      "priority": 0,
      "timeout": null,                  # per-job seconds (isolate mode)
-     "batch_hint": null,               # coalesce same-hint queued jobs
      "wait": false}                    # true/seconds: block for result
 
 A ``scenario`` submission runs an arbitrary declarative
@@ -402,11 +401,6 @@ def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
         raise ConfigurationError(
             f"'entry_point' must be a dotted-path string, got {entry_point!r}"
         )
-    batch_hint = payload.get("batch_hint")
-    if batch_hint is not None and not isinstance(batch_hint, str):
-        raise ConfigurationError(
-            f"'batch_hint' must be a string label or null, got {batch_hint!r}"
-        )
     return JobSpec.create(
         experiment_id,
         profile=profile,
@@ -414,7 +408,6 @@ def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
         timeout=None if timeout is None else float(timeout),
         entry_point=entry_point,
         scenario=scenario,
-        batch_hint=batch_hint,
     )
 
 
@@ -423,6 +416,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # A response leaves as two writes (headers, then body).  With Nagle on,
+    # a keep-alive connection holds the body until the client's delayed
+    # ACK for the headers arrives, ~40 ms per request.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServiceApp:

@@ -160,12 +160,9 @@ def render_prometheus(
         "delayed",
         "retry_after_seconds",
     }
-    batch_names = {"batch_groups", "batch_replicas", "batch_coalesced"}
     for name, value in sorted(scheduler_counters.items()):
         if not isinstance(value, (int, float)):
             continue
-        if name in batch_names:
-            continue  # rendered below with their derived gauges
         if name in gauge_names:
             metric(
                 f"repro_service_{name}",
@@ -180,44 +177,6 @@ def render_prometheus(
                 f"Scheduler counter: {name} jobs.",
                 [({}, float(value))],
             )
-
-    # Batch-group coalescing: counters plus the two ratios operators
-    # actually watch (how full groups run, how much queue time riding a
-    # group saved).
-    groups = float(scheduler_counters.get("batch_groups", 0) or 0)
-    replicas = float(scheduler_counters.get("batch_replicas", 0) or 0)
-    coalesced = float(scheduler_counters.get("batch_coalesced", 0) or 0)
-    metric(
-        "repro_service_batch_groups_total",
-        "counter",
-        "Batch groups formed by the scheduler (hinted computations run).",
-        [({}, groups)],
-    )
-    metric(
-        "repro_service_batch_replicas_total",
-        "counter",
-        "Computations carried by batch groups (group leaders included).",
-        [({}, replicas)],
-    )
-    metric(
-        "repro_service_batch_coalesced_total",
-        "counter",
-        "Queued computations claimed into another computation's group.",
-        [({}, coalesced)],
-    )
-    metric(
-        "repro_service_batch_replicas_per_group",
-        "gauge",
-        "Mean replicas per batch group since start.",
-        [({}, round(replicas / groups, 6) if groups else 0.0)],
-    )
-    metric(
-        "repro_service_batch_coalesce_hit_rate",
-        "gauge",
-        "Share of batch-group replicas that rode along instead of "
-        "waiting for their own worker slot.",
-        [({}, round(coalesced / replicas, 6) if replicas else 0.0)],
-    )
 
     # Fleet lease protocol: per-worker liveness, live lease gauge, and
     # the failure-handling counters (expirations, re-dispatches,

@@ -116,13 +116,6 @@ class JobSpec:
     ``scenario:<name>`` label and the canonical spec dict joins the cache
     key, so two submissions dedup exactly when their specs canonicalise
     identically.
-
-    ``batch_hint`` is an opaque coalescing label (see
-    :mod:`repro.runner.batching`): queued jobs sharing a hint, a profile
-    and an execution route are claimed together by one worker and run as
-    a single batch group, with each result stored under its own
-    unchanged cache key.  A scheduling affinity only — never part of the
-    key.
     """
 
     experiment_id: str
@@ -133,8 +126,6 @@ class JobSpec:
     timeout: Optional[float] = None
     entry_point: Optional[str] = None
     scenario: Optional["ScenarioSpec"] = None
-    #: Opaque batch-group label; volatile like ``timeout``, not keyed.
-    batch_hint: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scenario is not None and self.entry_point is not None:
@@ -151,7 +142,6 @@ class JobSpec:
         timeout: Optional[float] = None,
         entry_point: Optional[str] = None,
         scenario: Optional["ScenarioSpec"] = None,
-        batch_hint: Optional[str] = None,
     ) -> "JobSpec":
         """Normalising constructor (accepts profile names).
 
@@ -173,7 +163,6 @@ class JobSpec:
             timeout=timeout,
             entry_point=entry_point,
             scenario=scenario,
-            batch_hint=batch_hint,
         )
 
     @property
@@ -244,61 +233,12 @@ class _Computation:
     jobs: List[Job] = field(default_factory=list)
     state: str = JobState.QUEUED
     cancelled: bool = False
-    #: Claimed into another computation's batch group: the claimer runs
-    #: it, and a worker popping its own heap entry must skip it (same
-    #: lazy-skip mechanism as ``cancelled``).
-    claimed: bool = False
     #: Fleet lease bookkeeping: id of the live lease (None when not
     #: leased), how many leases have been granted, and the full attempt
     #: history (shared into each rider's ``Job.lease_history``).
     lease_id: Optional[str] = None
     lease_attempts: int = 0
     lease_history: List[Dict[str, object]] = field(default_factory=list)
-
-
-def _batch_group_key(spec: JobSpec) -> Optional[tuple]:
-    """Scheduler-side mirror of :func:`repro.runner.batching
-    .batch_group_key`: hint + execution route + profile, else no group."""
-    if spec.batch_hint is None:
-        return None
-    if spec.entry_point is not None:
-        route = f"entry:{spec.entry_point}"
-    elif spec.scenario is not None:
-        route = "scenario"
-    else:
-        route = f"registry:{spec.experiment_id}"
-    return (spec.batch_hint, route, spec.profile)
-
-
-def compute_group(specs: List[JobSpec], isolate: bool) -> List[ManifestEntry]:
-    """Run a batch group through the runner engine, one entry per spec.
-
-    The specs' shared ``batch_hint`` flows into the task list, so with
-    ``isolate=True`` the process pool coalesces them onto one worker
-    process (see :mod:`repro.runner.batching`); ``isolate=False`` runs
-    them back to back in-process.  Either way each spec computes from
-    its own pinned configuration — grouping never mixes results.
-    """
-    tasks = [
-        TaskSpec(
-            task_id=(
-                spec.experiment_id
-                if len(specs) == 1
-                else f"{spec.experiment_id}#g{index}"
-            ),
-            experiment_id=spec.experiment_id,
-            seed=spec.seed,
-            profile=spec.profile,
-            timeout=spec.timeout,
-            entry_point=spec.entry_point,
-            scenario=(
-                None if spec.scenario is None else spec.scenario.to_json()
-            ),
-            batch_hint=spec.batch_hint,
-        )
-        for index, spec in enumerate(specs)
-    ]
-    return execute_tasks(tasks, jobs=2 if isolate else 1)
 
 
 def compute_entry(spec: JobSpec, isolate: bool) -> ManifestEntry:
@@ -308,7 +248,19 @@ def compute_entry(spec: JobSpec, isolate: bool) -> ManifestEntry:
     is what grants the runner's timeout enforcement and crash retry;
     ``isolate=False`` takes the in-process serial path.
     """
-    return compute_group([spec], isolate)[0]
+    task = TaskSpec(
+        task_id=spec.experiment_id,
+        experiment_id=spec.experiment_id,
+        seed=spec.seed,
+        profile=spec.profile,
+        timeout=spec.timeout,
+        entry_point=spec.entry_point,
+        scenario=(
+            None if spec.scenario is None else spec.scenario.to_json()
+        ),
+    )
+    entries = execute_tasks([task], jobs=2 if isolate else 1)
+    return entries[0]
 
 
 class JobScheduler:
@@ -373,13 +325,6 @@ class JobScheduler:
             "deduplicated": 0,
             "store_served": 0,
             "computations": 0,
-            # Batch coalescing (jobs sharing a batch_hint run as one
-            # worker group): groups formed, replicas they carried, and
-            # how many of those replicas rode along instead of waiting
-            # for their own worker slot.
-            "batch_groups": 0,
-            "batch_replicas": 0,
-            "batch_coalesced": 0,
         }
 
     # ------------------------------------------------------------------
@@ -640,73 +585,48 @@ class JobScheduler:
                     except asyncio.TimeoutError:
                         pass
                 _neg_priority, _seq, computation = heapq.heappop(self._heap)
-            if computation.cancelled or computation.claimed:
+            if computation.cancelled:
                 continue
             self._queued -= 1
-            group = [computation]
-            # Opportunistic batch coalescing: claim every queued
-            # computation sharing this one's batch group (hint + route +
-            # profile) so the whole set runs in one executor call.  The
-            # claim happens synchronously on the event loop, so no other
-            # worker can race for the same computations.
-            group_key = _batch_group_key(computation.spec)
-            if group_key is not None:
-                from repro.runner.batching import MAX_GROUP_SIZE
-
-                for _p, _s, other in self._heap:
-                    if len(group) >= MAX_GROUP_SIZE:
-                        break
-                    if other.cancelled or other.claimed:
-                        continue
-                    if _batch_group_key(other.spec) == group_key:
-                        other.claimed = True
-                        self._queued -= 1
-                        group.append(other)
-                self.counters["batch_groups"] += 1
-                self.counters["batch_replicas"] += len(group)
-                self.counters["batch_coalesced"] += len(group) - 1
-            for member in group:
-                member.state = JobState.RUNNING
-                for job in member.jobs:
-                    job.state = JobState.RUNNING
-                    self._publish_job(job)
-            lead_job_id = group[0].jobs[0].job_id if group[0].jobs else ""
+            computation.state = JobState.RUNNING
+            for job in computation.jobs:
+                job.state = JobState.RUNNING
+                self._publish_job(job)
+            lead_job_id = computation.jobs[0].job_id if computation.jobs else ""
             loop = asyncio.get_running_loop()
             try:
-                entries = await loop.run_in_executor(
+                entry = await loop.run_in_executor(
                     None,
-                    self._compute_group_bound,
-                    [member.spec for member in group],
+                    self._compute_entry_bound,
+                    computation.spec,
                     lead_job_id,
                 )
             except Exception as exc:  # noqa: BLE001 - fan failure out
-                for member in group:
-                    self._finish_computation(
-                        member,
-                        state=JobState.FAILED,
-                        error=f"scheduler execution error: {exc!r}",
-                    )
+                self._finish_computation(
+                    computation,
+                    state=JobState.FAILED,
+                    error=f"scheduler execution error: {exc!r}",
+                )
                 continue
-            for member, entry in zip(group, entries):
-                if entry.ok:
-                    evicted = self.store.put(member.key, entry.result)
-                    self.telemetry.result_stored(
-                        member.key, self.telemetry.bus.time
+            if entry.ok:
+                evicted = self.store.put(computation.key, entry.result)
+                self.telemetry.result_stored(
+                    computation.key, self.telemetry.bus.time
+                )
+                for victim in evicted:
+                    self.telemetry.store_evicted(
+                        victim.key, self.telemetry.bus.time
                     )
-                    for victim in evicted:
-                        self.telemetry.store_evicted(
-                            victim.key, self.telemetry.bus.time
-                        )
-                    self._finish_computation(
-                        member, state=JobState.DONE, entry=entry
-                    )
-                else:
-                    self._finish_computation(
-                        member,
-                        state=JobState.FAILED,
-                        error=f"{entry.status}: {entry.error}",
-                        entry=entry,
-                    )
+                self._finish_computation(
+                    computation, state=JobState.DONE, entry=entry
+                )
+            else:
+                self._finish_computation(
+                    computation,
+                    state=JobState.FAILED,
+                    error=f"{entry.status}: {entry.error}",
+                    entry=entry,
+                )
 
     def _finish_computation(
         self,
@@ -767,20 +687,22 @@ class JobScheduler:
         if self.stream is not None:
             self.stream.publish_job(job)
 
-    def _compute_group_bound(self, specs: List[JobSpec], lead_job_id: str):
-        """Executor-thread entry: run the group with the hub bound.
+    def _compute_entry_bound(
+        self, spec: JobSpec, lead_job_id: str
+    ) -> ManifestEntry:
+        """Executor-thread entry: run the job with the hub bound.
 
-        Binding the job-stamped hub view around :func:`compute_group`
+        Binding the job-stamped hub view around :func:`compute_entry`
         lets in-process runs mirror their telemetry frames (closed-loop
         scores/alarms/flips, sweep progress marks) onto the service
-        stream.  Isolate-mode groups run in the process pool where the
+        stream.  Isolate-mode jobs run in the process pool where the
         binding cannot follow; they still stream their ``job`` frames.
         """
         from repro.service.progress import job_publisher_scope
 
         hub = self.stream.publisher if self.stream is not None else None
         with job_publisher_scope(hub, lead_job_id):
-            return compute_group(specs, self.isolate)
+            return compute_entry(spec, self.isolate)
 
     # ------------------------------------------------------------------
     # Fleet lease protocol (all coroutines run on the owning loop)
@@ -878,7 +800,6 @@ class JobScheduler:
                 "scenario": (
                     None if spec.scenario is None else spec.scenario.to_json()
                 ),
-                "batch_hint": spec.batch_hint,
             },
         }
 
@@ -886,7 +807,7 @@ class JobScheduler:
         """Highest-priority queued computation, skipping dead entries."""
         while self._heap:
             _neg_priority, _seq, computation = heapq.heappop(self._heap)
-            if computation.cancelled or computation.claimed:
+            if computation.cancelled:
                 continue
             if computation.state != JobState.QUEUED:
                 continue
@@ -1085,7 +1006,7 @@ class JobScheduler:
             now = self.fleet.now()
             still_waiting = []
             for ready_at, computation in self._delayed:
-                if computation.cancelled or computation.claimed:
+                if computation.cancelled:
                     continue  # cancel() already settled the accounting
                 if ready_at <= now:
                     heapq.heappush(

@@ -266,7 +266,6 @@ def _task_from_grant(job: Dict[str, object]) -> TaskSpec:
         timeout=job.get("timeout"),  # type: ignore[arg-type]
         entry_point=job.get("entry_point"),  # type: ignore[arg-type]
         scenario=job.get("scenario"),  # type: ignore[arg-type]
-        batch_hint=job.get("batch_hint"),  # type: ignore[arg-type]
     )
 
 

@@ -99,18 +99,6 @@ def raises_error(profile=None, seed=0):
     raise ValueError("deliberate failure for tests")
 
 
-def fails_when_seed_negative(profile=None, seed=0):
-    """Fails for negative seeds only — one entry point, mixed outcomes.
-
-    Batch-group tests need a member to fail *inside* a group, and group
-    membership requires an identical execution route, so the failure has
-    to key off the seed rather than the callable.
-    """
-    if seed < 0:
-        raise ValueError("deliberate failure for tests")
-    return _result(seed)
-
-
 #: Environment variables for ``gated_count``: the invocation log and the
 #: gate file whose existence releases blocked invocations.
 COUNT_FILE_ENV = "REPRO_TEST_COUNT_FILE"

@@ -169,17 +169,17 @@ class TestFastSet:
 
 class TestSelection:
     def test_available_engines(self):
-        assert available_engines() == ["reference", "fast", "batch"]
+        assert available_engines() == ["reference", "fast"]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("warp")
+        # Profiles saved by older versions may still name "batch".
+        for name in ("warp", "batch"):
+            with pytest.raises(ConfigurationError, match="reference, fast$"):
+                resolve_engine(name)
 
     def test_cache_class_mapping(self):
         assert cache_class("reference") is Cache
         assert cache_class("fast") is FastCache
-        # "batch" changes sweep execution, not single-hierarchy storage.
-        assert cache_class("batch") is FastCache
 
     def test_engine_context_restores_previous(self):
         before = current_engine()

@@ -9,12 +9,6 @@ small, is a bug in the fast engine.
 The fuzz matrix covers every policy in the replacement registry, both L1
 write policies, and seeded random traces of >= 10,000 accesses, plus a
 real WB-channel transmission end to end.
-
-The same contract extends one link down the chain: the batch kernel
-(:mod:`repro.engine.batch`) must reproduce the fast engine replica by
-replica — every event stream, every counter, every final way state — for
-all lifted policies and both write policies (the ``TestBatchEngineParity``
-section below).
 """
 
 import random
@@ -22,10 +16,8 @@ import random
 import pytest
 
 from repro.cache.cache import WritePolicy
-from repro.cache.configs import HierarchyParams, make_xeon_hierarchy
+from repro.cache.configs import make_xeon_hierarchy
 from repro.engine import event_stream, fig6_workload, random_workload, run_trace
-from repro.engine.batch import BatchReplay, batch_eligibility, run_batch_traces
-from repro.replacement.batch_state import lifted_policies
 from repro.replacement.registry import available_policies
 
 SEED = 1234
@@ -204,6 +196,38 @@ def test_experiment_results_identical_across_engines():
     assert result_ref.series == result_fast.series
 
 
+#: ``trace_sweep`` at quick profile, seed 0.  The zero L1 hit rate is
+#: right: the receiver cycles 10-line replacement sets through one 8-way
+#: LRU set, so every L1 access misses.
+TRACE_SWEEP_ROWS = [
+    ["replicas", "16"],
+    ["accesses per replica", "588"],
+    ["L1 hit rate (mean)", "0.0000"],
+    ["latency/access (mean cycles)", "22.002"],
+    ["dirty evictions per replica (mean)", "92.00"],
+    ["sweep fingerprint", "54fb4c56"],
+]
+TRACE_SWEEP_SERIES = {
+    "dirty_evictions": [
+        80, 64, 80, 88, 108, 104, 88, 96, 100, 88, 100, 112, 76, 88, 104, 96,
+    ],
+    "l1_hit_rate": [0.0] * 16,
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_trace_sweep_pinned(engine):
+    """The seed sweep's rows and series are pinned on every engine."""
+    from repro.experiments.profiles import QUICK
+    from repro.experiments.registry import run_experiment
+
+    result = run_experiment(
+        "trace_sweep", profile=QUICK.with_engine(engine), seed=0
+    )
+    assert result.rows == TRACE_SWEEP_ROWS
+    assert result.series == TRACE_SWEEP_SERIES
+
+
 def test_faulted_transmission_parity():
     """An injected-fault run (drift, slips, drops, co-runner) is
     engine-invariant: identical fault schedules AND identical bit errors."""
@@ -230,107 +254,6 @@ def test_faulted_transmission_parity():
     assert reference.sent_bits == fast.sent_bits
     assert reference.received_bits == fast.received_bits
     assert reference.bit_error_rate == fast.bit_error_rate
-
-
-def _batch_traces(seeds, num_accesses=1_800, write_ratio=0.35):
-    """One distinct seeded fuzz trace per replica."""
-    return [
-        list(
-            random_workload(
-                num_accesses=num_accesses,
-                working_set_lines=900,
-                write_ratio=write_ratio,
-                seed=seed,
-            )
-        )
-        for seed in seeds
-    ]
-
-
-def _assert_batch_matches_fast(params, seeds, traces, owner=None):
-    """Every replica of one BatchReplay equals an independent fast run."""
-    replay = BatchReplay(params, seeds, traces, owner=owner).run()
-    for replica, (seed, trace) in enumerate(zip(seeds, traces)):
-        fast = params.build(rng=random.Random(seed), engine="fast")
-        expected = run_trace(fast, trace, owner=owner)
-        got = replay.result(replica)
-        assert expected.hit_levels == got.hit_levels
-        assert expected.latencies == got.latencies
-        assert expected.dirty_evictions == got.dirty_evictions
-        assert expected.fingerprint() == replay.fingerprints()[replica]
-        assert fast.stats.snapshot() == replay.stats(replica).snapshot()
-        for level_index, level in enumerate(fast.levels):
-            for set_index, cache_set in enumerate(level.sets):
-                assert cache_set.way_states() == replay.way_states(
-                    replica, level_index, set_index
-                ), f"replica {replica} {level.name} set {set_index} diverged"
-                assert cache_set.index_snapshot() == replay.index_snapshot(
-                    replica, level_index, set_index
-                )
-
-
-class TestBatchEngineParity:
-    """The batch kernel must reproduce the fast engine replica by replica."""
-
-    @pytest.mark.parametrize("policy", lifted_policies())
-    @pytest.mark.parametrize(
-        "write_policy", [WritePolicy.WRITE_BACK, WritePolicy.WRITE_THROUGH]
-    )
-    def test_random_trace_parity(self, policy, write_policy):
-        """Seeded fuzz, every lifted policy x both write policies."""
-        params = HierarchyParams.xeon(
-            l1_policy=policy, l1_write_policy=write_policy
-        )
-        assert batch_eligibility(params) is None
-        seeds = [SEED + replica for replica in range(6)]
-        _assert_batch_matches_fast(params, seeds, _batch_traces(seeds), owner=0)
-
-    def test_fig6_seed_sweep_parity(self):
-        """A fig6-style seed sweep — the workload batching exists for."""
-        params = HierarchyParams.xeon()
-        seeds = list(range(12))
-        traces = [fig6_workload(num_symbols=120, seed=seed) for seed in seeds]
-        _assert_batch_matches_fast(params, seeds, traces)
-
-    def test_unequal_trace_lengths(self):
-        """Replicas retire at different steps; rows mask out correctly."""
-        params = HierarchyParams.tiny()
-        seeds = [5, 6, 7, 8]
-        traces = [
-            list(
-                random_workload(
-                    num_accesses=200 + 311 * index,
-                    working_set_lines=96,
-                    write_ratio=0.4,
-                    seed=seed,
-                )
-            )
-            for index, seed in enumerate(seeds)
-        ]
-        _assert_batch_matches_fast(params, seeds, traces)
-
-    def test_unlifted_policy_falls_back_to_fast(self):
-        """nru has no batched state: the driver must still be exact."""
-        params = HierarchyParams.xeon(l1_policy="nru")
-        assert batch_eligibility(params) is not None
-        seeds = [1, 2, 3]
-        traces = _batch_traces(seeds, num_accesses=600)
-        results = run_batch_traces(params, seeds, traces)
-        for seed, trace, got in zip(seeds, traces, results):
-            fast = params.build(rng=random.Random(seed), engine="fast")
-            expected = run_trace(fast, trace)
-            assert expected.fingerprint() == got.fingerprint()
-            assert expected.hit_levels == got.hit_levels
-
-    def test_write_through_l1_never_dirty(self):
-        """Under WT the L1 holds no dirty lines, so no dirty evictions."""
-        params = HierarchyParams.xeon(
-            l1_write_policy=WritePolicy.WRITE_THROUGH
-        )
-        seeds = [SEED]
-        replay = BatchReplay(params, seeds, _batch_traces(seeds)).run()
-        assert not replay.result(0).dirty_evictions.count(True)
-        assert not replay.levels[0].dirty.any()
 
 
 def test_robust_protocol_parity():

@@ -1,6 +1,27 @@
 """The package's top-level public API surface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import repro
+
+#: Run in a fresh interpreter: prints the top-level modules that importing
+#: the CLI registry and the service entry point loads from outside the
+#: standard library.
+_FOREIGN_IMPORTS_PROBE = """
+import json, sys
+before = set(sys.modules)
+import repro.experiments.registry, repro.service.__main__
+if hasattr(sys, "stdlib_module_names"):
+    allowed = set(sys.stdlib_module_names) | {"repro", "__mp_main__"}
+    loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+    print(json.dumps(sorted(loaded - allowed)))
+else:  # Python 3.9 has no stdlib list; check the one known offender.
+    print(json.dumps(["numpy"] if "numpy" in sys.modules else []))
+"""
 
 
 class TestTopLevelExports:
@@ -61,3 +82,24 @@ class TestDoctests:
 
         failures, _ = doctest.testmod(bits)
         assert failures == 0
+
+
+class TestImportHygiene:
+    def test_entry_points_load_only_the_standard_library(self):
+        # Every CLI run, runner worker and service process pays for these
+        # imports at start-up, in time and in peak memory.
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", _FOREIGN_IMPORTS_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
+        assert json.loads(process.stdout) == []

@@ -1,14 +1,18 @@
 """HTTP API surface: routes, status codes, and bit-identical serving."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.experiments.base import ExperimentResult
+from repro.experiments.profiles import QUICK
 from repro.experiments.registry import run_experiment
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import ServiceApp, make_server
@@ -97,6 +101,26 @@ class TestRoutes:
             assert series in text
         assert 'repro_service_bus_events_total{kind="miss"} 1' in text
 
+    def test_keep_alive_requests_do_not_stall(self, service):
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # each body waits for the client's delayed ACK (~40 ms on Linux).
+        address = urllib.parse.urlsplit(service.base_url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10
+        )
+        latencies = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020
+
 
 class TestErrorCodes:
     def test_unknown_experiment_is_400(self, service):
@@ -111,6 +135,13 @@ class TestErrorCodes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    def test_removed_engine_is_400(self, service):
+        profile = dict(QUICK.to_dict(), engine="batch")
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit("table4", profile=profile)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
 
     def test_missing_experiment_id_is_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
