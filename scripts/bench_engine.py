@@ -57,46 +57,61 @@ WORKLOADS: Dict[str, Callable[[bool], List[Tuple[int, bool]]]] = {
 SCHEMA_VERSION = 4
 
 
+#: The timed configurations, in the order each repeat runs them:
+#: (engine, idle telemetry bus attached).
+CONFIGS: Tuple[Tuple[str, bool], ...] = (
+    ("reference", False),
+    ("fast", False),
+    ("fast", True),
+)
+
+
 def time_engine(
     engine: str,
     trace: List[Tuple[int, bool]],
-    repeats: int,
     idle_bus: bool = False,
 ) -> Tuple[float, Tuple[int, int, int, int]]:
-    """Best-of-``repeats`` wall time and the result fingerprint.
+    """Wall time of one replay on a fresh hierarchy, and its fingerprint.
 
     ``idle_bus=True`` attaches a disabled telemetry bus first — the
-    "merely present" configuration the overhead gate watches.
+    "merely present" configuration the overhead gate watches.  Caches
+    build their sets on first touch; every set is built here, before the
+    timer starts, so only the replay is timed.
     """
-    best = float("inf")
-    fingerprint = None
-    for _ in range(repeats):
-        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
-        if idle_bus:
-            from repro.telemetry import TelemetryBus
+    hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+    if idle_bus:
+        from repro.telemetry import TelemetryBus
 
-            hierarchy.attach_telemetry(TelemetryBus(enabled=False))
-        start = time.perf_counter()
-        result = run_trace(hierarchy, trace, owner=0)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        current = result.fingerprint()
-        if fingerprint is None:
-            fingerprint = current
-        elif fingerprint != current:
-            raise AssertionError(
-                f"{engine} engine is non-deterministic on repeats: "
-                f"{fingerprint} != {current}"
-            )
-    return best, fingerprint
+        hierarchy.attach_telemetry(TelemetryBus(enabled=False))
+    for level in hierarchy.levels:
+        for _ in level.sets:
+            pass
+    start = time.perf_counter()
+    result = run_trace(hierarchy, trace, owner=0)
+    return time.perf_counter() - start, result.fingerprint()
 
 
 def bench_workload(name: str, quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure one workload on both engines and check parity."""
+    """Measure one workload on both engines and check parity.
+
+    Best-of-``repeats`` per configuration.  Each repeat times every
+    configuration once, so host-speed drift during the run hits all of
+    them alike instead of one sequential block.
+    """
     trace = WORKLOADS[name](quick)
-    ref_seconds, ref_fp = time_engine("reference", trace, repeats)
-    fast_seconds, fast_fp = time_engine("fast", trace, repeats)
-    idle_seconds, idle_fp = time_engine("fast", trace, repeats, idle_bus=True)
+    best = {config: float("inf") for config in CONFIGS}
+    fingerprints: Dict[Tuple[str, bool], Tuple[int, int, int, int]] = {}
+    for _ in range(repeats):
+        for config in CONFIGS:
+            elapsed, current = time_engine(config[0], trace, idle_bus=config[1])
+            best[config] = min(best[config], elapsed)
+            if fingerprints.setdefault(config, current) != current:
+                raise AssertionError(
+                    f"{config[0]} engine is non-deterministic on repeats: "
+                    f"{fingerprints[config]} != {current}"
+                )
+    ref_seconds, fast_seconds, idle_seconds = (best[config] for config in CONFIGS)
+    ref_fp, fast_fp, idle_fp = (fingerprints[config] for config in CONFIGS)
     if ref_fp != fast_fp:
         raise AssertionError(
             f"PARITY FAILURE on workload {name!r}: "

@@ -11,12 +11,13 @@ entirely.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_rng, ensure_rng
+from repro.common.rng import ensure_rng, mix_label
 from repro.cache.cache_set import CacheSet
 from repro.cache.line import EvictedLine
 from repro.mem.address import AddressLayout
@@ -47,7 +48,8 @@ class Cache:
     size_bytes, associativity, line_size:
         Geometry; ``size = sets * ways * line_size`` must hold exactly.
     policy_factory:
-        ``factory(ways, rng) -> ReplacementPolicy``; one instance per set.
+        ``factory(ways, rng) -> ReplacementPolicy``; one instance per set,
+        made when the set is built on its first touch.
     write_policy, allocation_policy:
         Store semantics; the paper's target configuration is write-back +
         write-allocate (the near-universal pairing, Section 2.2).
@@ -82,24 +84,53 @@ class Cache:
         self.layout = AddressLayout(line_size=line_size, num_sets=num_sets)
         self.write_policy = write_policy
         self.allocation_policy = allocation_policy
-        master = ensure_rng(rng)
-        self.sets: List[CacheSet] = [
-            self._make_set(
-                associativity,
-                policy_factory(associativity, derive_rng(master, f"{name}/set{i}")),
-            )
-            for i in range(num_sets)
-        ]
+        self._policy_factory = policy_factory
+        # One draw holds the 32-bit words that ``num_sets`` sequential
+        # ``derive_rng(master, ...)`` calls would take, and leaves
+        # ``master`` where they would (see ``mix_label``).
+        self._set_words = ensure_rng(rng).getrandbits(32 * num_sets)
+        #: Set i, or None until its first touch (``_build_set``).
+        self._sets: List[Optional[CacheSet]] = [None] * num_sets
+        # A policy that rejects the geometry must fail here, not on the
+        # first access.
+        self._build_set(0)
+
+    def _build_set(self, index: int) -> CacheSet:
+        """Build set ``index``; hot paths call this when its slot is None.
+
+        Its policy RNG is ``Random(word_i ^ crc32(f"{name}/set{i}"))``
+        with ``word_i`` the i-th 32-bit word of the constructor's draw:
+        the generator an eager ``derive_rng(master, f"{name}/set{i}")``
+        in set order would have made, whatever order sets are touched in.
+        """
+        word = (self._set_words >> (32 * index)) & 0xFFFFFFFF
+        rng = random.Random(mix_label(word, f"{self.name}/set{index}"))
+        ways = self.associativity
+        cache_set = self._make_set(ways, self._policy_factory(ways, rng))
+        self._sets[index] = cache_set
+        return cache_set
 
     def _make_set(self, ways: int, policy) -> CacheSet:
         """Set-construction hook; the fast engine substitutes its SoA set.
 
-        Overriders must return an object with the :class:`CacheSet` public
-        surface (``find``/``fill``/``invalidate``/counters/locking); the
-        per-set policy RNG derivation above is shared so both engines draw
-        identical random streams.
+        Called by :meth:`_build_set` on a set's first touch.  Overriders
+        must return an object with the :class:`CacheSet` public surface
+        (``find``/``fill``/``invalidate``/counters/locking); the policy
+        they receive carries the per-set RNG derived there, so both
+        engines draw identical random streams.
         """
         return CacheSet(ways, policy)
+
+    @property
+    def sets(self) -> SetView:
+        """All ``num_sets`` sets, each built when first read."""
+        return SetView(self)
+
+    def _set_at(self, index: int) -> CacheSet:
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
+        return cache_set
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -111,7 +142,7 @@ class Cache:
 
     def set_for(self, address: int) -> CacheSet:
         """The set that ``address`` maps to."""
-        return self.sets[self.set_index(address)]
+        return self._set_at(self.set_index(address))
 
     def set_index(self, address: int) -> int:
         """Set index of ``address`` (hook point for randomized mapping)."""
@@ -179,7 +210,7 @@ class Cache:
     ) -> Optional[EvictedLine]:
         """Install the line of ``address``; returns the eviction, if any."""
         set_index = self.set_index(address)
-        return self.sets[set_index].fill(
+        return self._set_at(set_index).fill(
             tag=self.tag_of(address),
             dirty=dirty,
             owner=owner,
@@ -199,7 +230,7 @@ class Cache:
         """Dirty-line count of a set (experiments peek at the target set)."""
         if not 0 <= set_index < self.num_sets:
             raise ConfigurationError(f"set_index {set_index} out of range")
-        return self.sets[set_index].dirty_count()
+        return self._set_at(set_index).dirty_count()
 
     def describe(self) -> Dict[str, object]:
         """Human-readable configuration summary."""
@@ -212,3 +243,27 @@ class Cache:
             "write_policy": self.write_policy.value,
             "allocation_policy": self.allocation_policy.value,
         }
+
+
+class SetView(collections.abc.Sequence):
+    """Read-only sequence over a cache's sets, building each on access.
+
+    Tests, invariant checkers and defenses read sets through this view;
+    the hot paths index the cache's own list and build on ``None``.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, cache: Cache) -> None:
+        self._cache = cache
+
+    def __len__(self) -> int:
+        return len(self._cache._sets)
+
+    def __getitem__(self, index):
+        # ``range`` normalises negative indices and slices, and raises
+        # the IndexError/TypeError a list would.
+        positions = range(len(self._cache._sets))[index]
+        if isinstance(positions, range):
+            return [self._cache._set_at(i) for i in positions]
+        return self._cache._set_at(positions)

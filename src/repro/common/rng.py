@@ -56,8 +56,19 @@ def derive_seed(parent: RngLike, label: str) -> int:
     therefore order-independent; passing a ``Random`` instance draws from
     it and advances its state, exactly like :func:`derive_rng`.
     """
-    parent_rng = ensure_rng(parent)
-    return parent_rng.getrandbits(32) ^ zlib.crc32(label.encode("utf-8"))
+    return mix_label(ensure_rng(parent).getrandbits(32), label)
+
+
+def mix_label(word: int, label: str) -> int:
+    """The child seed of a 32-bit parent draw ``word`` and a label.
+
+    :func:`derive_seed` draws ``word`` with ``getrandbits(32)``.  A caller
+    that needs many children can draw all their words at once instead:
+    ``getrandbits(32 * n)`` holds the words that ``n`` sequential
+    ``getrandbits(32)`` calls would return, the i-th in bits
+    ``[32 * i, 32 * i + 32)``, and leaves the parent in the same state.
+    """
+    return word ^ zlib.crc32(label.encode("utf-8"))
 
 
 def maybe_seeded(seed: Optional[int]) -> random.Random:

@@ -46,6 +46,11 @@ class RandomizedMappingCache(Cache):
     The permutation input is the line address's low bits (index plus a few
     tag bits), so two addresses with equal classic index generally land in
     different sets — breaking stride-built eviction sets.
+
+    ``set_index`` is a pure function of the address and the current key.
+    Re-keying counts demand accesses, one per :meth:`lookup` (the first
+    step of every hierarchy walk), so probes, fills, store marking and
+    telemetry never shift an epoch boundary.
     """
 
     def __init__(
@@ -78,7 +83,6 @@ class RandomizedMappingCache(Cache):
         return tag << self.layout.offset_bits
 
     def set_index(self, address: int) -> int:
-        self._maybe_rekey()
         index_bits = self.layout.index_bits
         # Mix the classic index with low tag bits through the keyed
         # permutation; modulo back into the set range.
@@ -88,6 +92,10 @@ class RandomizedMappingCache(Cache):
             permuted = _feistel_round(permuted, round_key, index_bits + 6)
         return permuted & (self.num_sets - 1)
 
+    def lookup(self, address: int, owner: Optional[int]) -> bool:
+        self._maybe_rekey()
+        return super().lookup(address, owner)
+
     def _maybe_rekey(self) -> None:
         if self.rekey_period_accesses <= 0:
             return
@@ -96,8 +104,10 @@ class RandomizedMappingCache(Cache):
             # Re-keying flushes the cache in real designs; model the same.
             # invalidate_all keeps the per-set tag index and dirty/valid
             # counters in sync (direct line mutation would desync them).
-            for cache_set in self.sets:
-                cache_set.invalidate_all()
+            # A set not yet built is empty, so only built sets are flushed.
+            for cache_set in self._sets:
+                if cache_set is not None:
+                    cache_set.invalidate_all()
             self.key = self._rekey_rng.randrange(1, 1 << 16)
             self._accesses_since_rekey = 0
             self.rekey_count += 1

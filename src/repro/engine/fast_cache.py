@@ -5,12 +5,13 @@ public API (the hierarchy drives both engines through the exact same
 calls) and swaps in:
 
 * :class:`~repro.engine.fast_set.FastSet` sets via the ``_make_set`` hook —
-  the per-set policy RNG derivation in the base constructor is untouched,
-  so both engines hand identical ``random.Random`` streams to their
-  policies;
+  the base class builds each set on first touch with the same per-set
+  policy RNG on both engines, so they hand identical ``random.Random``
+  streams to their policies;
 * cached address-field integers (``offset_bits``/index mask/tag shift) so
   the hot path avoids the property chain through
-  :class:`~repro.mem.address.AddressLayout`;
+  :class:`~repro.mem.address.AddressLayout`, and indexes the plain set
+  list, building a set whose slot is still ``None``;
 * mask-based ``is_dirty`` (the reference reads ``lines[way].dirty``, which
   a FastSet does not have).
 """
@@ -77,16 +78,25 @@ class FastCache(Cache):
     # Hot-path operations
     # ------------------------------------------------------------------
     def probe(self, address: int) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
         return (address >> self._tag_shift) in cache_set._index
 
     def is_dirty(self, address: int) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
         way = cache_set._index.get(address >> self._tag_shift)
         return way is not None and bool(cache_set.dirty_mask & (1 << way))
 
     def lookup(self, address: int, owner: Optional[int]) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
         way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             return False
@@ -96,7 +106,10 @@ class FastCache(Cache):
         return True
 
     def mark_dirty(self, address: int) -> None:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
         way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             raise ConfigurationError(
@@ -108,7 +121,10 @@ class FastCache(Cache):
         self, address: int, dirty: bool, owner: Optional[int]
     ) -> Optional[EvictedLine]:
         set_index = (address >> self._offset_bits) & self._index_mask
-        return self.sets[set_index].fill(
+        cache_set = self._sets[set_index]
+        if cache_set is None:
+            cache_set = self._build_set(set_index)
+        return cache_set.fill(
             tag=address >> self._tag_shift,
             dirty=dirty,
             owner=owner,
@@ -118,5 +134,8 @@ class FastCache(Cache):
         )
 
     def invalidate(self, address: int) -> Optional[EvictedLine]:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._build_set(index)
         return cache_set.invalidate(address >> self._tag_shift)

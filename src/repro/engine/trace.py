@@ -121,15 +121,17 @@ def _run_trace_soa(
     levels = hierarchy.levels
     num_levels = len(levels)
     # Per level: [sets, offset_bits, index_mask, tag_shift, address_of,
-    #             counters-or-None].
+    #             counters-or-None, build_set].  A set slot stays None
+    # until its first touch, which builds it.
     data = [
         [
-            level.sets,
+            level._sets,
             level._offset_bits,
             level._index_mask,
             level._tag_shift,
             level._address_of,
             None,
+            level._build_set,
         ]
         for level in levels
     ]
@@ -148,6 +150,7 @@ def _run_trace_soa(
 
     l1 = data[0]
     l1_sets, l1_offset, l1_mask, l1_shift = l1[0], l1[1], l1[2], l1[3]
+    l1_build = l1[6]
     l1_hit_latency = hit_lat[0]
     memory_reads = 0
 
@@ -155,7 +158,10 @@ def _run_trace_soa(
         latency = rng_randint(0, jitter) if jitter else 0
 
         # --- walk, L1 step unrolled -----------------------------------
-        cache_set = l1_sets[(address >> l1_offset) & l1_mask]
+        l1_index = (address >> l1_offset) & l1_mask
+        cache_set = l1_sets[l1_index]
+        if cache_set is None:
+            cache_set = l1_build(l1_index)
         way = cache_set._index.get(address >> l1_shift)
         counters = l1[5]
         if counters is None:
@@ -184,7 +190,10 @@ def _run_trace_soa(
         hit_level = MEMORY_LEVEL
         for index in range(1, num_levels):
             entry = data[index]
-            deep_set = entry[0][(address >> entry[1]) & entry[2]]
+            deep_index = (address >> entry[1]) & entry[2]
+            deep_set = entry[0][deep_index]
+            if deep_set is None:
+                deep_set = entry[6](deep_index)
             deep_way = deep_set._index.get(address >> entry[3])
             hit = deep_way is not None
             counters = entry[5]
@@ -205,7 +214,7 @@ def _run_trace_soa(
                 hit_level = index + 1
                 break
 
-        # --- fill path -------------------------------------------------
+        # --- fill path (every set on it was built by the walk) ---------
         if hit_level == MEMORY_LEVEL:
             latency += dram
             memory_reads += 1
@@ -233,7 +242,6 @@ def _run_trace_soa(
         if write:
             # The line was just installed at L1 (write-allocate), so the
             # store hit path reduces to marking it dirty.
-            cache_set = l1_sets[(address >> l1_offset) & l1_mask]
             cache_set.mark_dirty(cache_set._index[address >> l1_shift])
         out_level(hit_level)
         out_latency(latency)

@@ -3,10 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import derive_rng
 from repro.cache.cache import AllocationPolicy, Cache, WritePolicy
+from repro.cache.cache_set import CacheSet
+from repro.cache.configs import make_xeon_hierarchy
+from repro.engine.fast_cache import FastCache
+from repro.engine.fast_set import FastSet
 from repro.replacement.registry import make_policy_factory
+
+#: Cache class and set type of each engine.
+ENGINES = {"reference": (Cache, CacheSet), "fast": (FastCache, FastSet)}
 
 
 def make_cache(size=4096, ways=4, line=64, policy="lru", **kwargs):
@@ -119,3 +129,87 @@ class TestDescribe:
         assert info["num_sets"] == 16
         assert info["write_policy"] == WritePolicy.WRITE_BACK.value
         assert info["allocation_policy"] == AllocationPolicy.WRITE_ALLOCATE.value
+
+
+class TestLazySets:
+    """Sets are built on first touch from one seed draw."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        engine=st.sampled_from(sorted(ENGINES)),
+        seed=st.integers(min_value=0, max_value=2**64),
+        name=st.text(max_size=12),
+        log_sets=st.integers(min_value=0, max_value=11),
+        data=st.data(),
+    )
+    def test_seed_contract(self, engine, seed, name, log_sets, data):
+        num_sets = 1 << log_sets
+        master = random.Random(seed)
+        cache = ENGINES[engine][0](
+            name, num_sets * 2 * 64, 2, 64, make_policy_factory("lru"), rng=master
+        )
+        after_words = random.Random(seed)
+        for _ in range(num_sets):
+            after_words.getrandbits(32)
+        assert master.getstate() == after_words.getstate()
+
+        # First touches through the hot path, in any order, then the rest
+        # through the view.
+        touches = data.draw(
+            st.lists(st.integers(0, num_sets - 1), unique=True, max_size=16)
+        )
+        for index in touches:
+            cache.probe(index * 64)
+        sequential = random.Random(seed)
+        for index in range(num_sets):
+            expected = derive_rng(sequential, f"{name}/set{index}").getstate()
+            assert cache.sets[index].policy.rng.getstate() == expected
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every set object constructed while the test runs, in order."""
+        built = []
+        for cls in (CacheSet, FastSet):
+
+            def counting(set_obj, *args, init=cls.__init__, **kwargs):
+                built.append(set_obj)
+                init(set_obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_construction_and_one_load_build_only_what_they_touch(
+        self, engine, built
+    ):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+        levels = hierarchy.levels
+        assert len(built) <= len(levels)
+        built.clear()
+        address = 0x12340  # maps to a set other than 0 at every level
+        hierarchy.load(address, owner=0)
+        path = [level.sets[level.set_index(address)] for level in levels]
+        assert built == path
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_view_is_a_full_sequence(self, engine):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+        set_type = ENGINES[engine][1]
+        for level in hierarchy.levels:
+            view = level.sets
+            assert len(view) == level.num_sets
+            items = list(view)
+            assert len(items) == level.num_sets
+            assert all(type(item) is set_type for item in items)
+            assert view[-1] is items[-1]
+            assert view[1:3] == items[1:3]
+            with pytest.raises(IndexError):
+                view[level.num_sets]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_policy_error_raises_at_construction(self, engine):
+        with pytest.raises(ConfigurationError):
+            ENGINES[engine][0](
+                "six-way", 6 * 64 * 4, 6, 64, make_policy_factory("tree-plru"),
+                rng=random.Random(0),
+            )

@@ -190,6 +190,37 @@ class TestRandomizedMapping:
             hierarchy.load(0x9000 + i * 64, owner=0)
         assert hierarchy.l1.rekey_count >= 1
 
+    @staticmethod
+    def _rekeyed_run(seed, accesses, period, write_ratio, bus=None):
+        """Random traffic over 1024 lines; returns (latencies, rekey_count)."""
+        hierarchy = make_randomized_mapping_hierarchy(
+            rekey_period_accesses=period, rng=random.Random(seed)
+        )
+        if bus is not None:
+            hierarchy.attach_telemetry(bus)
+        traffic = random.Random(seed + 1)
+        latencies = []
+        for _ in range(accesses):
+            address = 0x100000 + traffic.randrange(1024) * 64
+            write = traffic.random() < write_ratio
+            latencies.append(hierarchy.access(address, write, owner=0).latency)
+        return latencies, hierarchy.l1.rekey_count
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rekey_counts_one_tick_per_access_with_stores(self, seed):
+        # A rekey between a store hit's probe and its mark_dirty used to
+        # flush the line under it.
+        _, rekeys = self._rekeyed_run(seed, 2000, 50, write_ratio=0.3)
+        assert rekeys == 2000 // 50
+
+    def test_rekey_unchanged_by_telemetry(self):
+        from repro.telemetry import TelemetryBus
+
+        quiet = self._rekeyed_run(0, 5000, 200, write_ratio=0.0)
+        traced = self._rekeyed_run(0, 5000, 200, write_ratio=0.0, bus=TelemetryBus())
+        assert quiet == traced
+        assert quiet[1] == 5000 // 200
+
     def test_eviction_set_profiling_defeats_fixed_key(self):
         hierarchy = make_randomized_mapping_hierarchy(rng=random.Random(0))
         space = AddressSpace(pid=1, allocator=FrameAllocator())
