@@ -23,41 +23,29 @@ Quick start::
 See ``examples/quickstart.py`` for the full tour.
 """
 
-from repro.common import CPU_FREQUENCY_HZ, cycles_to_kbps, kbps_to_period_cycles
-from repro.cache import (
-    CacheHierarchy,
-    LatencyModel,
-    XeonE5_2650Config,
-    make_tiny_hierarchy,
-    make_xeon_hierarchy,
-)
-from repro.channels.wb import (
-    ChannelRunResult,
-    WBChannelConfig,
-    quick_channel_run,
-    run_wb_channel,
-)
-from repro.experiments import ExperimentResult, RunProfile
-from repro.runner import RunManifest, run_experiments
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CPU_FREQUENCY_HZ",
-    "CacheHierarchy",
-    "ChannelRunResult",
-    "ExperimentResult",
-    "LatencyModel",
-    "RunManifest",
-    "RunProfile",
-    "WBChannelConfig",
-    "XeonE5_2650Config",
-    "__version__",
-    "cycles_to_kbps",
-    "kbps_to_period_cycles",
-    "make_tiny_hierarchy",
-    "make_xeon_hierarchy",
-    "quick_channel_run",
-    "run_experiments",
-    "run_wb_channel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "common": ("CPU_FREQUENCY_HZ", "cycles_to_kbps", "kbps_to_period_cycles"),
+        "cache": (
+            "CacheHierarchy",
+            "LatencyModel",
+            "XeonE5_2650Config",
+            "make_tiny_hierarchy",
+            "make_xeon_hierarchy",
+        ),
+        "channels.wb": (
+            "ChannelRunResult",
+            "WBChannelConfig",
+            "quick_channel_run",
+            "run_wb_channel",
+        ),
+        "experiments": ("ExperimentResult", "RunProfile"),
+        "runner": ("RunManifest", "run_experiments"),
+    },
+)
+__all__.append("__version__")

@@ -7,44 +7,32 @@ hardware performance counters (Section 7).  This package implements those
 three measurement tools.
 """
 
-from repro.analysis.edit_distance import edit_distance, edit_distance_alignment
-from repro.analysis.ber import (
-    BitErrorReport,
-    align_by_preamble,
-    bit_error_rate,
-    evaluate_transmission,
-)
-from repro.analysis.cdf import empirical_cdf, histogram, summarize_latencies
-from repro.analysis.capacity import (
-    binary_symmetric_capacity,
-    confusion_matrix,
-    effective_rate_kbps,
-    symbol_capacity,
-)
-from repro.analysis.detection import DetectionReport, compare_miss_profiles
-from repro.analysis.run_summary import manifest_table, summarize_manifest
-from repro.analysis.svg import Chart, ber_chart, cdf_chart, trace_chart
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BitErrorReport",
-    "DetectionReport",
-    "Chart",
-    "align_by_preamble",
-    "ber_chart",
-    "binary_symmetric_capacity",
-    "cdf_chart",
-    "trace_chart",
-    "bit_error_rate",
-    "confusion_matrix",
-    "effective_rate_kbps",
-    "symbol_capacity",
-    "compare_miss_profiles",
-    "edit_distance",
-    "edit_distance_alignment",
-    "empirical_cdf",
-    "evaluate_transmission",
-    "histogram",
-    "manifest_table",
-    "summarize_latencies",
-    "summarize_manifest",
-]
+# Bound eagerly because the submodule has the same name: importing
+# repro.analysis.edit_distance sets this package's attribute to the
+# module, and __getattr__ is consulted only for names that are unset.
+from repro.analysis.edit_distance import edit_distance
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "edit_distance": ("edit_distance", "edit_distance_alignment"),
+        "ber": (
+            "BitErrorReport",
+            "align_by_preamble",
+            "bit_error_rate",
+            "evaluate_transmission",
+        ),
+        "cdf": ("empirical_cdf", "histogram", "summarize_latencies"),
+        "capacity": (
+            "binary_symmetric_capacity",
+            "confusion_matrix",
+            "effective_rate_kbps",
+            "symbol_capacity",
+        ),
+        "detection": ("DetectionReport", "compare_miss_profiles"),
+        "run_summary": ("manifest_table", "summarize_manifest"),
+        "svg": ("Chart", "ber_chart", "cdf_chart", "trace_chart"),
+    },
+)

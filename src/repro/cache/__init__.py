@@ -9,46 +9,28 @@ policies, statistics, multi-level walks — exists so the attack, baseline
 channels, defenses, and benign workloads all run against one faithful model.
 """
 
-from repro.cache.line import CacheLine, EvictedLine
-from repro.cache.latency import LatencyModel
-from repro.cache.cache_set import CacheSet
-from repro.cache.cache import (
-    AllocationPolicy,
-    Cache,
-    WritePolicy,
-)
-from repro.cache.hierarchy import (
-    AccessTrace,
-    CacheHierarchy,
-    HierarchyFactory,
-    MEMORY_LEVEL,
-)
-from repro.cache.stats import CacheStats, LevelCounters
-from repro.cache.configs import (
-    HierarchyParams,
-    LevelParams,
-    XeonE5_2650Config,
-    make_xeon_hierarchy,
-    make_tiny_hierarchy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HierarchyFactory",
-    "AccessTrace",
-    "AllocationPolicy",
-    "Cache",
-    "CacheHierarchy",
-    "CacheLine",
-    "CacheSet",
-    "CacheStats",
-    "EvictedLine",
-    "HierarchyParams",
-    "LatencyModel",
-    "LevelCounters",
-    "LevelParams",
-    "MEMORY_LEVEL",
-    "WritePolicy",
-    "XeonE5_2650Config",
-    "make_tiny_hierarchy",
-    "make_xeon_hierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "line": ("CacheLine", "EvictedLine"),
+        "latency": ("LatencyModel",),
+        "cache_set": ("CacheSet",),
+        "cache": ("AllocationPolicy", "Cache", "WritePolicy"),
+        "hierarchy": (
+            "AccessTrace",
+            "CacheHierarchy",
+            "HierarchyFactory",
+            "MEMORY_LEVEL",
+        ),
+        "stats": ("CacheStats", "LevelCounters"),
+        "configs": (
+            "HierarchyParams",
+            "LevelParams",
+            "XeonE5_2650Config",
+            "make_xeon_hierarchy",
+            "make_tiny_hierarchy",
+        ),
+    },
+)

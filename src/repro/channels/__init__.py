@@ -7,43 +7,25 @@ SMT core so that stability and stealthiness comparisons are apples to
 apples.
 """
 
-from repro.channels.encoding import BinaryDirtyCodec, MultiBitDirtyCodec, SymbolCodec
-from repro.channels.threshold import ThresholdDecoder
-from repro.channels.testbench import ChannelTestbench, TestbenchConfig
-from repro.channels.results import TransmissionResult
-from repro.channels.coding import BlockCode, HammingCode, RepetitionCode
-from repro.channels.lru_channel import LRUChannelConfig, run_lru_channel
-from repro.channels.prime_probe import PrimeProbeConfig, run_prime_probe_channel
-from repro.channels.flush_reload import FlushReloadConfig, run_flush_reload_channel
-from repro.channels.flush_flush import FlushFlushConfig, run_flush_flush_channel
-from repro.channels.taxonomy import (
-    KNOWN_CHANNELS,
-    ChannelProfile,
-    TimingClass,
-    channels_by_class,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BinaryDirtyCodec",
-    "BlockCode",
-    "ChannelProfile",
-    "ChannelTestbench",
-    "FlushFlushConfig",
-    "FlushReloadConfig",
-    "HammingCode",
-    "KNOWN_CHANNELS",
-    "LRUChannelConfig",
-    "MultiBitDirtyCodec",
-    "PrimeProbeConfig",
-    "RepetitionCode",
-    "SymbolCodec",
-    "TestbenchConfig",
-    "ThresholdDecoder",
-    "TimingClass",
-    "TransmissionResult",
-    "channels_by_class",
-    "run_flush_flush_channel",
-    "run_flush_reload_channel",
-    "run_lru_channel",
-    "run_prime_probe_channel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "encoding": ("BinaryDirtyCodec", "MultiBitDirtyCodec", "SymbolCodec"),
+        "threshold": ("ThresholdDecoder",),
+        "testbench": ("ChannelTestbench", "TestbenchConfig"),
+        "results": ("TransmissionResult",),
+        "coding": ("BlockCode", "HammingCode", "RepetitionCode"),
+        "lru_channel": ("LRUChannelConfig", "run_lru_channel"),
+        "prime_probe": ("PrimeProbeConfig", "run_prime_probe_channel"),
+        "flush_reload": ("FlushReloadConfig", "run_flush_reload_channel"),
+        "flush_flush": ("FlushFlushConfig", "run_flush_flush_channel"),
+        "taxonomy": (
+            "KNOWN_CHANNELS",
+            "ChannelProfile",
+            "TimingClass",
+            "channels_by_class",
+        ),
+    },
+)

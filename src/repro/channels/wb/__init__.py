@@ -19,76 +19,44 @@
   downgrade write-backs instead of replacement evictions.
 """
 
-from repro.channels.wb.sender import WBSenderProgram
-from repro.channels.wb.receiver import WBReceiverProgram
-from repro.channels.wb.calibration import (
-    calibrate_decoder,
-    measure_latency_distributions,
-)
-from repro.channels.wb.framing import (
-    DEFAULT_SYNC,
-    FrameConfig,
-    FrameScanResult,
-    encode_frame,
-    encode_payload,
-    scan_frames,
-)
-from repro.channels.wb.cross_core import (
-    CrossCoreTransmission,
-    CrossCoreWBChannelConfig,
-    calibrate_cross_core,
-    run_cross_core_wb_channel,
-    transmit_cross_core_schedule,
-)
-from repro.channels.wb.l2 import (
-    L2ChannelRunResult,
-    L2WBChannelConfig,
-    make_l2_channel_hierarchy,
-    run_l2_wb_channel,
-)
-from repro.channels.wb.protocol import (
-    ChannelRunResult,
-    TransmissionTrace,
-    WBChannelConfig,
-    quick_channel_run,
-    resolve_channel_decoder,
-    run_wb_channel,
-    transmit_symbol_schedule,
-)
-from repro.channels.wb.robust import (
-    RobustProtocolConfig,
-    RobustRunResult,
-    run_robust_wb_channel,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChannelRunResult",
-    "CrossCoreTransmission",
-    "CrossCoreWBChannelConfig",
-    "DEFAULT_SYNC",
-    "FrameConfig",
-    "FrameScanResult",
-    "L2ChannelRunResult",
-    "L2WBChannelConfig",
-    "RobustProtocolConfig",
-    "RobustRunResult",
-    "TransmissionTrace",
-    "WBChannelConfig",
-    "WBReceiverProgram",
-    "WBSenderProgram",
-    "calibrate_cross_core",
-    "calibrate_decoder",
-    "encode_frame",
-    "encode_payload",
-    "make_l2_channel_hierarchy",
-    "measure_latency_distributions",
-    "quick_channel_run",
-    "resolve_channel_decoder",
-    "run_l2_wb_channel",
-    "run_wb_channel",
-    "run_cross_core_wb_channel",
-    "run_robust_wb_channel",
-    "scan_frames",
-    "transmit_cross_core_schedule",
-    "transmit_symbol_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sender": ("WBSenderProgram",),
+        "receiver": ("WBReceiverProgram",),
+        "calibration": ("calibrate_decoder", "measure_latency_distributions"),
+        "framing": (
+            "DEFAULT_SYNC",
+            "FrameConfig",
+            "FrameScanResult",
+            "encode_frame",
+            "encode_payload",
+            "scan_frames",
+        ),
+        "cross_core": (
+            "CrossCoreTransmission",
+            "CrossCoreWBChannelConfig",
+            "calibrate_cross_core",
+            "run_cross_core_wb_channel",
+            "transmit_cross_core_schedule",
+        ),
+        "l2": (
+            "L2ChannelRunResult",
+            "L2WBChannelConfig",
+            "make_l2_channel_hierarchy",
+            "run_l2_wb_channel",
+        ),
+        "protocol": (
+            "ChannelRunResult",
+            "TransmissionTrace",
+            "WBChannelConfig",
+            "quick_channel_run",
+            "resolve_channel_decoder",
+            "run_wb_channel",
+            "transmit_symbol_schedule",
+        ),
+        "robust": ("RobustProtocolConfig", "RobustRunResult", "run_robust_wb_channel"),
+    },
+)

@@ -23,13 +23,12 @@ Public surface:
 =====================================  ====================================
 """
 
-from repro.coherence.mesi import CoherenceStats, Directory, MESIState
-from repro.coherence.hierarchy import CoherentHierarchy, make_coherent_hierarchy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoherenceStats",
-    "CoherentHierarchy",
-    "Directory",
-    "MESIState",
-    "make_coherent_hierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "mesi": ("CoherenceStats", "Directory", "MESIState"),
+        "hierarchy": ("CoherentHierarchy", "make_coherent_hierarchy"),
+    },
+)

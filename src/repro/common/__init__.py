@@ -5,58 +5,35 @@ The :mod:`repro.common` package deliberately has no dependency on any other
 import cycles.
 """
 
-from repro.common.canonical import (
-    canonical_digest,
-    canonical_json,
-    canonical_loads,
-)
-from repro.common.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from repro.common.units import (
-    CPU_FREQUENCY_HZ,
-    cycles_to_kbps,
-    cycles_to_seconds,
-    cycles_to_us,
-    kbps_to_period_cycles,
-    seconds_to_cycles,
-)
-from repro.common.bits import (
-    bits_to_int,
-    bits_to_string,
-    chunk_bits,
-    hamming_distance,
-    int_to_bits,
-    random_bits,
-    string_to_bits,
-)
-from repro.common.rng import derive_rng, derive_seed, ensure_rng
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CPU_FREQUENCY_HZ",
-    "ConfigurationError",
-    "ProtocolError",
-    "ReproError",
-    "SimulationError",
-    "bits_to_int",
-    "bits_to_string",
-    "canonical_digest",
-    "canonical_json",
-    "canonical_loads",
-    "chunk_bits",
-    "cycles_to_kbps",
-    "cycles_to_seconds",
-    "cycles_to_us",
-    "derive_rng",
-    "derive_seed",
-    "ensure_rng",
-    "hamming_distance",
-    "int_to_bits",
-    "kbps_to_period_cycles",
-    "random_bits",
-    "seconds_to_cycles",
-    "string_to_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "canonical": ("canonical_digest", "canonical_json", "canonical_loads"),
+        "errors": (
+            "ConfigurationError",
+            "ProtocolError",
+            "ReproError",
+            "SimulationError",
+        ),
+        "units": (
+            "CPU_FREQUENCY_HZ",
+            "cycles_to_kbps",
+            "cycles_to_seconds",
+            "cycles_to_us",
+            "kbps_to_period_cycles",
+            "seconds_to_cycles",
+        ),
+        "bits": (
+            "bits_to_int",
+            "bits_to_string",
+            "chunk_bits",
+            "hamming_distance",
+            "int_to_bits",
+            "random_bits",
+            "string_to_bits",
+        ),
+        "rng": ("derive_rng", "derive_seed", "ensure_rng"),
+    },
+)

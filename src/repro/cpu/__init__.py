@@ -9,27 +9,16 @@ overlap — the paper's dominant error source — an emergent property rather
 than an injected one.
 """
 
-from repro.cpu.ops import Delay, Flush, Load, Op, RdTSC, SpinUntil, Store
-from repro.cpu.thread import HardwareThread, Program
-from repro.cpu.tsc import TimestampCounter, TimestampCounterLike
-from repro.cpu.noise import SchedulerNoise
-from repro.cpu.smt import SMTCore
-from repro.cpu.perf_counters import PerfReport, loads_per_millisecond
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Delay",
-    "Flush",
-    "HardwareThread",
-    "Load",
-    "Op",
-    "PerfReport",
-    "Program",
-    "RdTSC",
-    "SMTCore",
-    "SchedulerNoise",
-    "SpinUntil",
-    "Store",
-    "TimestampCounter",
-    "TimestampCounterLike",
-    "loads_per_millisecond",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ops": ("Delay", "Flush", "Load", "Op", "RdTSC", "SpinUntil", "Store"),
+        "thread": ("HardwareThread", "Program"),
+        "tsc": ("TimestampCounter", "TimestampCounterLike"),
+        "noise": ("SchedulerNoise",),
+        "smt": ("SMTCore",),
+        "perf_counters": ("PerfReport", "loads_per_millisecond"),
+    },
+)

@@ -18,30 +18,19 @@ Write-through L1       removes the channel entirely (no dirty state)
 =====================  =============================================
 """
 
-from repro.defenses.plcache import PLCache, make_plcache_hierarchy
-from repro.defenses.partitioned import (
-    WayPartitionedCache,
-    make_partitioned_hierarchy,
-)
-from repro.defenses.random_fill import RandomFillCache, make_random_fill_hierarchy
-from repro.defenses.randomized_mapping import (
-    RandomizedMappingCache,
-    make_randomized_mapping_hierarchy,
-)
-from repro.defenses.write_through import make_write_through_hierarchy
-from repro.defenses.evaluation import DefenseReport, evaluate_defense, evaluate_all
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DefenseReport",
-    "PLCache",
-    "RandomFillCache",
-    "RandomizedMappingCache",
-    "WayPartitionedCache",
-    "evaluate_all",
-    "evaluate_defense",
-    "make_partitioned_hierarchy",
-    "make_plcache_hierarchy",
-    "make_random_fill_hierarchy",
-    "make_randomized_mapping_hierarchy",
-    "make_write_through_hierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "plcache": ("PLCache", "make_plcache_hierarchy"),
+        "partitioned": ("WayPartitionedCache", "make_partitioned_hierarchy"),
+        "random_fill": ("RandomFillCache", "make_random_fill_hierarchy"),
+        "randomized_mapping": (
+            "RandomizedMappingCache",
+            "make_randomized_mapping_hierarchy",
+        ),
+        "write_through": ("make_write_through_hierarchy",),
+        "evaluation": ("DefenseReport", "evaluate_defense", "evaluate_all"),
+    },
+)

@@ -18,38 +18,25 @@ bit (``tests/test_engine_parity.py``), several times the throughput:
   switch consulted by the hierarchy builders.
 """
 
-from repro.engine.fast_cache import FastCache
-from repro.engine.fast_set import FastSet
-from repro.engine.selection import (
-    DEFAULT_ENGINE,
-    FAST,
-    REFERENCE,
-    available_engines,
-    cache_class,
-    current_engine,
-    engine_context,
-    resolve_engine,
-    set_engine,
-)
-from repro.engine.trace import TraceResult, event_stream, run_trace, run_trace_summary
-from repro.engine.workloads import fig6_workload, random_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "FAST",
-    "REFERENCE",
-    "FastCache",
-    "FastSet",
-    "TraceResult",
-    "available_engines",
-    "cache_class",
-    "current_engine",
-    "engine_context",
-    "event_stream",
-    "fig6_workload",
-    "random_workload",
-    "resolve_engine",
-    "run_trace",
-    "run_trace_summary",
-    "set_engine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fast_cache": ("FastCache",),
+        "fast_set": ("FastSet",),
+        "selection": (
+            "DEFAULT_ENGINE",
+            "FAST",
+            "REFERENCE",
+            "available_engines",
+            "cache_class",
+            "current_engine",
+            "engine_context",
+            "resolve_engine",
+            "set_engine",
+        ),
+        "trace": ("TraceResult", "event_stream", "run_trace", "run_trace_summary"),
+        "workloads": ("fig6_workload", "random_workload"),
+    },
+)

@@ -1,70 +1,67 @@
-"""Registry of all reproduced tables and figures."""
+"""Registry of all reproduced tables and figures.
+
+Each id maps to the module under :mod:`repro.experiments` that defines its
+``run(*, profile, seed)``.  A module is imported the first time its id is
+run, so listing or validating ids loads no experiment code.
+"""
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.profiles import ProfileLike, resolve_profile
-from repro.experiments import (
-    ablation_errors,
-    ablation_replacement_set,
-    closed_loop,
-    cross_core,
-    defenses_exp,
-    extension_3bit,
-    extension_l2,
-    fault_tolerance,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    online_detection,
-    random_policy,
-    sidechannel_exp,
-    stability,
-    table2,
-    table4,
-    table5,
-    table6,
-    table7,
-    trace_sweep,
-)
 
-#: ``run(profile, seed)`` callables keyed by experiment id.
-_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "table2": table2.run,
-    "table4": table4.run,
-    "table5": table5.run,
-    "table6": table6.run,
-    "table7": table7.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "random_policy": random_policy.run,
-    "stability": stability.run,
-    "defenses": defenses_exp.run,
-    "sidechannel": sidechannel_exp.run,
-    "online_detection": online_detection.run,
+#: Defining module (under ``repro.experiments``) keyed by experiment id.
+_MODULES: Dict[str, str] = {
+    "table2": "table2",
+    "table4": "table4",
+    "table5": "table5",
+    "table6": "table6",
+    "table7": "table7",
+    "fig4": "fig4",
+    "fig5": "fig5",
+    "fig6": "fig6",
+    "fig7": "fig7",
+    "fig8": "fig8",
+    "random_policy": "random_policy",
+    "stability": "stability",
+    "defenses": "defenses_exp",
+    "sidechannel": "sidechannel_exp",
+    "online_detection": "online_detection",
     # Extensions and ablations beyond the paper's own evaluation.
-    "extension_3bit": extension_3bit.run,
-    "extension_l2": extension_l2.run,
-    "cross_core_wb": cross_core.run,
-    "closed_loop_defense": closed_loop.run,
-    "fault_tolerance": fault_tolerance.run,
-    "ablation_errors": ablation_errors.run,
-    "ablation_replacement_set": ablation_replacement_set.run,
-    "trace_sweep": trace_sweep.run,
+    "extension_3bit": "extension_3bit",
+    "extension_l2": "extension_l2",
+    "cross_core_wb": "cross_core",
+    "closed_loop_defense": "closed_loop",
+    "fault_tolerance": "fault_tolerance",
+    "ablation_errors": "ablation_errors",
+    "ablation_replacement_set": "ablation_replacement_set",
+    "trace_sweep": "trace_sweep",
 }
 
 
 def available_experiments() -> List[str]:
     """Ids accepted by :func:`run_experiment`, in canonical order."""
-    return list(_EXPERIMENTS)
+    return list(_MODULES)
+
+
+def experiment_runner(experiment_id: str) -> Callable[..., ExperimentResult]:
+    """The ``run(*, profile, seed)`` callable of one experiment.
+
+    Imports the experiment's module on first use; raises
+    :class:`ConfigurationError` for an unknown id.
+    """
+    try:
+        module = _MODULES[experiment_id]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown experiment {experiment_id!r}; available: "
+            f"{', '.join(available_experiments())}"
+        )
+    return importlib.import_module(f"repro.experiments.{module}").run
 
 
 def run_experiment(
@@ -81,13 +78,7 @@ def run_experiment(
     flag raises a :class:`TypeError` pointing at ``RunProfile``.
     """
     resolved = resolve_profile(profile, quick=quick)
-    try:
-        runner = _EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; available: "
-            f"{', '.join(available_experiments())}"
-        )
+    runner = experiment_runner(experiment_id)
     # The profile's engine choice is applied process-wide around the run,
     # so every hierarchy the experiment builds — directly or through the
     # channel testbench — picks it up without plumbing.  Results are

@@ -12,47 +12,32 @@ model and :mod:`repro.channels.wb.robust` for the protocol stack that
 survives it.
 """
 
-from repro.faults.chaos import (
-    CHAOS_CRASH_EXIT,
-    CHAOS_MARKER_ENV,
-    CHAOS_TASK_ENV,
-    crash_once_then_run,
-    hang_once_then_run,
-)
-from repro.faults.fleet import (
-    DEFAULT_FLEET_FAULT_SPEC,
-    FLEET_FAULT_CLASSES,
-    FleetFaultDecision,
-    fleet_fault_decision,
-)
-from repro.faults.injector import (
-    CORUNNER_TID,
-    CoRunnerProgram,
-    apply_measurement_faults,
-    desched_plan,
-    emit_fault_events,
-)
-from repro.faults.schedule import FaultSchedule, build_fault_schedule, schedules_equal
-from repro.faults.spec import DEFAULT_FAULT_SPEC, FaultSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHAOS_CRASH_EXIT",
-    "CHAOS_MARKER_ENV",
-    "CHAOS_TASK_ENV",
-    "CORUNNER_TID",
-    "CoRunnerProgram",
-    "DEFAULT_FAULT_SPEC",
-    "DEFAULT_FLEET_FAULT_SPEC",
-    "FLEET_FAULT_CLASSES",
-    "FaultSchedule",
-    "FaultSpec",
-    "FleetFaultDecision",
-    "apply_measurement_faults",
-    "build_fault_schedule",
-    "fleet_fault_decision",
-    "crash_once_then_run",
-    "desched_plan",
-    "emit_fault_events",
-    "hang_once_then_run",
-    "schedules_equal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chaos": (
+            "CHAOS_CRASH_EXIT",
+            "CHAOS_MARKER_ENV",
+            "CHAOS_TASK_ENV",
+            "crash_once_then_run",
+            "hang_once_then_run",
+        ),
+        "fleet": (
+            "DEFAULT_FLEET_FAULT_SPEC",
+            "FLEET_FAULT_CLASSES",
+            "FleetFaultDecision",
+            "fleet_fault_decision",
+        ),
+        "injector": (
+            "CORUNNER_TID",
+            "CoRunnerProgram",
+            "apply_measurement_faults",
+            "desched_plan",
+            "emit_fault_events",
+        ),
+        "schedule": ("FaultSchedule", "build_fault_schedule", "schedules_equal"),
+        "spec": ("DEFAULT_FAULT_SPEC", "FaultSpec"),
+    },
+)

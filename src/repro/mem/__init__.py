@@ -8,17 +8,14 @@ while the VIPT L1 lets both sides aim at the same *set index* purely from
 virtual addresses — exactly the property the attack relies on.
 """
 
-from repro.mem.address import AddressLayout
-from repro.mem.address_space import AddressSpace, FrameAllocator, PAGE_SIZE
-from repro.mem.pointer_chase import PointerChaseList
-from repro.mem.sets import build_replacement_set, build_set_conflicting_lines
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressLayout",
-    "AddressSpace",
-    "FrameAllocator",
-    "PAGE_SIZE",
-    "PointerChaseList",
-    "build_replacement_set",
-    "build_set_conflicting_lines",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "address": ("AddressLayout",),
+        "address_space": ("AddressSpace", "FrameAllocator", "PAGE_SIZE"),
+        "pointer_chase": ("PointerChaseList",),
+        "sets": ("build_replacement_set", "build_set_conflicting_lines"),
+    },
+)

@@ -11,17 +11,16 @@ Two distinct roles from the paper:
   stealthiness; :class:`CompilerLikeWorkload` synthesises that pressure.
 """
 
-from repro.noise.models import NoiseConfig, TargetSetNoiseProgram
-from repro.noise.workloads import (
-    CompilerLikeWorkload,
-    PointerChaseWorkload,
-    StreamingWorkload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompilerLikeWorkload",
-    "NoiseConfig",
-    "PointerChaseWorkload",
-    "StreamingWorkload",
-    "TargetSetNoiseProgram",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "models": ("NoiseConfig", "TargetSetNoiseProgram"),
+        "workloads": (
+            "CompilerLikeWorkload",
+            "PointerChaseWorkload",
+            "StreamingWorkload",
+        ),
+    },
+)

@@ -13,25 +13,20 @@ Process-wide alarm/flip counters for the service's ``/metrics`` and
 ``/healthz`` live in :mod:`repro.orchestration.counters`.
 """
 
-from repro.orchestration.aggregator import AlarmEvent, FleetAggregator
-from repro.orchestration.counters import (
-    live_snapshots,
-    orchestration_counters,
-    record_alarm,
-    record_flip,
-    register_live,
-    reset_counters,
-)
-from repro.orchestration.responder import DefenseResponder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlarmEvent",
-    "DefenseResponder",
-    "FleetAggregator",
-    "live_snapshots",
-    "orchestration_counters",
-    "record_alarm",
-    "record_flip",
-    "register_live",
-    "reset_counters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aggregator": ("AlarmEvent", "FleetAggregator"),
+        "counters": (
+            "live_snapshots",
+            "orchestration_counters",
+            "record_alarm",
+            "record_flip",
+            "register_live",
+            "reset_counters",
+        ),
+        "responder": ("DefenseResponder",),
+    },
+)

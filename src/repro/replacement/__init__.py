@@ -7,32 +7,21 @@ size N evict a previously-touched line?), so they are implemented carefully
 and tested independently of the cache that hosts them.
 """
 
-from repro.replacement.base import ReplacementPolicy, PolicyFactory
-from repro.replacement.true_lru import TrueLRU
-from repro.replacement.fifo import FIFO
-from repro.replacement.tree_plru import TreePLRU
-from repro.replacement.noisy_plru import NoisyTreePLRU
-from repro.replacement.dirty_protect import DirtyProtectingLRU, DirtyProtectingPLRU
-from repro.replacement.bit_plru import BitPLRU
-from repro.replacement.nru import NRU
-from repro.replacement.srrip import SRRIP
-from repro.replacement.random_policy import LFSRPseudoRandom, UniformRandom
-from repro.replacement.registry import available_policies, make_policy_factory
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BitPLRU",
-    "DirtyProtectingLRU",
-    "DirtyProtectingPLRU",
-    "FIFO",
-    "LFSRPseudoRandom",
-    "NRU",
-    "NoisyTreePLRU",
-    "PolicyFactory",
-    "ReplacementPolicy",
-    "SRRIP",
-    "TreePLRU",
-    "TrueLRU",
-    "UniformRandom",
-    "available_policies",
-    "make_policy_factory",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("ReplacementPolicy", "PolicyFactory"),
+        "true_lru": ("TrueLRU",),
+        "fifo": ("FIFO",),
+        "tree_plru": ("TreePLRU",),
+        "noisy_plru": ("NoisyTreePLRU",),
+        "dirty_protect": ("DirtyProtectingLRU", "DirtyProtectingPLRU"),
+        "bit_plru": ("BitPLRU",),
+        "nru": ("NRU",),
+        "srrip": ("SRRIP",),
+        "random_policy": ("LFSRPseudoRandom", "UniformRandom"),
+        "registry": ("available_policies", "make_policy_factory"),
+    },
+)

@@ -309,6 +309,24 @@ def execute_tasks(
     return entries
 
 
+def _import_experiment_modules(tasks: Sequence[TaskSpec]) -> None:
+    """Import each registry experiment of the plan here, before any fork.
+
+    Forked workers then inherit the modules instead of importing them once
+    per task.  An id the registry does not know, or a module that fails to
+    import, is skipped: the task's own worker raises the same error into
+    its entry, where it belongs (an ``ImportError`` escaping from here
+    would instead demote the whole run to serial execution).
+    """
+    from repro.experiments.registry import experiment_runner
+
+    for experiment_id in {task.experiment_id for task in tasks}:
+        try:
+            experiment_runner(experiment_id)
+        except Exception:  # noqa: BLE001 - reported by the task's worker
+            pass
+
+
 def _execute_pool(
     tasks: Sequence[TaskSpec],
     jobs: int,
@@ -322,6 +340,7 @@ def _execute_pool(
     :func:`crash_backoff_seconds`, so retries back off exponentially
     instead of immediately hammering whatever made the worker die.
     """
+    _import_experiment_modules(tasks)
     pending = deque((task, 1, 0.0) for task in dispatch_order(tasks))
     free_workers = list(range(min(jobs, len(tasks))))
     running: List[_Running] = []

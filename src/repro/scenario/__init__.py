@@ -10,81 +10,47 @@ spec-backed registered experiments; :mod:`repro.scenario.zoo` loads and
 validates the committed ``scenarios/`` directory.
 """
 
-from repro.scenario.spec import (
-    SCENARIO_KINDS,
-    SCENARIO_SCHEMA_VERSION,
-    Axis,
-    BerSweepParams,
-    ChannelSpec,
-    CodecSpec,
-    CoRunnerSpec,
-    Counts,
-    CrossCoreParams,
-    DefenseEvalParams,
-    DetectorSpec,
-    FaultSweepParams,
-    LevelCompareParams,
-    OnlineDetectionParams,
-    ReceiverSpec,
-    ScenarioSpec,
-    SenderSpec,
-    TraceParams,
-    scenario_key,
-)
-from repro.scenario.compile import CompiledScenario, compile_scenario
-from repro.scenario.runner import (
-    SCENARIO_ID_PREFIX,
-    run_scenario,
-    run_scenario_json,
-    scenario_experiment_id,
-)
-from repro.scenario.library import (
-    LIBRARY,
-    available_library_specs,
-    library_spec,
-)
-from repro.scenario.zoo import (
-    VARIANTS,
-    expand_campaign,
-    load_zoo,
-    verify_zoo,
-    zoo_keys,
-    zoo_specs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCENARIO_ID_PREFIX",
-    "SCENARIO_KINDS",
-    "SCENARIO_SCHEMA_VERSION",
-    "Axis",
-    "BerSweepParams",
-    "ChannelSpec",
-    "CodecSpec",
-    "CoRunnerSpec",
-    "CompiledScenario",
-    "Counts",
-    "CrossCoreParams",
-    "DefenseEvalParams",
-    "DetectorSpec",
-    "FaultSweepParams",
-    "LevelCompareParams",
-    "LIBRARY",
-    "OnlineDetectionParams",
-    "ReceiverSpec",
-    "ScenarioSpec",
-    "SenderSpec",
-    "TraceParams",
-    "VARIANTS",
-    "available_library_specs",
-    "compile_scenario",
-    "expand_campaign",
-    "library_spec",
-    "load_zoo",
-    "run_scenario",
-    "run_scenario_json",
-    "scenario_experiment_id",
-    "scenario_key",
-    "verify_zoo",
-    "zoo_keys",
-    "zoo_specs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "spec": (
+            "SCENARIO_KINDS",
+            "SCENARIO_SCHEMA_VERSION",
+            "Axis",
+            "BerSweepParams",
+            "ChannelSpec",
+            "CodecSpec",
+            "CoRunnerSpec",
+            "Counts",
+            "CrossCoreParams",
+            "DefenseEvalParams",
+            "DetectorSpec",
+            "FaultSweepParams",
+            "LevelCompareParams",
+            "OnlineDetectionParams",
+            "ReceiverSpec",
+            "ScenarioSpec",
+            "SenderSpec",
+            "TraceParams",
+            "scenario_key",
+        ),
+        "compile": ("CompiledScenario", "compile_scenario"),
+        "runner": (
+            "SCENARIO_ID_PREFIX",
+            "run_scenario",
+            "run_scenario_json",
+            "scenario_experiment_id",
+        ),
+        "library": ("LIBRARY", "available_library_specs", "library_spec"),
+        "zoo": (
+            "VARIANTS",
+            "expand_campaign",
+            "load_zoo",
+            "verify_zoo",
+            "zoo_keys",
+            "zoo_specs",
+        ),
+    },
+)

@@ -51,46 +51,28 @@ or, over HTTP: ``python -m repro.service --port 8321`` and see the
 README's "Serving experiments" section for curl examples.
 """
 
-from repro.service.fleet import (
-    FleetConfig,
-    FleetUnavailableError,
-    LeaseError,
-)
-from repro.service.keys import (
-    KEY_SCHEMA_VERSION,
-    cache_key,
-    key_material,
-    wb_config_fingerprint,
-)
-from repro.service.metrics import ServiceTelemetry, render_prometheus
-from repro.service.scheduler import (
-    JobScheduler,
-    JobSpec,
-    JobState,
-    QueueFullError,
-    UnknownJobError,
-)
-from repro.service.store import ResultStore, StoreStats
-from repro.service.stream import ServiceStream
-from repro.service.worker import FleetWorker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KEY_SCHEMA_VERSION",
-    "FleetConfig",
-    "FleetUnavailableError",
-    "FleetWorker",
-    "JobScheduler",
-    "JobSpec",
-    "JobState",
-    "LeaseError",
-    "QueueFullError",
-    "ResultStore",
-    "ServiceStream",
-    "ServiceTelemetry",
-    "StoreStats",
-    "UnknownJobError",
-    "cache_key",
-    "key_material",
-    "render_prometheus",
-    "wb_config_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fleet": ("FleetConfig", "FleetUnavailableError", "LeaseError"),
+        "keys": (
+            "KEY_SCHEMA_VERSION",
+            "cache_key",
+            "key_material",
+            "wb_config_fingerprint",
+        ),
+        "metrics": ("ServiceTelemetry", "render_prometheus"),
+        "scheduler": (
+            "JobScheduler",
+            "JobSpec",
+            "JobState",
+            "QueueFullError",
+            "UnknownJobError",
+        ),
+        "store": ("ResultStore", "StoreStats"),
+        "stream": ("ServiceStream",),
+        "worker": ("FleetWorker",),
+    },
+)

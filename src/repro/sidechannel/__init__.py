@@ -14,28 +14,22 @@ all of them against the simulated hierarchy:
    which is slower when it must replace one of the attacker's dirty lines.
 """
 
-from repro.sidechannel.victim import VictimGadgetA, VictimGadgetB, VictimContext
-from repro.sidechannel.attacks import (
-    AttackResult,
-    dirty_eviction_attack,
-    dirty_state_attack,
-    execution_time_attack,
-)
-from repro.sidechannel.rsa_victim import (
-    KeyRecoveryResult,
-    SquareAndMultiplyVictim,
-    recover_exponent,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackResult",
-    "KeyRecoveryResult",
-    "SquareAndMultiplyVictim",
-    "recover_exponent",
-    "VictimContext",
-    "VictimGadgetA",
-    "VictimGadgetB",
-    "dirty_eviction_attack",
-    "dirty_state_attack",
-    "execution_time_attack",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "victim": ("VictimGadgetA", "VictimGadgetB", "VictimContext"),
+        "attacks": (
+            "AttackResult",
+            "dirty_eviction_attack",
+            "dirty_state_attack",
+            "execution_time_attack",
+        ),
+        "rsa_victim": (
+            "KeyRecoveryResult",
+            "SquareAndMultiplyVictim",
+            "recover_exponent",
+        ),
+    },
+)

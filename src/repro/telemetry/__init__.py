@@ -11,84 +11,55 @@ stealth claim dynamically.  Process-global session plumbing lives in
 :mod:`repro.telemetry.session`.
 
 Import discipline: this package never imports from :mod:`repro.cache`
-(the hierarchy imports the session hook from here, and the cache
-package initialises first).
+(the hierarchy imports the session hook from here, so an import back
+would be a cycle).
 """
 
-from repro.telemetry.bus import (
-    OVERFLOW_POLICIES,
-    BufferedSubscriber,
-    Subscriber,
-    TelemetryBus,
-)
-from repro.telemetry.net import (
-    StreamClient,
-    StreamFrame,
-    StreamPublisher,
-    active_publisher,
-    bind_publisher,
-    ndjson_line,
-    publish_ambient,
-    sse_block,
-)
-from repro.telemetry.detectors import (
-    Baseline,
-    MissRateMonitor,
-    WritebackBurstDetector,
-    autocorrelation,
-    detection_rate,
-    suggest_threshold,
-    threshold_sweep,
-)
-from repro.telemetry.events import AGGREGATE_OWNER, CacheEvent, EventKind
-from repro.telemetry.session import (
-    TelemetryConfig,
-    TelemetrySession,
-    active_session,
-    configure,
-    default_config,
-    session_bus,
-    telemetry_session,
-)
-from repro.telemetry.subscribers import (
-    BusProfiler,
-    TraceRecorder,
-    WindowCounts,
-    WindowedCounters,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATE_OWNER",
-    "Baseline",
-    "BufferedSubscriber",
-    "BusProfiler",
-    "CacheEvent",
-    "EventKind",
-    "MissRateMonitor",
-    "OVERFLOW_POLICIES",
-    "StreamClient",
-    "StreamFrame",
-    "StreamPublisher",
-    "Subscriber",
-    "TelemetryBus",
-    "TelemetryConfig",
-    "TelemetrySession",
-    "TraceRecorder",
-    "WindowCounts",
-    "WindowedCounters",
-    "WritebackBurstDetector",
-    "active_publisher",
-    "active_session",
-    "autocorrelation",
-    "bind_publisher",
-    "configure",
-    "default_config",
-    "detection_rate",
-    "ndjson_line",
-    "publish_ambient",
-    "session_bus",
-    "sse_block",
-    "suggest_threshold",
-    "telemetry_session",
-    "threshold_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bus": (
+            "OVERFLOW_POLICIES",
+            "BufferedSubscriber",
+            "Subscriber",
+            "TelemetryBus",
+        ),
+        "net": (
+            "StreamClient",
+            "StreamFrame",
+            "StreamPublisher",
+            "active_publisher",
+            "bind_publisher",
+            "ndjson_line",
+            "publish_ambient",
+            "sse_block",
+        ),
+        "detectors": (
+            "Baseline",
+            "MissRateMonitor",
+            "WritebackBurstDetector",
+            "autocorrelation",
+            "detection_rate",
+            "suggest_threshold",
+            "threshold_sweep",
+        ),
+        "events": ("AGGREGATE_OWNER", "CacheEvent", "EventKind"),
+        "session": (
+            "TelemetryConfig",
+            "TelemetrySession",
+            "active_session",
+            "configure",
+            "default_config",
+            "session_bus",
+            "telemetry_session",
+        ),
+        "subscribers": (
+            "BusProfiler",
+            "TraceRecorder",
+            "WindowCounts",
+            "WindowedCounters",
+        ),
+    },
+)

@@ -55,6 +55,12 @@ class TestFramework:
         ):
             assert required in ids
 
+    def test_package_docstring_lists_every_registered_id(self):
+        import repro.experiments
+
+        for experiment_id in available_experiments():
+            assert f"``{experiment_id}``" in repro.experiments.__doc__, experiment_id
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment("table99")
@@ -67,7 +73,8 @@ class TestFramework:
 
         from repro.experiments import registry
 
-        for experiment_id, runner in registry._EXPERIMENTS.items():
+        for experiment_id in registry.available_experiments():
+            runner = registry.experiment_runner(experiment_id)
             signature = inspect.signature(runner)
             parameters = dict(signature.parameters)
             assert set(parameters) == {"profile", "seed"}, experiment_id

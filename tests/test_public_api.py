@@ -1,8 +1,10 @@
 """The package's top-level public API surface."""
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -23,6 +25,94 @@ else:  # Python 3.9 has no stdlib list; check the one known offender.
     print(json.dumps(["numpy"] if "numpy" in sys.modules else []))
 """
 
+#: Run in a fresh interpreter: imports the module named by ``argv[1]`` and
+#: prints every ``repro`` module that the import loaded.
+_REPRO_IMPORTS_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "repro")))
+"""
+
+#: Run in a fresh interpreter: the experiments named in ``argv`` start at
+#: once, one thread each, so their modules are first imported concurrently;
+#: prints, per experiment, whether the result equals a later serial run.
+_CONCURRENT_FIRST_USE_PROBE = """
+import json, sys, threading
+from repro.experiments.registry import run_experiment
+ids = sys.argv[1:]
+sys.setswitchinterval(1e-5)  # interleave the threads' imports finely
+start = threading.Barrier(len(ids))
+results = {}
+def run(experiment_id):
+    start.wait()
+    results[experiment_id] = run_experiment(experiment_id, profile="quick").to_json()
+threads = [threading.Thread(target=run, args=(eid,)) for eid in ids]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+serial = {eid: run_experiment(eid, profile="quick").to_json() for eid in ids}
+print(json.dumps({eid: results.get(eid) == serial[eid] for eid in ids}))
+"""
+
+#: Run in a fresh interpreter: a two-worker pool over a known and an
+#: unknown experiment; prints whether the known experiment's module was
+#: loaded before and after, and each entry's status and error.
+_POOL_PARENT_IMPORT_PROBE = """
+import json, sys
+from repro.experiments.profiles import QUICK
+from repro.runner.pool import execute_tasks
+from repro.runner.sharding import TaskSpec
+before = "repro.experiments.table2" in sys.modules
+entries = execute_tasks(
+    [TaskSpec("table2", "table2", 0, QUICK), TaskSpec("nope", "nope", 0, QUICK)],
+    jobs=2,
+)
+print(json.dumps({
+    "before": before,
+    "after": "repro.experiments.table2" in sys.modules,
+    "entries": {entry.task_id: [entry.status, entry.error] for entry in entries},
+}))
+"""
+
+
+def _run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter with this ``repro`` on the path."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    return json.loads(process.stdout)
+
+
+def _repro_modules_loaded_by(module):
+    return _run_fresh(_REPRO_IMPORTS_PROBE, module)
+
+
+def _experiment_modules():
+    from repro.experiments.registry import available_experiments, experiment_runner
+
+    return {
+        experiment_runner(experiment_id).__module__
+        for experiment_id in available_experiments()
+    }
+
+
+def _inside(loaded, *packages):
+    """The loaded modules that belong to one of the named ``repro`` subpackages."""
+    return [name for name in loaded if (name.split(".") + [""])[1] in packages]
+
 
 class TestTopLevelExports:
     def test_version(self):
@@ -37,25 +127,19 @@ class TestTopLevelExports:
         assert result.rate_kbps > 0
 
     def test_subpackage_all_names_resolve(self):
-        import repro.analysis
-        import repro.cache
-        import repro.channels
-        import repro.channels.wb
-        import repro.defenses
-        import repro.experiments
-        import repro.mem
-        import repro.noise
-        import repro.replacement
-        import repro.service
-        import repro.sidechannel
-
-        for module in (
-            repro.analysis, repro.cache, repro.channels, repro.channels.wb,
-            repro.defenses, repro.experiments, repro.mem, repro.noise,
-            repro.replacement, repro.service, repro.sidechannel,
-        ):
+        # Package exports resolve on first access (repro._lazy), so a
+        # name missing from its table only shows when someone reads it.
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+            if info.ispkg
+        ]
+        for module in packages:
+            star = {}
+            exec(f"from {module.__name__} import *", star)
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+                assert star[name] is getattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestDoctests:
@@ -88,18 +172,39 @@ class TestImportHygiene:
     def test_entry_points_load_only_the_standard_library(self):
         # Every CLI run, runner worker and service process pays for these
         # imports at start-up, in time and in peak memory.
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
-        )
-        process = subprocess.run(
-            [sys.executable, "-c", _FOREIGN_IMPORTS_PROBE],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert process.returncode == 0, process.stderr
-        assert json.loads(process.stdout) == []
+        assert _run_fresh(_FOREIGN_IMPORTS_PROBE) == []
+
+    def test_import_repro_loads_only_the_export_helper(self):
+        assert _repro_modules_loaded_by("repro") == ["repro", "repro._lazy"]
+
+    def test_registry_loads_no_experiment_or_simulator(self):
+        # Listing and validating ids (the CLI, the runner's plan) must not
+        # pay for the experiments themselves.
+        loaded = _repro_modules_loaded_by("repro.experiments.registry")
+        assert _inside(
+            loaded, "cache", "cpu", "channels", "scenario", "runner", "service"
+        ) == []
+        assert not set(loaded) & _experiment_modules()
+
+    def test_service_entry_loads_no_experiment_or_simulator(self):
+        # The server imports what a job needs when the job first runs.
+        loaded = _repro_modules_loaded_by("repro.service.__main__")
+        assert _inside(loaded, "cache", "cpu", "channels", "engine", "scenario") == []
+        assert not set(loaded) & _experiment_modules()
+
+    def test_concurrent_first_use_matches_serial(self):
+        # The service's in-process workers import an experiment's modules
+        # from executor threads the first time a job needs them.
+        ids = ["fig4", "fig5", "fig7", "sidechannel", "table2", "table4"]
+        assert _run_fresh(_CONCURRENT_FIRST_USE_PROBE, *ids) == dict.fromkeys(ids, True)
+
+    def test_pool_imports_experiments_before_forking(self):
+        # Workers inherit the module instead of importing it once per task;
+        # an unknown id still fails in its own entry, not in the parent.
+        report = _run_fresh(_POOL_PARENT_IMPORT_PROBE)
+        assert not report["before"]
+        assert report["after"]
+        assert report["entries"]["table2"] == ["ok", None]
+        status, error = report["entries"]["nope"]
+        assert status == "failed"
+        assert "ConfigurationError: unknown experiment 'nope'; available: " in error
