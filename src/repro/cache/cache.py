@@ -17,7 +17,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import ensure_rng, mix_label
+from repro.common.rng import LazyRandom, ensure_rng, mix_label
 from repro.cache.cache_set import CacheSet
 from repro.cache.line import EvictedLine
 from repro.mem.address import AddressLayout
@@ -49,7 +49,9 @@ class Cache:
         Geometry; ``size = sets * ways * line_size`` must hold exactly.
     policy_factory:
         ``factory(ways, rng) -> ReplacementPolicy``; one instance per set,
-        made when the set is built on its first touch.
+        made when the set is built on its first touch, with ``rng`` a
+        :class:`~repro.common.rng.LazyRandom` over the set's seed (see
+        :class:`~repro.replacement.base.ReplacementPolicy` on its use).
     write_policy, allocation_policy:
         Store semantics; the paper's target configuration is write-back +
         write-allocate (the near-universal pairing, Section 2.2).
@@ -102,9 +104,11 @@ class Cache:
         with ``word_i`` the i-th 32-bit word of the constructor's draw:
         the generator an eager ``derive_rng(master, f"{name}/set{i}")``
         in set order would have made, whatever order sets are touched in.
+        It is handed over as a :class:`~repro.common.rng.LazyRandom`, so
+        a set whose policy never draws never builds it.
         """
         word = (self._set_words >> (32 * index)) & 0xFFFFFFFF
-        rng = random.Random(mix_label(word, f"{self.name}/set{index}"))
+        rng = LazyRandom(mix_label(word, f"{self.name}/set{index}"))
         ways = self.associativity
         cache_set = self._make_set(ways, self._policy_factory(ways, rng))
         self._sets[index] = cache_set

@@ -22,7 +22,6 @@ never drift).
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Converts (tag, set_index) back into a line-aligned address so the
@@ -259,9 +258,11 @@ class CacheSet:
         self.lines[way].locked = False
         return True
 
-    def randomize_policy_state(self, rng: Optional[random.Random] = None) -> None:
-        """Scramble replacement metadata (Table 2 initial conditions)."""
-        del rng  # policies use their own generator
+    def randomize_policy_state(self) -> None:
+        """Scramble replacement metadata (Table 2 initial conditions).
+
+        The set's own policy generator is the only source of randomness.
+        """
         self.policy.randomize_state()
 
 

@@ -76,3 +76,44 @@ def maybe_seeded(seed: Optional[int]) -> random.Random:
     if seed is None:
         return random.Random()
     return random.Random(seed)
+
+
+#: The methods a :class:`LazyRandom` takes from its generator once built:
+#: the draws the replacement policies and their fast states make.
+_DRAWS = ("random", "randrange", "shuffle")
+
+
+class LazyRandom:
+    """``random.Random(seed)``, built on its first attribute read.
+
+    A cache hands one to the policy of each set it builds.  Most policies
+    never draw (tree-PLRU, SRRIP and LRU draw only in Table 2's
+    ``randomize_state``), and a built generator takes ~2.9 kB, mostly
+    Mersenne Twister state, so building it only when first read keeps
+    an unused one at the size of this object (~0.1 kB).  Every read
+    returns what the same read on ``random.Random(seed)`` would.
+
+    Once built, the generator's draw methods are bound into this object's
+    slots, so a draw is a slot read and no ``__getattr__`` call, which
+    would make a ``random()`` draw ~10x slower; other names, such as
+    ``getstate``, are forwarded.
+
+    It is not a :class:`random.Random`: pass it to neither
+    :func:`ensure_rng` nor ``random.Random(...)``, which on Python 3.9
+    seeds from its hash without an error.
+    """
+
+    __slots__ = ("_seed", "_generator") + _DRAWS
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._generator: Optional[random.Random] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for a name that is not in a filled slot.
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = random.Random(self._seed)
+            for draw in _DRAWS:
+                setattr(self, draw, getattr(generator, draw))
+        return getattr(generator, name)

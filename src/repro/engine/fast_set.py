@@ -18,7 +18,6 @@ semantic oracle; when in doubt, its behaviour wins.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -302,7 +301,9 @@ class FastSet:
         self.locked_mask &= ~(1 << way)
         return True
 
-    def randomize_policy_state(self, rng: Optional[random.Random] = None) -> None:
-        """Scramble replacement metadata (Table 2 initial conditions)."""
-        del rng  # the policy state uses its own generator
+    def randomize_policy_state(self) -> None:
+        """Scramble replacement metadata (Table 2 initial conditions).
+
+        The set's own policy generator is the only source of randomness.
+        """
         self.pol.randomize()

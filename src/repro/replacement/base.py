@@ -15,6 +15,9 @@ from typing import Callable
 from repro.common.errors import ConfigurationError
 
 #: Signature of per-set policy constructors: ``factory(ways, rng) -> policy``.
+#: A :class:`~repro.cache.cache.Cache` passes a
+#: :class:`~repro.common.rng.LazyRandom`, which builds the set's
+#: ``random.Random`` on first use; standalone sets pass a ``random.Random``.
 PolicyFactory = Callable[[int, random.Random], "ReplacementPolicy"]
 
 
@@ -23,7 +26,12 @@ class ReplacementPolicy(abc.ABC):
 
     Subclasses implement the three state-transition hooks plus victim
     selection.  ``rng`` is the only source of randomness a policy may use;
-    deterministic policies simply ignore it.
+    deterministic policies simply ignore it.  It is a ``random.Random`` or,
+    for a set a :class:`~repro.cache.cache.Cache` built, a
+    :class:`~repro.common.rng.LazyRandom` with the same draws, whose
+    generator is built only when the policy first draws.  So draw from it
+    (``random``, ``randrange``, ``shuffle``, ...) and never hand it to
+    ``ensure_rng`` or ``random.Random(...)``.
     """
 
     #: Set True by policies whose :meth:`notify_dirty_ways` actually

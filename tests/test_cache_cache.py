@@ -1,6 +1,8 @@
 """Single cache level: geometry, lookup/fill semantics, policies."""
 
+import contextlib
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,32 @@ from repro.common.rng import derive_rng
 from repro.cache.cache import AllocationPolicy, Cache, WritePolicy
 from repro.cache.cache_set import CacheSet
 from repro.cache.configs import make_xeon_hierarchy
+from repro.cache.line import CacheLine
 from repro.engine.fast_cache import FastCache
 from repro.engine.fast_set import FastSet
 from repro.replacement.registry import make_policy_factory
 
 #: Cache class and set type of each engine.
 ENGINES = {"reference": (Cache, CacheSet), "fast": (FastCache, FastSet)}
+
+
+@contextlib.contextmanager
+def counting_generators():
+    """Collect every ``random.Random`` this thread constructs in the block."""
+    built = []
+    init = random.Random.__init__
+    thread = threading.get_ident()
+
+    def counting(generator, *args, **kwargs):
+        if threading.get_ident() == thread:
+            built.append(generator)
+        init(generator, *args, **kwargs)
+
+    random.Random.__init__ = counting
+    try:
+        yield built
+    finally:
+        random.Random.__init__ = init
 
 
 def make_cache(size=4096, ways=4, line=64, policy="lru", **kwargs):
@@ -153,13 +175,22 @@ class TestLazySets:
             after_words.getrandbits(32)
         assert master.getstate() == after_words.getstate()
 
-        # First touches through the hot path, in any order, then the rest
-        # through the view.
+        # First touches through the hot path, in any order, by a probe or
+        # a load that draws nothing (LRU), then the rest through the view.
         touches = data.draw(
-            st.lists(st.integers(0, num_sets - 1), unique=True, max_size=16)
+            st.lists(
+                st.tuples(st.integers(0, num_sets - 1), st.booleans()),
+                unique_by=lambda touch: touch[0],
+                max_size=16,
+            )
         )
-        for index in touches:
-            cache.probe(index * 64)
+        with counting_generators() as generators:
+            for index, load in touches:
+                if load:
+                    cache.fill(index * 64, dirty=False, owner=0)
+                else:
+                    cache.probe(index * 64)
+        assert generators == []
         sequential = random.Random(seed)
         for index in range(num_sets):
             expected = derive_rng(sequential, f"{name}/set{index}").getstate()
@@ -190,6 +221,19 @@ class TestLazySets:
         hierarchy.load(address, owner=0)
         path = [level.sets[level.set_index(address)] for level in levels]
         assert built == path
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_a_set_builds_its_generator_on_its_first_draw(self, engine):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+        addresses = [0x12340 + 64 * i for i in range(4)]
+        with counting_generators() as generators:
+            for address in addresses:
+                hierarchy.load(address, owner=0)
+            assert generators == []
+            l1 = hierarchy.levels[0]
+            l1.sets[l1.set_index(addresses[0])].randomize_policy_state()
+        assert len(generators) == 1
+        assert not hasattr(CacheLine(), "__dict__")
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_view_is_a_full_sequence(self, engine):

@@ -2,7 +2,23 @@
 
 import random
 
-from repro.common.rng import derive_rng, ensure_rng, maybe_seeded
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.rng import LazyRandom, derive_rng, ensure_rng, maybe_seeded
+
+#: One call on a generator: a method name and its arguments.
+CALLS = st.one_of(
+    st.tuples(st.just("random"), st.just(())),
+    st.tuples(st.just("randrange"), st.tuples(st.integers(1, 2**70))),
+    st.tuples(st.just("shuffle"), st.tuples(st.lists(st.integers(), max_size=20))),
+    st.tuples(st.just("getrandbits"), st.tuples(st.integers(0, 200))),
+    st.tuples(st.just("getstate"), st.just(())),
+    st.tuples(
+        st.just("setstate"),
+        st.tuples(st.integers(0, 2**32).map(lambda s: random.Random(s).getstate())),
+    ),
+)
 
 
 class TestEnsureRng:
@@ -50,3 +66,18 @@ class TestMaybeSeeded:
 
     def test_unseeded_returns_generator(self):
         assert isinstance(maybe_seeded(None), random.Random)
+
+
+class TestLazyRandom:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64), calls=st.lists(CALLS, min_size=1, max_size=12))
+    def test_returns_what_random_returns(self, seed, calls):
+        lazy, real = LazyRandom(seed), random.Random(seed)
+        for name, args in calls:
+            if name == "shuffle":
+                lazy_items, real_items = list(args[0]), list(args[0])
+                lazy.shuffle(lazy_items)
+                real.shuffle(real_items)
+                assert lazy_items == real_items
+            else:
+                assert getattr(lazy, name)(*args) == getattr(real, name)(*args)
