@@ -235,8 +235,8 @@ or run everything in parallel, persisting a manifest::
 
 Every experiment also runs on the fast struct-of-arrays engine
 (``--engine fast``); results are bit-identical to the reference engine
-(enforced by ``tests/test_engine_parity.py``), only faster — see the
-committed ``BENCH_engine.json`` from ``scripts/bench_engine.py``.
+(enforced by ``tests/test_engine_parity.py``), only faster; the
+end-to-end benchmark in ``benchmarks/e2e/`` times whole runs.
 
 Re-runs are memoisable: ``python -m repro.service`` serves every entry
 over HTTP from a content-addressed result store, so resubmitting an

@@ -1,0 +1,389 @@
+#!/usr/bin/env python
+"""List the functions under ``src/repro`` that no product run calls.
+
+Records every Python call made while it runs, in this process and in every
+thread started here (``sys.setprofile`` and ``threading.setprofile``):
+
+* every registered experiment, quick profile, seed 0, on both engines;
+* ``wb-experiments --list``, ``--taxonomy`` and one ``--out`` run into a
+  temporary directory;
+* every example except ``defense_shootout.py`` (slow) and
+  ``render_figures.py`` (writes figures);
+* ``scripts/load_test_service.py --smoke`` and
+  ``scripts/run_campaign.py --json``.
+
+It then prints every function defined under ``src/repro`` that was never
+called, with its size in lines, in two groups:
+
+1. those whose name a file under ``src/`` (package tables excluded),
+   ``examples/`` or ``scripts/`` uses: a path the sweep did not take may
+   still reach them;
+2. those whose name only files under ``tests/`` use, or none: candidates
+   for deletion.
+
+A function counts as named where code uses its name and, for a method,
+its class's name too; definitions, annotations, ``__all__`` lists and
+docstrings do not count.  Dunder methods always count as named (the
+interpreter calls them).  Fleet workers run in subprocesses, so
+``service/worker.py`` and ``service/fleet.py`` are listed as not swept
+instead of as dead.
+
+Uses only the standard library and writes nothing into the repository.
+The sweep takes about 5 minutes on a shared 2-vCPU VM (CPython 3.11).
+
+Usage::
+
+    python scripts/reachability.py          # report
+    python scripts/reachability.py --json   # report, plus every function
+                                            # called, as JSON
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import json
+import os
+import pathlib
+import re
+import runpy
+import sys
+import tempfile
+import threading
+import time
+import traceback
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
+PACKAGE = SRC / "repro"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+#: Examples left out of the sweep: the first is slow, the second writes
+#: figures.
+SKIPPED_EXAMPLES = ("defense_shootout.py", "render_figures.py")
+
+#: Modules whose code runs in worker subprocesses the profiler cannot see.
+NOT_SWEPT = ("service/worker.py", "service/fleet.py")
+
+#: A string constant that names something: ``name``, ``pkg.mod:name``.
+_NAME_PATH = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+class Function:
+    """One ``def`` under ``src/repro``."""
+
+    def __init__(self, path: str, qualname: str, first: int, last: int):
+        self.path = path
+        self.qualname = qualname
+        #: First line, decorators included: what ``co_firstlineno`` holds.
+        self.first = first
+        self.size = last - first + 1
+
+    @property
+    def key(self) -> str:
+        return f"{self.path}:{self.qualname}"
+
+
+def defined_functions() -> List[Function]:
+    """Every function and method under ``src/repro``, nested ones too."""
+    functions: List[Function] = []
+    for file in sorted(PACKAGE.rglob("*.py")):
+        path = file.relative_to(PACKAGE).as_posix()
+        seen: Dict[str, int] = {}
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = prefix + child.name
+                    # A property's getter and setter share a name.
+                    seen[qualname] = seen.get(qualname, 0) + 1
+                    if seen[qualname] > 1:
+                        qualname += f"#{seen[qualname]}"
+                    first = min(
+                        [child.lineno]
+                        + [dec.lineno for dec in child.decorator_list]
+                    )
+                    functions.append(
+                        Function(path, qualname, first, child.end_lineno)
+                    )
+                    visit(child, qualname + ".")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(file.read_text(), str(file)), "")
+    return functions
+
+
+def _is_all(node: ast.AST) -> bool:
+    """Whether ``node`` assigns to ``__all__``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in targets
+    )
+
+
+def _walk_code(tree: ast.AST):
+    """``ast.walk`` minus type annotations and ``__all__`` lists, which
+    name without using."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
+            continue
+        yield node
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            if isinstance(value, ast.AST):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, ast.AST))
+
+
+def names_used(files: List[pathlib.Path]) -> Set[str]:
+    """Identifiers ``files`` read, call, import or spell as a name string.
+
+    Definitions, annotations and ``__all__`` do not count, nor do
+    docstrings and other prose strings.
+    """
+    names: Set[str] = set()
+    for file in files:
+        for node in _walk_code(ast.parse(file.read_text(), str(file))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _NAME_PATH.fullmatch(node.value)
+            ):
+                names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+# ----------------------------------------------------------------------
+# The sweep
+# ----------------------------------------------------------------------
+def _run_path(path: pathlib.Path, *args: str) -> None:
+    """Run a script as ``__main__`` with ``args``; a non-zero exit raises."""
+    saved = sys.argv
+    sys.argv = [str(path), *args]
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            raise RuntimeError(f"{path.name} exited with {exc.code}") from None
+    finally:
+        sys.argv = saved
+
+
+def _cli(*args: str) -> None:
+    from repro.experiments.cli import main
+
+    status = main(list(args))
+    if status:
+        command = " ".join(args)
+        raise RuntimeError(f"wb-experiments {command} exited with {status}")
+
+
+def sweep_steps() -> List[Tuple[str, Callable[[], None]]]:
+    """``(label, action)`` for everything the sweep runs, in order."""
+    from repro.engine.selection import available_engines
+    from repro.experiments.profiles import QUICK
+    from repro.experiments.registry import (
+        available_experiments,
+        run_experiment,
+    )
+
+    steps: List[Tuple[str, Callable[[], None]]] = []
+    for engine in available_engines():
+        for experiment_id in available_experiments():
+            steps.append(
+                (
+                    f"{experiment_id} quick seed 0 [{engine}]",
+                    lambda e=experiment_id, g=engine: run_experiment(
+                        e, profile=QUICK.with_engine(g), seed=0
+                    ),
+                )
+            )
+    steps.append(("wb-experiments --list", lambda: _cli("--list")))
+    steps.append(("wb-experiments --taxonomy", lambda: _cli("--taxonomy")))
+
+    def out_run() -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            _cli("table4", "--profile", "quick", "--out", tmp)
+
+    steps.append(("wb-experiments table4 --out TMP", out_run))
+    for example in sorted((REPO_ROOT / "examples").glob("*.py")):
+        if example.name not in SKIPPED_EXAMPLES:
+            steps.append(
+                (f"examples/{example.name}", lambda p=example: _run_path(p))
+            )
+    scripts = REPO_ROOT / "scripts"
+    steps.append(
+        (
+            "scripts/load_test_service.py --smoke",
+            lambda: _run_path(scripts / "load_test_service.py", "--smoke"),
+        )
+    )
+    steps.append(
+        (
+            "scripts/run_campaign.py --json",
+            lambda: _run_path(scripts / "run_campaign.py", "--json"),
+        )
+    )
+    return steps
+
+
+def sweep(log) -> Tuple[Set[Tuple[str, int]], List[str]]:
+    """Run every step under the profiler.
+
+    Returns the ``(file, first line)`` of every code object called under
+    ``src/repro``, and the label and traceback of each step that failed.
+    """
+    codes: Set[object] = set()
+    add = codes.add
+
+    def profile(frame, event, arg):
+        if event == "call":
+            add(frame.f_code)
+
+    failed: List[str] = []
+    steps = sweep_steps()
+    with open(os.devnull, "w") as sink:
+        for index, (label, action) in enumerate(steps, start=1):
+            started = time.perf_counter()
+            threading.setprofile(profile)
+            sys.setprofile(profile)
+            try:
+                with contextlib.redirect_stdout(sink), \
+                        contextlib.redirect_stderr(sink):
+                    action()
+            except Exception:  # noqa: BLE001 - reported, sweep goes on
+                failed.append(f"{label}\n{traceback.format_exc()}")
+            finally:
+                sys.setprofile(None)
+                threading.setprofile(None)
+            print(
+                f"[{index}/{len(steps)}] {label} "
+                f"({time.perf_counter() - started:.1f}s)",
+                file=log,
+                flush=True,
+            )
+    root = str(PACKAGE.resolve()) + os.sep
+    called = set()
+    for code in codes:
+        filename = os.path.realpath(code.co_filename)
+        if filename.startswith(root):
+            relative = pathlib.Path(filename[len(root):]).as_posix()
+            called.add((relative, code.co_firstlineno))
+    return called, failed
+
+
+# ----------------------------------------------------------------------
+# Report
+# ----------------------------------------------------------------------
+def build_report(
+    called: Set[Tuple[str, int]], failed: List[str]
+) -> Dict[str, object]:
+    """Counts, the two never-called groups, and every function called."""
+    functions = defined_functions()
+    # Package ``__init__`` files hold only the export tables.
+    product_files = [
+        file for file in PACKAGE.rglob("*.py") if file.name != "__init__.py"
+    ]
+    for folder in ("examples", "scripts"):
+        product_files.extend((REPO_ROOT / folder).rglob("*.py"))
+    product_names = names_used(product_files)
+
+    swept = [f for f in functions if f.path not in NOT_SWEPT]
+    was_called = [f for f in swept if (f.path, f.first) in called]
+    never = [f for f in swept if (f.path, f.first) not in called]
+
+    def named_in_product(function: Function) -> bool:
+        # A method is reachable only if its class is named too.
+        for part in function.qualname.split("#", 1)[0].split("."):
+            dunder = part.startswith("__") and part.endswith("__")
+            if not (dunder or part in product_names):
+                return False
+        return True
+
+    def rows(group: List[Function]) -> List[Dict[str, object]]:
+        return [
+            {"function": f.key, "line": f.first, "lines": f.size}
+            for f in sorted(group, key=lambda f: (-f.size, f.key))
+        ]
+
+    return {
+        "defined": len(swept),
+        "called": len(was_called),
+        "not_swept": {
+            path: sum(1 for f in functions if f.path == path)
+            for path in NOT_SWEPT
+        },
+        "failed_steps": failed,
+        "never_called_named_in_product": rows(
+            [f for f in never if named_in_product(f)]
+        ),
+        "never_called_named_only_in_tests": rows(
+            [f for f in never if not named_in_product(f)]
+        ),
+        "called_functions": sorted(f.key for f in was_called),
+    }
+
+
+def print_report(report: Dict[str, object]) -> None:
+    print(
+        f"called {report['called']} of {report['defined']} functions "
+        f"under src/repro"
+    )
+    for path, count in report["not_swept"].items():
+        print(f"not swept (runs in worker subprocesses): {path}, "
+              f"{count} functions")
+    groups = (
+        ("never called, named under src/, examples/ or scripts/",
+         report["never_called_named_in_product"]),
+        ("never called, named only under tests/ (or nowhere)",
+         report["never_called_named_only_in_tests"]),
+    )
+    for title, rows in groups:
+        total = sum(row["lines"] for row in rows)
+        print(f"\n{title}: {len(rows)} functions, {total} lines")
+        for row in rows:
+            print(f"  {row['lines']:5d}  {row['function']}  "
+                  f"(line {row['line']})")
+    for failure in report["failed_steps"]:
+        print(f"\nFAILED STEP: {failure}")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", action="store_true", dest="as_json",
+                        help="print the report, with every function "
+                             "called, as JSON")
+    args = parser.parse_args(argv)
+    called, failed = sweep(sys.stderr)
+    report = build_report(called, failed)
+    if args.as_json:
+        print(json.dumps(report, indent=2))
+    else:
+        print_report(report)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,8 +5,7 @@ The package provides, on top of a cycle-level SMT + write-back cache
 simulator:
 
 * the paper's **WB covert channel** (binary and multi-bit symbol encoding),
-* the baseline channels it compares against (LRU, Prime+Probe,
-  Flush+Reload, Flush+Flush),
+* the baseline channels it compares against (LRU, Prime+Probe),
 * the defenses of Section 8 (PLcache, way partitioning, random fill,
   randomized mapping, write-through),
 * the side-channel scenarios of Section 9, and

@@ -1,10 +1,11 @@
-"""Analysis utilities: error metrics, distributions, detection.
+"""Analysis utilities: error metrics, distributions, capacity.
 
 The paper evaluates channel quality with the Wagner-Fischer edit distance
-between sent and received bit sequences (Section 5), reports latency
-distributions as CDFs (Figure 4), and discusses detectability through
-hardware performance counters (Section 7).  This package implements those
-three measurement tools.
+between sent and received bit sequences (Section 5) and reports latency
+distributions as CDFs (Figure 4).  This package implements both, plus
+channel-capacity estimates, run-manifest summaries and SVG charts.
+Detectability through performance counters (Section 7) is measured
+online, by the detectors in :mod:`repro.telemetry.detectors`.
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +18,7 @@ from repro.analysis.edit_distance import edit_distance
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "edit_distance": ("edit_distance", "edit_distance_alignment"),
+        "edit_distance": ("edit_distance",),
         "ber": (
             "BitErrorReport",
             "align_by_preamble",
@@ -31,7 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "effective_rate_kbps",
             "symbol_capacity",
         ),
-        "detection": ("DetectionReport", "compare_miss_profiles"),
         "run_summary": ("manifest_table", "summarize_manifest"),
         "svg": ("Chart", "ber_chart", "cdf_chart", "trace_chart"),
     },

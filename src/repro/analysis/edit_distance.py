@@ -8,7 +8,7 @@ distance mis-scores the latter two catastrophically.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def edit_distance(source: Sequence[int], target: Sequence[int]) -> int:
@@ -36,50 +36,3 @@ def edit_distance(source: Sequence[int], target: Sequence[int]) -> int:
         previous = current
     return previous[-1]
 
-
-def edit_distance_alignment(
-    source: Sequence[int], target: Sequence[int]
-) -> Tuple[int, List[Tuple[str, int, int]]]:
-    """Edit distance plus one optimal operation script.
-
-    Returns ``(distance, script)`` where each script entry is
-    ``(operation, source_index, target_index)`` with operation one of
-    ``"match"``, ``"substitute"``, ``"insert"`` (into source) or
-    ``"delete"`` (from source).  Used by diagnostics that want to show
-    *which* symbols were lost or inserted, e.g. when attributing errors to
-    scheduler preemptions.
-    """
-    rows = len(source) + 1
-    cols = len(target) + 1
-    table = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        table[i][0] = i
-    for j in range(cols):
-        table[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if source[i - 1] == target[j - 1] else 1
-            table[i][j] = min(
-                table[i - 1][j - 1] + cost,
-                table[i][j - 1] + 1,
-                table[i - 1][j] + 1,
-            )
-    # Trace back one optimal path.
-    script: List[Tuple[str, int, int]] = []
-    i, j = len(source), len(target)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            cost = 0 if source[i - 1] == target[j - 1] else 1
-            if table[i][j] == table[i - 1][j - 1] + cost:
-                script.append(("match" if cost == 0 else "substitute", i - 1, j - 1))
-                i -= 1
-                j -= 1
-                continue
-        if j > 0 and table[i][j] == table[i][j - 1] + 1:
-            script.append(("insert", i, j - 1))
-            j -= 1
-            continue
-        script.append(("delete", i - 1, j))
-        i -= 1
-    script.reverse()
-    return table[-1][-1], script

@@ -110,18 +110,6 @@ class CacheHierarchy:
         """The innermost cache level."""
         return self.levels[0]
 
-    @property
-    def telemetry_enabled(self) -> bool:
-        """Whether cache events are being emitted right now.
-
-        This is the one flag everything gates on: the per-access
-        emission sites below and the specialised struct-of-arrays
-        replay loop's eligibility check (telemetry forces the generic,
-        instrumented path — see :mod:`repro.engine.trace`).
-        """
-        bus = self.telemetry
-        return bus is not None and bus.enabled
-
     def attach_telemetry(self, bus: TelemetryBus) -> TelemetryBus:
         """Attach ``bus`` (replacing any current one); returns it."""
         self.telemetry = bus

@@ -2,9 +2,10 @@
 
 :mod:`repro.channels.wb` is the paper's contribution; the sibling modules
 implement the channels it compares against in Sections 6-7 (LRU channel,
-Prime+Probe, Flush+Reload, Flush+Flush), all running on the same simulated
-SMT core so that stability and stealthiness comparisons are apples to
-apples.
+Prime+Probe), all running on the same simulated SMT core so that stability
+and stealthiness comparisons are apples to apples.  The paper's Table 1
+classification of every channel it discusses is data in
+:mod:`repro.channels.taxonomy`.
 """
 
 from repro._lazy import lazy_exports
@@ -19,8 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "coding": ("BlockCode", "HammingCode", "RepetitionCode"),
         "lru_channel": ("LRUChannelConfig", "run_lru_channel"),
         "prime_probe": ("PrimeProbeConfig", "run_prime_probe_channel"),
-        "flush_reload": ("FlushReloadConfig", "run_flush_reload_channel"),
-        "flush_flush": ("FlushFlushConfig", "run_flush_flush_channel"),
         "taxonomy": (
             "KNOWN_CHANNELS",
             "ChannelProfile",

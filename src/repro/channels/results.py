@@ -1,9 +1,8 @@
 """Shared result type for the baseline channels.
 
 The WB channel has its richer :class:`~repro.channels.wb.protocol.ChannelRunResult`;
-the baselines (LRU, Prime+Probe, Flush+Reload, Flush+Flush) share this
-simpler record, which is all the comparison experiments of Sections 6-7
-need.
+the baselines (LRU, Prime+Probe) share this simpler record, which is all
+the comparison experiments of Sections 6-7 need.
 """
 
 from __future__ import annotations

@@ -138,10 +138,10 @@ def share_buffer(
 ) -> None:
     """Map ``[base, base+size)`` of ``source`` into ``destination`` (shared).
 
-    Flush+Reload and Flush+Flush require a shared read-only region (a
-    shared library page in the paper's taxonomy).  Sharing is modelled by
-    aliasing the page-table entries, so both processes' accesses hit the
-    same physical lines.
+    The cross-core WB channel shares its target lines this way, as
+    Flush+Reload would share a library page (the paper's taxonomy).
+    Sharing is modelled by aliasing the page-table entries, so both
+    processes' accesses hit the same physical lines.
     """
     if size <= 0:
         raise ConfigurationError(f"size must be positive, got {size}")

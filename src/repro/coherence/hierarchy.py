@@ -127,12 +127,6 @@ class CoherentHierarchy:
             return 0
         return owner % self.num_cores
 
-    @property
-    def telemetry_enabled(self) -> bool:
-        """Whether cache events are being emitted right now."""
-        bus = self.telemetry
-        return bus is not None and bus.enabled
-
     def attach_telemetry(self, bus: TelemetryBus) -> TelemetryBus:
         """Attach ``bus`` (replacing any current one); returns it."""
         self.telemetry = bus

@@ -3,7 +3,8 @@
 The reference cache core (:mod:`repro.cache`) is the semantic oracle:
 object-per-line sets, defensive validation, written to be read next to the
 paper.  This package is the performance twin — same behaviour, bit for
-bit (``tests/test_engine_parity.py``), several times the throughput:
+bit (``tests/test_engine_parity.py``), through the same
+:meth:`~repro.cache.hierarchy.CacheHierarchy.access` walk:
 
 * :class:`~repro.engine.fast_set.FastSet` — parallel tag/owner arrays,
   valid/dirty/locked bitmask ints, a ``tag -> way`` dict index, and
@@ -13,7 +14,6 @@ bit (``tests/test_engine_parity.py``), several times the throughput:
   address-field arithmetic;
 * integer-encoded replacement state in
   :mod:`repro.replacement.fast_state`;
-* :func:`~repro.engine.trace.run_trace` — batched trace replay;
 * :mod:`~repro.engine.selection` — the ``--engine {reference,fast}``
   switch consulted by the hierarchy builders.
 """
@@ -36,7 +36,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "resolve_engine",
             "set_engine",
         ),
-        "trace": ("TraceResult", "event_stream", "run_trace", "run_trace_summary"),
-        "workloads": ("fig6_workload", "random_workload"),
     },
 )

@@ -25,11 +25,10 @@ Experiment id                 Paper artifact
 ``fault_tolerance``           Extension (injected faults, hardened protocol)
 ``ablation_errors``           Ablation (sources of bit errors)
 ``ablation_replacement_set``  Ablation (replacement-set size L)
-``trace_sweep``               Extension (seed-sweep replay statistics)
 ============================  ==============================================
 
-Run from Python via :func:`run_experiment` / :func:`run_all`, or from the
-shell via ``python -m repro.experiments`` (alias ``wb-experiments``).
+Run from Python via :func:`run_experiment`, or from the shell via
+``python -m repro.experiments`` (alias ``wb-experiments``).
 """
 
 from repro._lazy import lazy_exports
@@ -46,6 +45,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "available_profiles",
             "resolve_profile",
         ),
-        "registry": ("available_experiments", "run_all", "run_experiment"),
+        "registry": ("available_experiments", "run_experiment"),
     },
 )

@@ -39,7 +39,6 @@ _MODULES: Dict[str, str] = {
     "fault_tolerance": "fault_tolerance",
     "ablation_errors": "ablation_errors",
     "ablation_replacement_set": "ablation_replacement_set",
-    "trace_sweep": "trace_sweep",
 }
 
 
@@ -107,17 +106,3 @@ def run_experiment(
         result.params["telemetry"] = summary
     return result
 
-
-def run_all(
-    profile: ProfileLike = None, seed: int = 0, *, quick: Optional[bool] = None
-) -> List[ExperimentResult]:
-    """Run every registered experiment in order, in this process.
-
-    For multi-core execution with persisted manifests use
-    :func:`repro.runner.run_experiments` instead.
-    """
-    resolved = resolve_profile(profile, quick=quick)
-    return [
-        run_experiment(experiment_id, profile=resolved, seed=seed)
-        for experiment_id in available_experiments()
-    ]

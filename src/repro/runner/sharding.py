@@ -22,29 +22,33 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.experiments.profiles import ProfileLike, RunProfile, resolve_profile
 
-#: Relative cost of one quick-profile run (measured seconds on the
-#: reference machine, used only for scheduling order — never correctness).
+#: Seconds one quick-profile run takes on the reference engine (the CLI
+#: default), seed 0: the median of 3 fresh-process runs on a shared
+#: 2-vCPU VM under CPython 3.11.  Used only for dispatch order — never
+#: correctness.  Every registered experiment has a row.
 EXPERIMENT_WEIGHTS: Dict[str, float] = {
-    "defenses": 9.0,
-    "fig6": 7.5,
-    "table6": 4.0,
-    "extension_3bit": 3.1,
-    "stability": 2.8,
-    "ablation_replacement_set": 2.6,
-    "fig8": 2.4,
-    "ablation_errors": 2.3,
-    "random_policy": 2.1,
-    "fault_tolerance": 1.6,
-    "extension_l2": 1.4,
-    "table7": 0.8,
-    "table5": 0.8,
-    "sidechannel": 0.4,
-    "trace_sweep": 0.4,
-    "fig5": 0.4,
-    "table2": 0.3,
-    "fig4": 0.3,
-    "fig7": 0.1,
-    "table4": 0.1,
+    "defenses": 11.19,
+    "online_detection": 7.60,
+    "table6": 5.07,
+    "closed_loop_defense": 3.96,
+    "fig6": 3.18,
+    "cross_core_wb": 2.12,
+    "extension_3bit": 1.20,
+    "table7": 1.05,
+    "ablation_replacement_set": 1.05,
+    "fig8": 0.86,
+    "fault_tolerance": 0.86,
+    "ablation_errors": 0.84,
+    "stability": 0.80,
+    "table5": 0.78,
+    "extension_l2": 0.77,
+    "random_policy": 0.69,
+    "table2": 0.40,
+    "fig4": 0.26,
+    "sidechannel": 0.24,
+    "fig5": 0.23,
+    "fig7": 0.17,
+    "table4": 0.08,
 }
 
 

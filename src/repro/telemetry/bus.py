@@ -3,12 +3,9 @@
 Design constraints, in order:
 
 1. **Zero cost when absent or disabled.**  A hierarchy holds either no
-   bus (``hierarchy.telemetry is None``) or a disabled one; both make
-   ``hierarchy.telemetry_enabled`` false, which is the single check the
-   hot paths perform.  The specialised struct-of-arrays replay loop in
-   :mod:`repro.engine.trace` additionally refuses to run with telemetry
-   enabled, so enabling the bus routes ``run_trace`` through the generic
-   instrumented path — the SoA loop itself never pays for observability.
+   bus (``hierarchy.telemetry is None``) or a disabled one; the walk
+   tests ``bus is not None and bus.enabled`` once per access and, when
+   that is false, emits nothing and builds no event.
 2. **Engine-independent streams.**  All emission sites live in
    :class:`~repro.cache.hierarchy.CacheHierarchy`, which both engines
    share, so reference and fast hierarchies produce bit-identical event

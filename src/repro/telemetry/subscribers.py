@@ -12,7 +12,7 @@ import time as _time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry.bus import Subscriber
 from repro.telemetry.events import AGGREGATE_OWNER, CacheEvent, EventKind
@@ -174,21 +174,6 @@ class WindowedCounters(Subscriber):
             if cell is not None:
                 total.merge(cell)
         return total
-
-    def miss_profile(
-        self,
-        level_names: Sequence[str] = ("L1D", "L2", "LLC"),
-        owner: Optional[int] = None,
-    ) -> Dict[str, float]:
-        """Whole-run per-level miss rates, keyed like Table 6/7 profiles.
-
-        This is the bridge the rebased
-        :func:`repro.analysis.detection.compare_miss_profiles` consumes.
-        """
-        return {
-            name: self.totals(index + 1, owner).miss_rate
-            for index, name in enumerate(level_names)
-        }
 
     def summary(self) -> Dict[str, object]:
         """Aggregate view for run manifests."""

@@ -1,6 +1,4 @@
-"""Analysis: edit distance, BER evaluation, CDFs, detection."""
-
-import warnings
+"""Analysis: edit distance, BER evaluation, CDFs."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +8,7 @@ from repro.analysis import (
     BitErrorReport,
     align_by_preamble,
     bit_error_rate,
-    compare_miss_profiles,
     edit_distance,
-    edit_distance_alignment,
     empirical_cdf,
     evaluate_transmission,
     histogram,
@@ -20,7 +16,6 @@ from repro.analysis import (
 )
 from repro.analysis.cdf import cdf_at
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.telemetry import CacheEvent, EventKind, WindowedCounters
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=32)
 
@@ -48,24 +43,6 @@ class TestEditDistance:
     @given(bit_lists, bit_lists)
     def test_bounded_by_longer_length(self, a, b):
         assert edit_distance(a, b) <= max(len(a), len(b))
-
-
-class TestEditDistanceAlignment:
-    def test_script_length_consistency(self):
-        distance, script = edit_distance_alignment([1, 0, 1, 1], [1, 1, 1])
-        non_match = [entry for entry in script if entry[0] != "match"]
-        assert len(non_match) == distance
-
-    def test_pure_match(self):
-        distance, script = edit_distance_alignment([1, 0], [1, 0])
-        assert distance == 0
-        assert all(op == "match" for op, _, _ in script)
-
-    @given(bit_lists, bit_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_agrees_with_plain_distance(self, a, b):
-        distance, _ = edit_distance_alignment(a, b)
-        assert distance == edit_distance(a, b)
 
 
 class TestBitErrorRate:
@@ -157,83 +134,3 @@ class TestCdf:
         assert summary.count == 4
         assert "med" in str(summary)
 
-
-def _counters_with_miss_rates(rates):
-    """WindowedCounters whose per-level miss profile equals ``rates``.
-
-    ``rates`` maps 1-based level -> miss rate in steps of 1/10 (each level
-    gets 10 accesses: ``10 * rate`` misses, the rest hits).
-    """
-    counters = WindowedCounters(window=64)
-    time = 0
-    for level, rate in rates.items():
-        misses = round(rate * 10)
-        for index in range(10):
-            kind = EventKind.MISS if index < misses else EventKind.HIT
-            counters.on_event(
-                CacheEvent(time, kind, level, 0, 0, 0x1000 + 64 * time, False, False)
-            )
-            time += 1
-    counters.finish()
-    return counters
-
-
-class TestDetection:
-    def test_identical_profiles_benign(self):
-        profile = _counters_with_miss_rates({1: 0.0, 2: 0.3, 3: 0.3})
-        report = compare_miss_profiles(profile, profile)
-        assert not report.distinguishable
-
-    def test_large_delta_flags(self):
-        suspect = _counters_with_miss_rates({1: 0.5, 2: 0.3, 3: 0.3})
-        baseline = _counters_with_miss_rates({1: 0.0, 2: 0.3, 3: 0.3})
-        report = compare_miss_profiles(suspect, baseline)
-        assert report.distinguishable
-        assert "DISTINGUISHABLE" in str(report)
-
-    def test_windowed_counters_accepted_without_warning(self):
-        suspect = _counters_with_miss_rates({1: 0.5, 2: 0.3, 3: 0.3})
-        baseline = _counters_with_miss_rates({1: 0.0, 2: 0.3, 3: 0.3})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = compare_miss_profiles(suspect, baseline)
-        assert report.distinguishable
-        assert report.per_level_delta["L1D"] == pytest.approx(0.5)
-        assert report.per_level_delta["L2"] == pytest.approx(0.0)
-
-    def test_counters_respect_owner_selection(self):
-        counters = WindowedCounters(window=64)
-        # Owner 0 misses everything; owner 1 hits everything.
-        for time in range(10):
-            counters.on_event(
-                CacheEvent(time, EventKind.MISS, 1, 0, 0, 64 * time, False, False)
-            )
-            counters.on_event(
-                CacheEvent(time, EventKind.HIT, 1, 0, 1, 64 * time, False, False)
-            )
-        counters.finish()
-        report = compare_miss_profiles(
-            counters, counters, owner=0, level_names=("L1D",)
-        )
-        assert not report.distinguishable  # same counters either side
-        assert counters.miss_profile(("L1D",), owner=0)["L1D"] == 1.0
-        assert counters.miss_profile(("L1D",), owner=1)["L1D"] == 0.0
-
-    def test_empty_profile_rejected(self):
-        counters = _counters_with_miss_rates({1: 0.1})
-        with pytest.raises(ConfigurationError):
-            compare_miss_profiles(counters, counters, level_names=())
-
-    def test_bad_threshold_rejected(self):
-        counters = _counters_with_miss_rates({1: 0.1})
-        with pytest.raises(ConfigurationError):
-            compare_miss_profiles(counters, counters, threshold=2.0)
-
-    def test_mapping_path_removed_with_helpful_error(self):
-        # The deprecated plain-mapping path is a tombstone now: the
-        # TypeError must name the WindowedCounters replacement.
-        with pytest.raises(TypeError, match="WindowedCounters"):
-            compare_miss_profiles(
-                {"L1D": 0.1, "L2": 0.1, "LLC": 0.1},
-                {"L1D": 0.1, "L2": 0.1, "LLC": 0.1},
-            )

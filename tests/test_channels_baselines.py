@@ -1,14 +1,10 @@
-"""Baseline channels: LRU, Prime+Probe, Flush+Reload, Flush+Flush."""
+"""Baseline channels: LRU and Prime+Probe."""
 
 import pytest
 
 from repro.channels import (
-    FlushFlushConfig,
-    FlushReloadConfig,
     LRUChannelConfig,
     PrimeProbeConfig,
-    run_flush_flush_channel,
-    run_flush_reload_channel,
     run_lru_channel,
     run_prime_probe_channel,
 )
@@ -57,35 +53,12 @@ class TestPrimeProbe:
         assert result.receiver_perf.l1_accesses > 0
 
 
-class TestFlushReload:
-    def test_transmits(self):
-        result = run_flush_reload_channel(FlushReloadConfig(**QUIET))
-        assert result.bit_error_rate == 0.0
-
-    def test_uses_shared_memory(self):
-        # The defining requirement the WB channel does not have.
-        result = run_flush_reload_channel(FlushReloadConfig(**QUIET))
-        assert result.channel == "Flush+Reload"
-
-
-class TestFlushFlush:
-    def test_transmits(self):
-        result = run_flush_flush_channel(FlushFlushConfig(**QUIET))
-        assert result.bit_error_rate == 0.0
-
-    def test_rate_reported(self):
-        result = run_flush_flush_channel(FlushFlushConfig(**QUIET))
-        assert result.rate_kbps == pytest.approx(400.0)
-
-
 class TestCommonBehaviour:
     @pytest.mark.parametrize(
         "runner,config_cls",
         [
             (run_lru_channel, LRUChannelConfig),
             (run_prime_probe_channel, PrimeProbeConfig),
-            (run_flush_reload_channel, FlushReloadConfig),
-            (run_flush_flush_channel, FlushFlushConfig),
         ],
     )
     def test_deterministic_given_seed(self, runner, config_cls):
@@ -95,7 +68,7 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize(
         "config_cls",
-        [LRUChannelConfig, PrimeProbeConfig, FlushReloadConfig, FlushFlushConfig],
+        [LRUChannelConfig, PrimeProbeConfig],
     )
     def test_rate_property(self, config_cls):
         assert config_cls(period_cycles=5500).rate_kbps == pytest.approx(400.0)

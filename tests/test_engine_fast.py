@@ -2,8 +2,7 @@
 
 Parity with the reference engine is covered by ``test_engine_parity.py``;
 these tests pin down the fast structures in isolation: FastSet semantics,
-the engine selection switch, the fast policy-state registry, and the
-workload generators.
+the engine selection switch and the fast policy-state registry.
 """
 
 import random
@@ -18,8 +17,6 @@ from repro.engine import (
     cache_class,
     current_engine,
     engine_context,
-    fig6_workload,
-    random_workload,
     resolve_engine,
     set_engine,
 )
@@ -229,38 +226,6 @@ class TestFastStateRegistry:
 
         state = AdapterState(HintedLRU(4, random.Random(0)))
         assert state.wants_dirty_hint
-
-
-class TestWorkloads:
-    def test_fig6_workload_deterministic(self):
-        assert fig6_workload(num_symbols=16, seed=3) == fig6_workload(
-            num_symbols=16, seed=3
-        )
-        assert fig6_workload(num_symbols=16, seed=3) != fig6_workload(
-            num_symbols=16, seed=4
-        )
-
-    def test_fig6_workload_validation(self):
-        with pytest.raises(ConfigurationError):
-            fig6_workload(num_symbols=0)
-        with pytest.raises(ConfigurationError):
-            fig6_workload(d=9, sender_lines=8)
-
-    def test_fig6_workload_targets_one_set(self):
-        from repro.mem.address import AddressLayout
-
-        layout = AddressLayout(line_size=64, num_sets=64)
-        trace = fig6_workload(num_symbols=8, target_set=21, layout=layout)
-        assert {layout.set_index(address) for address, _ in trace} == {21}
-
-    def test_random_workload_bounds(self):
-        trace = list(random_workload(num_accesses=500, working_set_lines=32))
-        assert len(trace) == 500
-        assert all(address < 32 * 64 for address, _ in trace)
-        with pytest.raises(ConfigurationError):
-            list(random_workload(num_accesses=0))
-        with pytest.raises(ConfigurationError):
-            list(random_workload(write_ratio=1.5))
 
 
 class TestFastCacheStructure:

@@ -17,8 +17,8 @@ import pytest
 
 from repro.cache.cache import WritePolicy
 from repro.cache.configs import make_xeon_hierarchy
-from repro.engine import event_stream, fig6_workload, random_workload, run_trace
 from repro.replacement.registry import available_policies
+from tests.replay import event_stream, fig6_trace, random_trace, replay
 
 SEED = 1234
 
@@ -53,13 +53,11 @@ def assert_state_identical(reference, fast):
 )
 def test_random_trace_parity(policy, write_policy):
     """>= 10k random accesses: identical event streams and final state."""
-    trace = list(
-        random_workload(
-            num_accesses=10_000,
-            working_set_lines=1024,
-            write_ratio=0.3,
-            seed=SEED,
-        )
+    trace = random_trace(
+        num_accesses=10_000,
+        working_set_lines=1024,
+        write_ratio=0.3,
+        seed=SEED,
     )
     reference, fast = build_pair(policy, write_policy)
     events_ref = event_stream(reference, trace, owner=0)
@@ -72,13 +70,9 @@ def test_random_trace_parity(policy, write_policy):
 @pytest.mark.parametrize("policy", available_policies())
 def test_fig6_trace_parity(policy):
     """The Figure 6 channel inner loop replays identically."""
-    trace = fig6_workload(num_symbols=400, d=4, seed=SEED)
+    trace = fig6_trace(num_symbols=400, d=4, seed=SEED)
     reference, fast = build_pair(policy)
-    result_ref = run_trace(reference, trace)
-    result_fast = run_trace(fast, trace)
-    assert result_ref.hit_levels == result_fast.hit_levels
-    assert result_ref.latencies == result_fast.latencies
-    assert result_ref.dirty_evictions == result_fast.dirty_evictions
+    assert event_stream(reference, trace) == event_stream(fast, trace)
     assert_state_identical(reference, fast)
     assert reference.stats.snapshot() == fast.stats.snapshot()
 
@@ -86,10 +80,8 @@ def test_fig6_trace_parity(policy):
 @pytest.mark.parametrize("policy", available_policies())
 def test_randomize_policy_state_parity(policy):
     """Table 2's scramble draws each cache-built set's generator alike."""
-    trace = list(
-        random_workload(
-            num_accesses=4_000, working_set_lines=1024, write_ratio=0.3, seed=SEED
-        )
+    trace = random_trace(
+        num_accesses=4_000, working_set_lines=1024, write_ratio=0.3, seed=SEED
     )
     warmup, rest = trace[:1_000], trace[1_000:]
     reference, fast = build_pair(policy)
@@ -105,28 +97,12 @@ def test_randomize_policy_state_parity(policy):
     assert reference.stats.snapshot() == fast.stats.snapshot()
 
 
-def test_batched_loop_matches_generic_loop():
-    """run_trace's specialised SoA loop equals the per-access API."""
-    trace = list(
-        random_workload(num_accesses=10_000, working_set_lines=2048, seed=7)
-    )
-    via_batch = make_xeon_hierarchy(rng=random.Random(3), engine="fast")
-    via_generic = make_xeon_hierarchy(rng=random.Random(3), engine="fast")
-    batched = run_trace(via_batch, trace, owner=1)
-    events = event_stream(via_generic, trace, owner=1)
-    assert batched.hit_levels == [event[0] for event in events]
-    assert batched.latencies == [event[1] for event in events]
-    assert batched.dirty_evictions == [event[2] for event in events]
-    assert_state_identical(via_batch, via_generic)
-    assert via_batch.stats.snapshot() == via_generic.stats.snapshot()
-
-
 def test_flush_parity():
     """clflush costs and after-states agree across engines."""
-    trace = list(random_workload(num_accesses=2_000, seed=11))
+    trace = random_trace(num_accesses=2_000, seed=11)
     reference, fast = build_pair("tree-plru")
-    run_trace(reference, trace, owner=0)
-    run_trace(fast, trace, owner=0)
+    replay(reference, trace, owner=0)
+    replay(fast, trace, owner=0)
     addresses = sorted({address for address, _ in trace})[:200]
     costs_ref = [reference.flush(address, owner=0) for address in addresses]
     costs_fast = [fast.flush(address, owner=0) for address in addresses]
@@ -161,20 +137,16 @@ def test_wb_channel_transmission_parity():
 def test_telemetry_event_stream_parity(policy):
     """With telemetry on, both engines emit bit-identical event streams.
 
-    The emission sites live in the shared hierarchy walk, so this holds
-    by construction for the generic path — and enabling telemetry forces
-    run_trace off the specialised SoA loop, so the batched API is covered
-    too.  NamedTuple equality compares every field of every event.
+    The emission sites live in the hierarchy walk both engines share.
+    NamedTuple equality compares every field of every event.
     """
     from repro.telemetry import EventKind, TelemetryBus, TraceRecorder
 
-    trace = list(
-        random_workload(
-            num_accesses=4_000,
-            working_set_lines=1024,
-            write_ratio=0.3,
-            seed=SEED,
-        )
+    trace = random_trace(
+        num_accesses=4_000,
+        working_set_lines=1024,
+        write_ratio=0.3,
+        seed=SEED,
     )
     reference, fast = build_pair(policy)
     recorders = {}
@@ -182,8 +154,8 @@ def test_telemetry_event_stream_parity(policy):
         recorder = TraceRecorder(capacity=None)
         hierarchy.attach_telemetry(TelemetryBus()).subscribe(recorder)
         recorders[name] = recorder
-    run_trace(reference, trace, owner=0)
-    run_trace(fast, trace, owner=0)
+    replay(reference, trace, owner=0)
+    replay(fast, trace, owner=0)
     flushed = sorted({address for address, _ in trace})[:64]
     for address in flushed:
         reference.flush(address, owner=0)
@@ -216,38 +188,6 @@ def test_experiment_results_identical_across_engines():
     )
     assert result_ref.rows == result_fast.rows
     assert result_ref.series == result_fast.series
-
-
-#: ``trace_sweep`` at quick profile, seed 0.  The zero L1 hit rate is
-#: right: the receiver cycles 10-line replacement sets through one 8-way
-#: LRU set, so every L1 access misses.
-TRACE_SWEEP_ROWS = [
-    ["replicas", "16"],
-    ["accesses per replica", "588"],
-    ["L1 hit rate (mean)", "0.0000"],
-    ["latency/access (mean cycles)", "22.002"],
-    ["dirty evictions per replica (mean)", "92.00"],
-    ["sweep fingerprint", "54fb4c56"],
-]
-TRACE_SWEEP_SERIES = {
-    "dirty_evictions": [
-        80, 64, 80, 88, 108, 104, 88, 96, 100, 88, 100, 112, 76, 88, 104, 96,
-    ],
-    "l1_hit_rate": [0.0] * 16,
-}
-
-
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_trace_sweep_pinned(engine):
-    """The seed sweep's rows and series are pinned on every engine."""
-    from repro.experiments.profiles import QUICK
-    from repro.experiments.registry import run_experiment
-
-    result = run_experiment(
-        "trace_sweep", profile=QUICK.with_engine(engine), seed=0
-    )
-    assert result.rows == TRACE_SWEEP_ROWS
-    assert result.series == TRACE_SWEEP_SERIES
 
 
 def test_faulted_transmission_parity():

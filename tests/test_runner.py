@@ -9,8 +9,10 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.experiments.base import ExperimentResult
 from repro.experiments.profiles import FULL, QUICK
+from repro.experiments.registry import available_experiments
 from repro.runner import (
     CRASH_RETRIES,
+    EXPERIMENT_WEIGHTS,
     ManifestEntry,
     RunInterrupted,
     RunManifest,
@@ -44,6 +46,9 @@ class TestPlanning:
         tasks = plan_tasks(["table4", "defenses", "fig6"], profile=QUICK)
         ordered = [task.experiment_id for task in dispatch_order(tasks)]
         assert ordered == ["defenses", "fig6", "table4"]
+
+    def test_every_experiment_has_a_weight(self):
+        assert sorted(EXPERIMENT_WEIGHTS) == sorted(available_experiments())
 
     def test_unknown_experiment_rejected_before_running(self):
         with pytest.raises(ConfigurationError, match="tablezzz"):

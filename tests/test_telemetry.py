@@ -8,7 +8,6 @@ import pytest
 from repro.cache.cache import WritePolicy
 from repro.cache.configs import make_xeon_hierarchy
 from repro.cache.stats import ALL_OWNERS
-from repro.engine import random_workload, run_trace
 from repro.telemetry import (
     AGGREGATE_OWNER,
     BusProfiler,
@@ -25,6 +24,7 @@ from repro.telemetry import (
     session_bus,
     telemetry_session,
 )
+from tests.replay import random_trace, replay
 
 
 def make_event(time=0, kind=EventKind.HIT, level=1, owner=0, **overrides):
@@ -128,7 +128,6 @@ class TestHierarchyIntegration:
     def test_no_bus_by_default(self):
         hierarchy = make_xeon_hierarchy(rng=random.Random(0))
         assert hierarchy.telemetry is None
-        assert not hierarchy.telemetry_enabled
 
     def test_cold_miss_walks_all_levels(self):
         hierarchy, recorder = self.build()
@@ -176,8 +175,8 @@ class TestHierarchyIntegration:
 
     def test_event_counts_match_stats(self):
         hierarchy, recorder = self.build()
-        trace = list(random_workload(num_accesses=3_000, seed=3))
-        run_trace(hierarchy, trace, owner=0)
+        trace = random_trace(num_accesses=3_000, seed=3)
+        replay(hierarchy, trace, owner=0)
         events = recorder.events
         snapshot = hierarchy.stats.snapshot()
         for level in (1, 2, 3):
@@ -198,13 +197,17 @@ class TestHierarchyIntegration:
         assert len(writebacks_l1) == snapshot["L1"]["writebacks"]
 
     def test_telemetry_does_not_change_results(self):
-        trace = list(random_workload(num_accesses=3_000, seed=9))
+        trace = random_trace(num_accesses=3_000, seed=9)
         plain = make_xeon_hierarchy(rng=random.Random(0))
         observed, _ = self.build()
-        result_plain = run_trace(plain, trace, owner=0)
-        result_observed = run_trace(observed, trace, owner=0)
-        assert result_plain.hit_levels == result_observed.hit_levels
-        assert result_plain.latencies == result_observed.latencies
+        result_plain = replay(plain, trace, owner=0)
+        result_observed = replay(observed, trace, owner=0)
+        assert [step.hit_level for step in result_plain] == [
+            step.hit_level for step in result_observed
+        ]
+        assert [step.latency for step in result_plain] == [
+            step.latency for step in result_observed
+        ]
         assert plain.stats.snapshot() == observed.stats.snapshot()
 
     def test_detach_stops_emission(self):
@@ -212,7 +215,7 @@ class TestHierarchyIntegration:
         hierarchy.detach_telemetry()
         hierarchy.access(0x4000, False, owner=0)
         assert recorder.events == []
-        assert not hierarchy.telemetry_enabled
+        assert hierarchy.telemetry is None
 
     def test_write_through_l1_emits_consistently(self):
         hierarchy, recorder = self.build(
@@ -267,19 +270,6 @@ class TestWindowedCounters:
         self.feed(counters, [(100, EventKind.MISS, 1, 0)])
         counters.finish()
         assert counters.series("misses", level=1, owner=0) == [1]
-
-    def test_miss_profile_bridges_to_detection(self):
-        counters = WindowedCounters(window=16)
-        self.feed(
-            counters,
-            [(0, EventKind.MISS, 1, 0), (1, EventKind.HIT, 1, 0)]
-            + [(2, EventKind.HIT, 2, 0)],
-        )
-        counters.finish()
-        profile = counters.miss_profile()
-        assert profile["L1D"] == pytest.approx(0.5)
-        assert profile["L2"] == 0.0
-        assert profile["LLC"] == 0.0
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@
 Covers :mod:`repro.telemetry.net` (the stream publisher the service and
 the closed-loop scenario share) and the :class:`BufferedSubscriber`
 hardening in :mod:`repro.telemetry.bus` — including the regression that
-a subscriber far slower than the event rate can never stall
-``run_trace``.
+a subscriber far slower than the event rate can never stall a
+trace replay.
 """
 
 import json
@@ -14,8 +14,6 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.engine import run_trace
-from repro.engine.workloads import random_workload
 from repro.telemetry.bus import (
     OVERFLOW_POLICIES,
     BufferedSubscriber,
@@ -33,6 +31,7 @@ from repro.telemetry.net import (
     sse_block,
 )
 from repro.telemetry.subscribers import BusProfiler
+from tests.replay import random_trace, replay
 
 
 def _drain(client, limit=1000):
@@ -313,7 +312,7 @@ class TestBufferedSubscriber:
 
 class TestSlowSubscriberCannotStallTheEngine:
     """The hardening regression: a consumer ~10x slower than the event
-    rate, wrapped in a BufferedSubscriber, must not block ``run_trace``;
+    rate, wrapped in a BufferedSubscriber, must not block a replay;
     the loss is surfaced on the profiler instead."""
 
     def test_run_trace_outpaces_a_sleeping_subscriber(self, xeon):
@@ -324,17 +323,17 @@ class TestSlowSubscriberCannotStallTheEngine:
         bus = xeon.attach_telemetry(TelemetryBus())
         bus.subscribe(profiler)
         bus.subscribe(buffered)
-        trace = list(random_workload(num_accesses, seed=3))
+        trace = random_trace(num_accesses, seed=3)
         try:
             started = time.monotonic()
-            result = run_trace(xeon, trace, owner=0)
+            result = replay(xeon, trace, owner=0)
             elapsed = time.monotonic() - started
         finally:
             bus.close()
             xeon.detach_telemetry()
-        assert len(result.latencies) == num_accesses
+        assert len(result) == num_accesses
         assert elapsed < 2.0, (
-            f"run_trace took {elapsed:.2f}s behind a slow subscriber — "
+            f"replay took {elapsed:.2f}s behind a slow subscriber — "
             "the buffer is no longer decoupling the hot loop"
         )
         assert buffered.dropped_events > 0
