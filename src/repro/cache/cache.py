@@ -38,6 +38,25 @@ class AllocationPolicy(enum.Enum):
     NO_WRITE_ALLOCATE = "no-write-allocate"
 
 
+def cache_layout(
+    name: str, size_bytes: int, associativity: int, line_size: int
+) -> AddressLayout:
+    """The address layout of a cache level; raises what :class:`Cache` would."""
+    if size_bytes <= 0 or associativity <= 0 or line_size <= 0:
+        raise ConfigurationError("cache geometry values must be positive")
+    if size_bytes % (associativity * line_size) != 0:
+        raise ConfigurationError(
+            f"{name}: size {size_bytes} is not sets*ways*line_size "
+            f"with ways={associativity}, line={line_size}"
+        )
+    num_sets = size_bytes // (associativity * line_size)
+    if num_sets & (num_sets - 1):
+        raise ConfigurationError(
+            f"{name}: derived set count {num_sets} is not a power of two"
+        )
+    return AddressLayout(line_size=line_size, num_sets=num_sets)
+
+
 class Cache:
     """One level of a set-associative cache.
 
@@ -68,22 +87,11 @@ class Cache:
         allocation_policy: AllocationPolicy = AllocationPolicy.WRITE_ALLOCATE,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if size_bytes <= 0 or associativity <= 0 or line_size <= 0:
-            raise ConfigurationError("cache geometry values must be positive")
-        if size_bytes % (associativity * line_size) != 0:
-            raise ConfigurationError(
-                f"{name}: size {size_bytes} is not sets*ways*line_size "
-                f"with ways={associativity}, line={line_size}"
-            )
-        num_sets = size_bytes // (associativity * line_size)
-        if num_sets & (num_sets - 1):
-            raise ConfigurationError(
-                f"{name}: derived set count {num_sets} is not a power of two"
-            )
+        self.layout = cache_layout(name, size_bytes, associativity, line_size)
+        num_sets = self.layout.num_sets
         self.name = name
         self.size_bytes = size_bytes
         self.associativity = associativity
-        self.layout = AddressLayout(line_size=line_size, num_sets=num_sets)
         self.write_policy = write_policy
         self.allocation_policy = allocation_policy
         self._policy_factory = policy_factory
@@ -109,21 +117,20 @@ class Cache:
         """
         word = (self._set_words >> (32 * index)) & 0xFFFFFFFF
         rng = LazyRandom(mix_label(word, f"{self.name}/set{index}"))
-        ways = self.associativity
-        cache_set = self._make_set(ways, self._policy_factory(ways, rng))
+        cache_set = self._make_set(self.associativity, rng)
         self._sets[index] = cache_set
         return cache_set
 
-    def _make_set(self, ways: int, policy) -> CacheSet:
+    def _make_set(self, ways: int, rng: random.Random) -> CacheSet:
         """Set-construction hook; the fast engine substitutes its SoA set.
 
         Called by :meth:`_build_set` on a set's first touch.  Overriders
         must return an object with the :class:`CacheSet` public surface
-        (``find``/``fill``/``invalidate``/counters/locking); the policy
-        they receive carries the per-set RNG derived there, so both
-        engines draw identical random streams.
+        (``find``/``fill``/``invalidate``/counters/locking) and hand the
+        per-set RNG to their policy, so both engines draw identical
+        random streams.
         """
-        return CacheSet(ways, policy)
+        return CacheSet(ways, self._policy_factory(ways, rng))
 
     @property
     def sets(self) -> SetView:

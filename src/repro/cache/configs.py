@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng, ensure_rng
-from repro.cache.cache import AllocationPolicy, Cache, WritePolicy
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.cache import AllocationPolicy, Cache, WritePolicy, cache_layout
+from repro.cache.hierarchy import CacheHierarchy, check_level_order
 from repro.cache.latency import LatencyModel
 from repro.replacement.registry import make_policy_factory
 
@@ -75,6 +75,11 @@ class LevelParams:
     allocation_policy: str = AllocationPolicy.WRITE_ALLOCATE.value
 
     def __post_init__(self) -> None:
+        if not isinstance(self.size_bytes, int) or not isinstance(self.ways, int):
+            raise ConfigurationError(
+                f"{self.name}: size_bytes and ways must be integers, "
+                f"got {self.size_bytes!r} and {self.ways!r}"
+            )
         try:
             WritePolicy(self.write_policy)
         except ValueError:
@@ -268,6 +273,20 @@ class HierarchyParams:
             latency=latency,
             rng=derive_rng(master, "hierarchy"),
         )
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` where :meth:`build` would,
+        without building a set (sizes may come from a request)."""
+        for level in self.levels:
+            cache_layout(level.name, level.size_bytes, level.ways, self.line_size)
+            make_policy_factory(level.policy).func.check_ways(level.ways)
+        if self.cores > 1:
+            # Imported lazily: repro.coherence builds on repro.cache.
+            from repro.coherence.hierarchy import check_private_l1s
+
+            check_private_l1s(self.levels[:1], self.levels[1:])
+        else:
+            check_level_order(self.levels)
 
     def to_dict(self) -> Dict[str, object]:
         # ``cores`` is serialised only when it departs from the default:

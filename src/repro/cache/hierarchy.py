@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
@@ -73,6 +73,18 @@ class AccessTrace:
     evictions: Tuple[Tuple[int, EvictedLine], ...] = ()
 
 
+def check_level_order(levels: Sequence) -> None:
+    """Raise unless ``levels`` (caches or ``LevelParams``) grow shallow to deep."""
+    if not levels:
+        raise ConfigurationError("hierarchy needs at least one cache level")
+    for shallower, deeper in zip(levels, levels[1:]):
+        if deeper.size_bytes < shallower.size_bytes:
+            raise ConfigurationError(
+                f"{deeper.name} is smaller than {shallower.name}; "
+                "levels must be ordered shallow to deep"
+            )
+
+
 class CacheHierarchy:
     """An ordered stack of caches over a fixed-latency DRAM."""
 
@@ -84,14 +96,7 @@ class CacheHierarchy:
         charge_deep_writebacks: bool = False,
         telemetry: Optional[TelemetryBus] = None,
     ) -> None:
-        if not levels:
-            raise ConfigurationError("hierarchy needs at least one cache level")
-        for shallower, deeper in zip(levels, levels[1:]):
-            if deeper.size_bytes < shallower.size_bytes:
-                raise ConfigurationError(
-                    f"{deeper.name} is smaller than {shallower.name}; "
-                    "levels must be ordered shallow to deep"
-                )
+        check_level_order(levels)
         self.levels = levels
         self.latency = latency or LatencyModel()
         self.rng = ensure_rng(rng)

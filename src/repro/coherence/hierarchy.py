@@ -29,7 +29,7 @@ model's non-inclusive behaviour.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_rng, ensure_rng
@@ -50,6 +50,34 @@ _WRITEBACK = EventKind.WRITEBACK
 _FLUSH = EventKind.FLUSH
 
 
+def check_private_l1s(l1s: Sequence, shared: Sequence) -> None:
+    """Raise unless MESI can keep per-core ``l1s`` over ``shared`` coherent.
+
+    Levels are caches or ``LevelParams`` (whose policies are enum values)."""
+    if not l1s:
+        raise ConfigurationError("coherent hierarchy needs at least one L1")
+    if not shared:
+        raise ConfigurationError(
+            "coherent hierarchy needs a shared level below the L1s "
+            "(the inclusive L2)"
+        )
+    for l1 in l1s:
+        if WritePolicy(l1.write_policy) is not WritePolicy.WRITE_BACK:
+            raise ConfigurationError(
+                f"{l1.name}: MESI coherence models write-back L1s only "
+                "(a write-through L1 has no Modified state)"
+            )
+        allocation = AllocationPolicy(l1.allocation_policy)
+        if allocation is not AllocationPolicy.WRITE_ALLOCATE:
+            raise ConfigurationError(
+                f"{l1.name}: MESI coherence models write-allocate L1s only"
+            )
+        if l1.size_bytes > shared[0].size_bytes:
+            raise ConfigurationError(
+                f"inclusive {shared[0].name} is smaller than {l1.name}"
+            )
+
+
 class CoherentHierarchy:
     """Per-core private L1s over shared levels with MESI coherence."""
 
@@ -61,34 +89,13 @@ class CoherentHierarchy:
         rng: Optional[random.Random] = None,
         telemetry: Optional[TelemetryBus] = None,
     ) -> None:
-        if not l1s:
-            raise ConfigurationError("coherent hierarchy needs at least one L1")
-        if not shared:
-            raise ConfigurationError(
-                "coherent hierarchy needs a shared level below the L1s "
-                "(the inclusive L2)"
-            )
+        check_private_l1s(l1s, shared)
         line_size = l1s[0].layout.line_size
         for cache in l1s + shared:
             if cache.layout.line_size != line_size:
                 raise ConfigurationError(
                     f"{cache.name}: line size {cache.layout.line_size} != "
                     f"{line_size}; all levels must agree"
-                )
-        for l1 in l1s:
-            if l1.write_policy is not WritePolicy.WRITE_BACK:
-                raise ConfigurationError(
-                    f"{l1.name}: MESI coherence models write-back L1s only "
-                    "(a write-through L1 has no Modified state)"
-                )
-            if l1.allocation_policy is not AllocationPolicy.WRITE_ALLOCATE:
-                raise ConfigurationError(
-                    f"{l1.name}: MESI coherence models write-allocate L1s "
-                    "only"
-                )
-            if l1.size_bytes > shared[0].size_bytes:
-                raise ConfigurationError(
-                    f"inclusive {shared[0].name} is smaller than {l1.name}"
                 )
         self.l1s = l1s
         self.shared = shared

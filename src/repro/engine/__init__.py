@@ -13,7 +13,8 @@ bit (``tests/test_engine_parity.py``), through the same
   :class:`~repro.cache.cache.Cache` on FastSet storage with cached
   address-field arithmetic;
 * integer-encoded replacement state in
-  :mod:`repro.replacement.fast_state`;
+  :mod:`repro.replacement.fast_state`, built from ``(ways, rng)``; no
+  reference policy object exists on this engine;
 * :mod:`~repro.engine.selection` — the ``--engine {reference,fast}``
   switch consulted by the hierarchy builders.
 """

@@ -6,8 +6,9 @@ calls) and swaps in:
 
 * :class:`~repro.engine.fast_set.FastSet` sets via the ``_make_set`` hook —
   the base class builds each set on first touch with the same per-set
-  policy RNG on both engines, so they hand identical ``random.Random``
-  streams to their policies;
+  RNG on both engines, handed here to an integer policy state whose
+  class the constructor resolves once
+  (:func:`~repro.replacement.fast_state.fast_state_factory`);
 * cached address-field integers (``offset_bits``/index mask/tag shift) so
   the hot path avoids the property chain through
   :class:`~repro.mem.address.AddressLayout`, and indexes the plain set
@@ -26,6 +27,7 @@ from repro.cache.cache import AllocationPolicy, Cache, WritePolicy
 from repro.cache.line import EvictedLine
 from repro.engine.fast_set import FastSet
 from repro.replacement.base import PolicyFactory
+from repro.replacement.fast_state import fast_state_factory
 
 __all__ = ["FastCache", "AllocationPolicy", "WritePolicy"]
 
@@ -44,6 +46,8 @@ class FastCache(Cache):
         allocation_policy: AllocationPolicy = AllocationPolicy.WRITE_ALLOCATE,
         rng: Optional[random.Random] = None,
     ) -> None:
+        # Resolved before the base constructor builds set 0.
+        self._state_factory = fast_state_factory(policy_factory)
         super().__init__(
             name,
             size_bytes,
@@ -59,8 +63,8 @@ class FastCache(Cache):
         self._index_mask = layout.num_sets - 1
         self._tag_shift = layout.offset_bits + layout.index_bits
 
-    def _make_set(self, ways: int, policy) -> FastSet:
-        return FastSet(ways, policy)
+    def _make_set(self, ways: int, rng: random.Random) -> FastSet:
+        return FastSet(ways, self._state_factory(ways, rng))
 
     # ------------------------------------------------------------------
     # Address helpers on cached integers

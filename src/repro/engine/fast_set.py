@@ -5,8 +5,9 @@ Instead of a list of :class:`~repro.cache.line.CacheLine` objects, a
 three bitmasks (valid/dirty/locked) packed into plain ints, plus the same
 ``tag -> way`` dict index and incremental valid/dirty counters as the
 reference :class:`~repro.cache.cache_set.CacheSet`.  Replacement metadata
-lives in an integer-encoded :class:`~repro.replacement.fast_state
-.FastPolicyState` instead of the reference policy object.
+lives only in an integer-encoded :class:`~repro.replacement.fast_state
+.FastPolicyState`, built from the set's ``(ways, rng)``: a fast set holds
+no reference policy object.
 
 Parity contract: every public method is bit-identical to the reference
 set — same return values, same exceptions, same calls into the policy
@@ -23,8 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.cache.cache_set import AddressReconstructor
 from repro.cache.line import EvictedLine
-from repro.replacement.base import ReplacementPolicy
-from repro.replacement.fast_state import fast_state_for
+from repro.replacement.fast_state import FastPolicyState
 
 #: Normalised per-way state used for cross-engine comparisons:
 #: (valid, tag, dirty, locked, owner), with tag/owner None when invalid.
@@ -36,7 +36,6 @@ class FastSet:
 
     __slots__ = (
         "ways",
-        "policy",
         "pol",
         "tags",
         "owners",
@@ -49,20 +48,12 @@ class FastSet:
         "_dirty_count",
     )
 
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
+    def __init__(self, ways: int, pol: FastPolicyState) -> None:
         if ways <= 0:
             raise ConfigurationError(f"ways must be positive, got {ways}")
-        if policy.ways != ways:
-            raise ConfigurationError(
-                f"policy manages {policy.ways} ways but the set has {ways}"
-            )
         self.ways = ways
-        #: The reference policy object, kept for type introspection
-        #: (``type(set.policy)``) and constructor parameters.  Its internal
-        #: metadata is frozen at conversion time — the live state is
-        #: ``self.pol``.
-        self.policy = policy
-        self.pol = fast_state_for(policy)
+        #: Replacement state for ``ways`` ways, made by the caller.
+        self.pol = pol
         self.tags: List[int] = [0] * ways
         self.owners: List[Optional[int]] = [None] * ways
         self.valid_mask = 0
@@ -79,10 +70,6 @@ class FastSet:
     def find(self, tag: int) -> Optional[int]:
         """Way index holding ``tag``, or None."""
         return self._index.get(tag)
-
-    def touch(self, way: int) -> None:
-        """Record a hit on ``way`` with the replacement policy."""
-        self.pol.on_hit(way)
 
     # ------------------------------------------------------------------
     # Fill / eviction
@@ -235,10 +222,6 @@ class FastSet:
         if not self.dirty_mask & bit:
             self.dirty_mask |= bit
             self._dirty_count += 1
-
-    def set_owner(self, way: int, owner: Optional[int]) -> None:
-        """Record the hardware thread that last touched ``way``."""
-        self.owners[way] = owner
 
     # ------------------------------------------------------------------
     # Introspection used by experiments, defenses and tests

@@ -18,6 +18,8 @@ from repro.common.errors import ConfigurationError
 #: A :class:`~repro.cache.cache.Cache` passes a
 #: :class:`~repro.common.rng.LazyRandom`, which builds the set's
 #: ``random.Random`` on first use; standalone sets pass a ``random.Random``.
+#: ``make_policy_factory`` returns a ``functools.partial``; the fast engine
+#: reads its ``func`` and ``keywords`` to build the integer state instead.
 PolicyFactory = Callable[[int, random.Random], "ReplacementPolicy"]
 
 
@@ -40,10 +42,15 @@ class ReplacementPolicy(abc.ABC):
     wants_dirty_hint: bool = False
 
     def __init__(self, ways: int, rng: random.Random) -> None:
-        if ways <= 0:
-            raise ConfigurationError(f"ways must be positive, got {ways}")
+        self.check_ways(ways)
         self.ways = ways
         self.rng = rng
+
+    @classmethod
+    def check_ways(cls, ways: int) -> None:
+        """Raise :class:`ConfigurationError` unless ``cls`` can manage ``ways``."""
+        if ways <= 0:
+            raise ConfigurationError(f"ways must be positive, got {ways}")
 
     @abc.abstractmethod
     def on_fill(self, way: int) -> None:

@@ -30,6 +30,14 @@ from repro.common.errors import ConfigurationError
 from repro.replacement.true_lru import TrueLRU
 
 
+def check_protect_probs(protect_probs: Tuple[float, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless every probability is in [0, 1]."""
+    if any(not 0.0 <= p <= 1.0 for p in protect_probs):
+        raise ConfigurationError(
+            f"protect_probs must be within [0, 1], got {protect_probs}"
+        )
+
+
 class DirtyProtectingLRU(TrueLRU):
     """LRU with bounded probabilistic protection of dirty victims."""
 
@@ -45,10 +53,7 @@ class DirtyProtectingLRU(TrueLRU):
         protect_probs: Tuple[float, ...] = DEFAULT_PROTECT_PROBS,
     ) -> None:
         super().__init__(ways, rng)
-        if any(not 0.0 <= p <= 1.0 for p in protect_probs):
-            raise ConfigurationError(
-                f"protect_probs must be within [0, 1], got {protect_probs}"
-            )
+        check_protect_probs(protect_probs)
         self.protect_probs = tuple(protect_probs)
         self._dirty_mask: Tuple[bool, ...] = tuple([False] * ways)
         #: Diversions used so far, per way; reset when the way is refilled.
@@ -88,15 +93,6 @@ class DirtyProtectingLRU(TrueLRU):
         # Every way protected this round (possible when all are dirty):
         # fall back to plain LRU.
         return super().victim()
-
-    def protections_used(self) -> List[int]:
-        """Per-way diversion counts (exposed for the fast engine/tests)."""
-        return list(self._protections_used)
-
-    @property
-    def dirty_mask(self) -> Tuple[bool, ...]:
-        """Most recent dirty-ways hint received from the cache set."""
-        return self._dirty_mask
 
 
 #: Backwards-compatible alias used before the surrogate moved to an

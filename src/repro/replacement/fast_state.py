@@ -4,9 +4,9 @@ The reference policies (:mod:`repro.replacement`) are written for clarity:
 per-way Python lists, defensive ``_check_way`` validation, small helper
 methods.  On the simulation hot path those costs dominate — every cache
 access funnels through ``on_hit``/``on_fill``/``victim`` — so the fast
-engine (:mod:`repro.engine`) swaps each policy object for one of the state
-machines below: bit-packed integer state, precomputed touch masks, shared
-victim lookup tables, and no per-call validation.
+engine (:mod:`repro.engine`) runs each registered policy as one of the
+state machines below instead: bit-packed integer state, precomputed touch
+masks, shared victim lookup tables, and no per-call validation.
 
 Parity contract
 ---------------
@@ -14,82 +14,63 @@ Every fast state must be *bit-identical* to its reference policy: the same
 victim sequence, the same metadata transitions, and — critically — the same
 draws from the same ``random.Random`` instance in the same order (the
 reference engine stays the semantic oracle; ``tests/test_engine_parity.py``
-fuzzes this equivalence for every registered policy).  States are built
-*from* a live policy instance and copy its current metadata, so conversion
-is valid at any point, not just on a fresh set.
-
-Policies without a registered fast path fall back to
-:class:`AdapterState`, which simply forwards to the reference object — the
-fast engine still wins on its struct-of-arrays set layout, just not on
-policy dispatch.
+fuzzes this equivalence for every registered policy).  A state takes its
+reference policy's ``(ways, rng, **kwargs)`` and makes the same argument
+checks and construction draws, so a fast set needs no policy object;
+:func:`fast_state_factory` resolves a policy factory to its state class.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from typing import Callable, Dict, List, Tuple, Type
 
-from repro.replacement.base import ReplacementPolicy
+from repro.common.errors import ConfigurationError
+from repro.replacement.base import PolicyFactory, ReplacementPolicy
 from repro.replacement.bit_plru import BitPLRU
-from repro.replacement.dirty_protect import DirtyProtectingLRU
+from repro.replacement.dirty_protect import DirtyProtectingLRU, check_protect_probs
 from repro.replacement.fifo import FIFO
-from repro.replacement.noisy_plru import NoisyTreePLRU
+from repro.replacement.noisy_plru import NoisyTreePLRU, check_update_prob
 from repro.replacement.nru import NRU
 from repro.replacement.random_policy import LFSRPseudoRandom, UniformRandom
-from repro.replacement.srrip import SRRIP
+from repro.replacement.srrip import SRRIP, check_rrpv_bits
 from repro.replacement.tree_plru import TreePLRU
 from repro.replacement.true_lru import TrueLRU
 
 
 class FastPolicyState:
-    """Interface of a fast policy state (duck-typed, no abc overhead).
+    """Base of the fast policy states (duck-typed, no abc overhead): the
+    hooks of the ``reference`` policy class (``randomize`` for its
+    ``randomize_state``) without argument checks on in-range ways."""
 
-    Mirrors the :class:`~repro.replacement.base.ReplacementPolicy` hooks
-    minus argument validation; the hosting set only ever passes in-range
-    ways.
-    """
+    __slots__ = ("ways", "rng")
 
-    __slots__ = ()
+    reference: Type[ReplacementPolicy]
 
     wants_dirty_hint = False
 
-    def on_fill(self, way: int) -> None:
-        raise NotImplementedError
-
-    def on_hit(self, way: int) -> None:
-        raise NotImplementedError
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        self.reference.check_ways(ways)
+        self.ways = ways
+        self.rng = rng
 
     def on_invalidate(self, way: int) -> None:
         pass
 
-    def victim(self) -> int:
-        raise NotImplementedError
-
     def notify_dirty_ways(self, dirty_mask: Tuple[bool, ...]) -> None:
         pass
-
-    def randomize(self) -> None:
-        """Mirror of the reference policy's ``randomize_state``."""
-        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
 # Tree-PLRU: W-1 tree bits packed into one int, O(1) touch via masks.
 # ----------------------------------------------------------------------
 
-#: (clear_masks, set_masks) per way, keyed by way count; shared across sets.
-_TREE_MASKS: Dict[int, Tuple[List[int], List[int]]] = {}
 
-#: state -> victim lookup tables, keyed by way count; shared across sets.
-_TREE_VICTIMS: Dict[int, List[int]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _tree_masks(ways: int) -> Tuple[List[int], List[int]]:
-    try:
-        return _TREE_MASKS[ways]
-    except KeyError:
-        pass
+    """(clear_masks, set_masks) per way, shared by all sets of ``ways`` ways."""
     levels = ways.bit_length() - 1
     clear_masks: List[int] = []
     set_masks: List[int] = []
@@ -106,15 +87,12 @@ def _tree_masks(ways: int) -> Tuple[List[int], List[int]]:
             node = 2 * node + 1 + went_right
         clear_masks.append(all_bits & ~touched)
         set_masks.append(ones)
-    _TREE_MASKS[ways] = (clear_masks, set_masks)
     return clear_masks, set_masks
 
 
+@functools.lru_cache(maxsize=None)
 def _tree_victims(ways: int) -> List[int]:
-    try:
-        return _TREE_VICTIMS[ways]
-    except KeyError:
-        pass
+    """State -> victim lookup table, shared by all sets of ``ways`` ways."""
     levels = ways.bit_length() - 1
     table: List[int] = []
     for state in range(1 << (ways - 1)):
@@ -125,25 +103,21 @@ def _tree_victims(ways: int) -> List[int]:
             way = (way << 1) | direction
             node = 2 * node + 1 + direction
         table.append(way)
-    _TREE_VICTIMS[ways] = table
     return table
 
 
 class TreePLRUState(FastPolicyState):
     """Tree-PLRU with packed bits and a shared state->victim table."""
 
-    __slots__ = ("ways", "rng", "state", "_clear", "_set", "_victims")
+    __slots__ = ("state", "_clear", "_set", "_victims")
 
-    def __init__(self, policy: TreePLRU) -> None:
-        self.ways = policy.ways
-        self.rng = policy.rng
-        bits = policy.tree_bits()
+    reference = TreePLRU
+
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
         self.state = 0
-        for node, bit in enumerate(bits):
-            if bit:
-                self.state |= 1 << node
-        self._clear, self._set = _tree_masks(self.ways)
-        self._victims = _tree_victims(self.ways)
+        self._clear, self._set = _tree_masks(ways)
+        self._victims = _tree_victims(ways)
 
     def on_fill(self, way: int) -> None:
         self.state = (self.state & self._clear[way]) | self._set[way]
@@ -168,10 +142,18 @@ class NoisyTreePLRUState(TreePLRUState):
 
     __slots__ = ("update_prob", "_levels")
 
-    def __init__(self, policy: NoisyTreePLRU) -> None:
-        super().__init__(policy)
-        self.update_prob = policy.update_prob
-        self._levels = self.ways.bit_length() - 1
+    reference = NoisyTreePLRU
+
+    def __init__(
+        self,
+        ways: int,
+        rng: random.Random,
+        update_prob: float = NoisyTreePLRU.DEFAULT_UPDATE_PROB,
+    ) -> None:
+        super().__init__(ways, rng)
+        check_update_prob(update_prob)
+        self.update_prob = update_prob
+        self._levels = ways.bit_length() - 1
 
     def on_fill(self, way: int) -> None:
         # Mirrors NoisyTreePLRU._touch_noisy: one rng.random() per level.
@@ -189,8 +171,7 @@ class NoisyTreePLRUState(TreePLRUState):
             node = 2 * node + 1 + went_right
         self.state = state
 
-    def on_hit(self, way: int) -> None:
-        self.state = (self.state & self._clear[way]) | self._set[way]
+    # on_hit stays the exact touch: TreePLRUState's on_fill.
 
 
 # ----------------------------------------------------------------------
@@ -201,18 +182,15 @@ class NoisyTreePLRUState(TreePLRUState):
 class BitPLRUState(FastPolicyState):
     """MRU-bit pseudo-LRU on a packed bit mask."""
 
-    __slots__ = ("ways", "rng", "mru", "count", "_full")
+    __slots__ = ("mru", "count", "_full")
 
-    def __init__(self, policy: BitPLRU) -> None:
-        self.ways = policy.ways
-        self.rng = policy.rng
+    reference = BitPLRU
+
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
         self.mru = 0
         self.count = 0
-        for way, used in enumerate(policy.mru_bits()):
-            if used:
-                self.mru |= 1 << way
-                self.count += 1
-        self._full = (1 << self.ways) - 1
+        self._full = (1 << ways) - 1
 
     def _touch(self, way: int) -> None:
         bit = 1 << way
@@ -256,17 +234,15 @@ class BitPLRUState(FastPolicyState):
 class NRUState(FastPolicyState):
     """NRU reference bits packed into an int, plus the rotating pointer."""
 
-    __slots__ = ("ways", "rng", "ref", "scan", "_full")
+    __slots__ = ("ref", "scan", "_full")
 
-    def __init__(self, policy: NRU) -> None:
-        self.ways = policy.ways
-        self.rng = policy.rng
+    reference = NRU
+
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
         self.ref = 0
-        for way, used in enumerate(policy.referenced_bits()):
-            if used:
-                self.ref |= 1 << way
-        self.scan = policy.scan_start
-        self._full = (1 << self.ways) - 1
+        self.scan = 0
+        self._full = (1 << ways) - 1
 
     def _touch(self, way: int) -> None:
         self.ref |= 1 << way
@@ -313,11 +289,9 @@ class NRUState(FastPolicyState):
 class UniformRandomState(FastPolicyState):
     """Stateless uniform victim; one rng draw per victim request."""
 
-    __slots__ = ("ways", "rng")
+    __slots__ = ()
 
-    def __init__(self, policy: UniformRandom) -> None:
-        self.ways = policy.ways
-        self.rng = policy.rng
+    reference = UniformRandom
 
     def on_fill(self, way: int) -> None:
         pass
@@ -334,14 +308,16 @@ class UniformRandomState(FastPolicyState):
 class LFSRState(FastPolicyState):
     """Free-running 8-bit Galois LFSR (matches LFSRPseudoRandom)."""
 
-    __slots__ = ("rng", "state", "_mask")
+    __slots__ = ("state", "_mask")
 
+    reference = LFSRPseudoRandom
     _TAPS = LFSRPseudoRandom._TAPS
 
-    def __init__(self, policy: LFSRPseudoRandom) -> None:
-        self.rng = policy.rng
-        self.state = policy.lfsr_state
-        self._mask = policy.ways - 1
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
+        # The reference draws its seed state at construction too.
+        self.state = rng.randrange(1, 256)
+        self._mask = ways - 1
 
     def on_fill(self, way: int) -> None:
         pass
@@ -369,11 +345,13 @@ class LFSRState(FastPolicyState):
 class TrueLRUState(FastPolicyState):
     """Exact LRU order, least-recently-used first."""
 
-    __slots__ = ("rng", "order")
+    __slots__ = ("order",)
 
-    def __init__(self, policy: TrueLRU) -> None:
-        self.rng = policy.rng
-        self.order = policy.recency_order()
+    reference = TrueLRU
+
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
+        self.order = list(range(ways))
 
     def _touch(self, way: int) -> None:
         order = self.order
@@ -400,14 +378,21 @@ class DirtyProtectState(TrueLRUState):
 
     __slots__ = ("probs", "max_protections", "dirty_mask", "used")
 
+    reference = DirtyProtectingLRU
     wants_dirty_hint = True
 
-    def __init__(self, policy: DirtyProtectingLRU) -> None:
-        super().__init__(policy)
-        self.probs = policy.protect_probs
-        self.max_protections = policy.max_protections
-        self.dirty_mask = policy.dirty_mask
-        self.used = policy.protections_used()
+    def __init__(
+        self,
+        ways: int,
+        rng: random.Random,
+        protect_probs: Tuple[float, ...] = DirtyProtectingLRU.DEFAULT_PROTECT_PROBS,
+    ) -> None:
+        super().__init__(ways, rng)
+        check_protect_probs(protect_probs)
+        self.probs = tuple(protect_probs)
+        self.max_protections = len(self.probs)
+        self.dirty_mask = (False,) * ways
+        self.used = [0] * ways
 
     def on_fill(self, way: int) -> None:
         self._touch(way)
@@ -438,11 +423,13 @@ class DirtyProtectState(TrueLRUState):
 class FIFOState(FastPolicyState):
     """Round-robin insertion order; hits do not refresh."""
 
-    __slots__ = ("rng", "queue")
+    __slots__ = ("queue",)
 
-    def __init__(self, policy: FIFO) -> None:
-        self.rng = policy.rng
-        self.queue = deque(policy.queue_order())
+    reference = FIFO
+
+    def __init__(self, ways: int, rng: random.Random) -> None:
+        super().__init__(ways, rng)
+        self.queue = deque(range(ways))
 
     def on_fill(self, way: int) -> None:
         queue = self.queue
@@ -469,106 +456,95 @@ class FIFOState(FastPolicyState):
 
 
 class SRRIPState(FastPolicyState):
-    """2-bit (configurable) RRPV values in a plain list."""
+    """SRRIP with every way's RRPV packed into one int.
 
-    __slots__ = ("ways", "rng", "rrpv", "max_rrpv")
-
-    def __init__(self, policy: SRRIP) -> None:
-        self.ways = policy.ways
-        self.rng = policy.rng
-        self.rrpv = policy.rrpv_values()
-        self.max_rrpv = policy.max_rrpv
-
-    def on_fill(self, way: int) -> None:
-        self.rrpv[way] = self.max_rrpv - 1
-
-    def on_hit(self, way: int) -> None:
-        self.rrpv[way] = 0
-
-    def victim(self) -> int:
-        rrpv = self.rrpv
-        max_rrpv = self.max_rrpv
-        while True:
-            try:
-                return rrpv.index(max_rrpv)
-            except ValueError:
-                for way in range(self.ways):
-                    rrpv[way] += 1
-
-    def on_invalidate(self, way: int) -> None:
-        self.rrpv[way] = self.max_rrpv
-
-    def randomize(self) -> None:
-        rng = self.rng
-        self.rrpv = [rng.randrange(self.max_rrpv + 1) for _ in range(self.ways)]
-
-
-# ----------------------------------------------------------------------
-# Fallback adapter and the registry.
-# ----------------------------------------------------------------------
-
-
-class AdapterState(FastPolicyState):
-    """Forwarder for policies without a registered fast path.
-
-    Keeps the reference policy object as the single source of truth, so any
-    subclass (including ones defined outside this repo) runs unmodified on
-    the fast engine.
+    Way ``w``'s RRPV is the field at bit ``w * (rrpv_bits + 1)``, whose top
+    bit is a guard that stays 0: adding ``ones`` (a 1 at the bottom of
+    every field) sets the guard of exactly the ways at the maximum RRPV,
+    and ages every other way by one.
     """
 
-    __slots__ = ("policy",)
+    __slots__ = ("state", "max_rrpv", "_stride", "_ones")
 
-    def __init__(self, policy: ReplacementPolicy) -> None:
-        self.policy = policy
+    reference = SRRIP
 
-    @property  # type: ignore[misc]
-    def wants_dirty_hint(self) -> bool:  # type: ignore[override]
-        return self.policy.wants_dirty_hint
+    def __init__(self, ways: int, rng: random.Random, rrpv_bits: int = 2) -> None:
+        super().__init__(ways, rng)
+        check_rrpv_bits(rrpv_bits)
+        self.max_rrpv = (1 << rrpv_bits) - 1
+        self._stride = stride = rrpv_bits + 1
+        self._ones = _field_ones(ways, stride)
+        # Every way starts at the maximum ("distant") RRPV.
+        self.state = self.max_rrpv * self._ones
 
     def on_fill(self, way: int) -> None:
-        self.policy.on_fill(way)
+        shift = way * self._stride
+        max_rrpv = self.max_rrpv
+        self.state = (self.state & ~(max_rrpv << shift)) | ((max_rrpv - 1) << shift)
 
     def on_hit(self, way: int) -> None:
-        self.policy.on_hit(way)
+        self.state &= ~(self.max_rrpv << (way * self._stride))
 
     def on_invalidate(self, way: int) -> None:
-        self.policy.on_invalidate(way)
+        self.state |= self.max_rrpv << (way * self._stride)
 
     def victim(self) -> int:
-        return self.policy.victim()
-
-    def notify_dirty_ways(self, dirty_mask: Tuple[bool, ...]) -> None:
-        self.policy.notify_dirty_ways(dirty_mask)
+        # The reference ages every way by one until some way is at the
+        # maximum, then returns the lowest such way.
+        ones = self._ones
+        guards = ones << (self._stride - 1)
+        state = self.state
+        at_max = (state + ones) & guards
+        while not at_max:
+            state += ones
+            at_max = (state + ones) & guards
+        self.state = state
+        return ((at_max & -at_max).bit_length() - 1) // self._stride
 
     def randomize(self) -> None:
-        self.policy.randomize_state()
+        randrange = self.rng.randrange
+        state = 0
+        for way in range(self.ways):
+            state |= randrange(self.max_rrpv + 1) << (way * self._stride)
+        self.state = state
+
+
+@functools.lru_cache(maxsize=None)
+def _field_ones(ways: int, stride: int) -> int:
+    """A 1 at the bottom of each of ``ways`` fields, shared by their sets."""
+    return sum(1 << (way * stride) for way in range(ways))
+
+
+# ----------------------------------------------------------------------
+# The registry.
+# ----------------------------------------------------------------------
 
 
 #: Exact-type dispatch: subclasses must NOT inherit a parent's fast path
 #: (NoisyTreePLRU subclasses TreePLRU but consumes extra rng draws), so
-#: lookups match ``type(policy)`` exactly and fall back to AdapterState.
-_FAST_STATES: Dict[Type[ReplacementPolicy], Callable[..., FastPolicyState]] = {
-    TreePLRU: TreePLRUState,
-    NoisyTreePLRU: NoisyTreePLRUState,
-    BitPLRU: BitPLRUState,
-    NRU: NRUState,
-    UniformRandom: UniformRandomState,
-    LFSRPseudoRandom: LFSRState,
-    TrueLRU: TrueLRUState,
-    DirtyProtectingLRU: DirtyProtectState,
-    FIFO: FIFOState,
-    SRRIP: SRRIPState,
+#: lookups match the factory's class exactly.
+_FAST_STATES: Dict[Type[ReplacementPolicy], Type[FastPolicyState]] = {
+    state.reference: state
+    for state in (
+        TreePLRUState, NoisyTreePLRUState, BitPLRUState, NRUState,
+        UniformRandomState, LFSRState, TrueLRUState, DirtyProtectState,
+        FIFOState, SRRIPState,
+    )
 }
 
 
-def fast_state_for(policy: ReplacementPolicy) -> FastPolicyState:
-    """The fast state machine for ``policy`` (adapter if unregistered)."""
-    maker = _FAST_STATES.get(type(policy))
-    if maker is None:
-        return AdapterState(policy)
-    return maker(policy)
+def fast_state_factory(
+    policy_factory: PolicyFactory,
+) -> Callable[[int, random.Random], FastPolicyState]:
+    """``factory(ways, rng)`` for the fast state of ``policy_factory``'s policy.
 
-
-def has_fast_state(policy_cls: Type[ReplacementPolicy]) -> bool:
-    """Whether ``policy_cls`` has a dedicated (non-adapter) fast path."""
-    return policy_cls in _FAST_STATES
+    Only :func:`~repro.replacement.registry.make_policy_factory` factories
+    resolve; any other raises :class:`ConfigurationError`, with no fallback.
+    """
+    state_cls = _FAST_STATES.get(getattr(policy_factory, "func", None))
+    if state_cls is None:
+        raise ConfigurationError(
+            f"no fast replacement state for {policy_factory!r}; the fast "
+            "engine runs the policies make_policy_factory builds"
+        )
+    return functools.partial(state_cls, **policy_factory.keywords)

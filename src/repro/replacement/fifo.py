@@ -44,7 +44,3 @@ class FIFO(ReplacementPolicy):
         order = list(self._queue)
         self.rng.shuffle(order)
         self._queue = deque(order)
-
-    def queue_order(self) -> list:
-        """Eviction order, next victim first (exposed for the fast engine)."""
-        return list(self._queue)

@@ -27,6 +27,14 @@ from repro.common.errors import ConfigurationError
 from repro.replacement.tree_plru import TreePLRU
 
 
+def check_update_prob(update_prob: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``update_prob`` is in [0, 1]."""
+    if not 0.0 <= update_prob <= 1.0:
+        raise ConfigurationError(
+            f"update_prob must be within [0, 1], got {update_prob}"
+        )
+
+
 class NoisyTreePLRU(TreePLRU):
     """Tree-PLRU with probabilistic path updates on fills.
 
@@ -45,10 +53,7 @@ class NoisyTreePLRU(TreePLRU):
         update_prob: float = DEFAULT_UPDATE_PROB,
     ) -> None:
         super().__init__(ways, rng)
-        if not 0.0 <= update_prob <= 1.0:
-            raise ConfigurationError(
-                f"update_prob must be within [0, 1], got {update_prob}"
-            )
+        check_update_prob(update_prob)
         self.update_prob = update_prob
 
     def _touch_noisy(self, way: int) -> None:

@@ -55,12 +55,3 @@ class NRU(ReplacementPolicy):
     def randomize_state(self) -> None:
         self._referenced = [self.rng.random() < 0.5 for _ in range(self.ways)]
         self._scan_start = self.rng.randrange(self.ways)
-
-    def referenced_bits(self) -> List[bool]:
-        """Copy of the reference bits (exposed for the fast engine/tests)."""
-        return list(self._referenced)
-
-    @property
-    def scan_start(self) -> int:
-        """Current rotating scan pointer."""
-        return self._scan_start

@@ -54,11 +54,15 @@ class LFSRPseudoRandom(ReplacementPolicy):
 
     def __init__(self, ways: int, rng: random.Random) -> None:
         super().__init__(ways, rng)
+        self._state = rng.randrange(1, 256)
+
+    @classmethod
+    def check_ways(cls, ways: int) -> None:
+        super().check_ways(ways)
         if ways & (ways - 1):
             raise ConfigurationError(
                 f"LFSRPseudoRandom requires power-of-two ways, got {ways}"
             )
-        self._state = rng.randrange(1, 256)
 
     def _step(self) -> int:
         lsb = self._state & 1
@@ -78,8 +82,3 @@ class LFSRPseudoRandom(ReplacementPolicy):
 
     def randomize_state(self) -> None:
         self._state = self.rng.randrange(1, 256)
-
-    @property
-    def lfsr_state(self) -> int:
-        """Current shift-register contents (exposed for the fast engine)."""
-        return self._state

@@ -7,11 +7,11 @@ and CLI-selectable.
 
 from __future__ import annotations
 
-import random
+import functools
 from typing import Dict, List
 
 from repro.common.errors import ConfigurationError
-from repro.replacement.base import PolicyFactory, ReplacementPolicy
+from repro.replacement.base import PolicyFactory
 from repro.replacement.bit_plru import BitPLRU
 from repro.replacement.fifo import FIFO
 from repro.replacement.dirty_protect import DirtyProtectingPLRU
@@ -46,7 +46,8 @@ def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
     """Return a ``factory(ways, rng)`` for the policy called ``name``.
 
     Extra keyword arguments are forwarded to the policy constructor, e.g.
-    ``make_policy_factory("noisy-plru", update_prob=0.5)``.
+    ``make_policy_factory("noisy-plru", update_prob=0.5)``.  The factory
+    is ``functools.partial(policy_cls, **kwargs)``.
     """
     try:
         policy_cls = _REGISTRY[name]
@@ -55,8 +56,4 @@ def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
             f"unknown replacement policy {name!r}; "
             f"available: {', '.join(available_policies())}"
         )
-
-    def factory(ways: int, rng: random.Random) -> ReplacementPolicy:
-        return policy_cls(ways, rng, **kwargs)
-
-    return factory
+    return functools.partial(policy_cls, **kwargs)

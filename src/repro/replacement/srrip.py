@@ -18,13 +18,18 @@ from repro.common.errors import ConfigurationError
 from repro.replacement.base import ReplacementPolicy
 
 
+def check_rrpv_bits(rrpv_bits: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``rrpv_bits`` is positive."""
+    if rrpv_bits <= 0:
+        raise ConfigurationError(f"rrpv_bits must be positive, got {rrpv_bits}")
+
+
 class SRRIP(ReplacementPolicy):
     """2-bit (configurable) SRRIP with hit-promotion to RRPV 0."""
 
     def __init__(self, ways: int, rng: random.Random, rrpv_bits: int = 2) -> None:
         super().__init__(ways, rng)
-        if rrpv_bits <= 0:
-            raise ConfigurationError(f"rrpv_bits must be positive, got {rrpv_bits}")
+        check_rrpv_bits(rrpv_bits)
         self.max_rrpv = (1 << rrpv_bits) - 1
         # Start everything at "distant" so cold sets behave like fills.
         self._rrpv: List[int] = [self.max_rrpv] * ways

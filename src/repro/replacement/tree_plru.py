@@ -33,10 +33,14 @@ class TreePLRU(ReplacementPolicy):
 
     def __init__(self, ways: int, rng: random.Random) -> None:
         super().__init__(ways, rng)
-        if ways & (ways - 1):
-            raise ConfigurationError(f"TreePLRU requires power-of-two ways, got {ways}")
         self._levels = ways.bit_length() - 1
         self._bits: List[int] = [0] * (ways - 1)
+
+    @classmethod
+    def check_ways(cls, ways: int) -> None:
+        super().check_ways(ways)
+        if ways & (ways - 1):
+            raise ConfigurationError(f"TreePLRU requires power-of-two ways, got {ways}")
 
     def _touch(self, way: int) -> None:
         """Update the path bits so the victim walk avoids ``way``."""

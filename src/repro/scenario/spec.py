@@ -867,10 +867,7 @@ class ScenarioSpec:
         """Check parts that only fail on construction of live objects."""
         self.channel.codec.build()
         if self.hierarchy is not None:
-            for level in self.hierarchy.levels:
-                from repro.replacement.registry import make_policy_factory
-
-                make_policy_factory(level.policy)
+            self.hierarchy.validate()
 
     # -- serialisation --------------------------------------------------
 

@@ -2,12 +2,16 @@
 
 Parity with the reference engine is covered by ``test_engine_parity.py``;
 these tests pin down the fast structures in isolation: FastSet semantics,
-the engine selection switch and the fast policy-state registry.
+the engine selection switch and the fast policy states, each against its
+reference policy.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine import (
@@ -21,11 +25,14 @@ from repro.engine import (
     set_engine,
 )
 from repro.cache.cache import Cache
-from repro.replacement import TrueLRU
+from repro.cache.configs import make_xeon_hierarchy
+from repro.replacement import ReplacementPolicy, TrueLRU
+from repro.replacement.fast_state import TrueLRUState, fast_state_factory
+from repro.replacement.registry import available_policies, make_policy_factory
 
 
 def make_set(ways=4, seed=0):
-    return FastSet(ways, TrueLRU(ways, random.Random(seed)))
+    return FastSet(ways, TrueLRUState(ways, random.Random(seed)))
 
 
 def addr(tag, set_index):
@@ -152,16 +159,9 @@ class TestFastSet:
                 fast_set.dirty_count(),
             )
 
-    def test_policy_attribute_preserved_for_introspection(self):
-        policy = TrueLRU(4, random.Random(0))
-        fast_set = FastSet(4, policy)
-        assert fast_set.policy is policy
-
     def test_construction_validation(self):
         with pytest.raises(ConfigurationError):
-            FastSet(4, TrueLRU(8, random.Random(0)))
-        with pytest.raises(ConfigurationError):
-            FastSet(0, TrueLRU(1, random.Random(0)))
+            FastSet(0, TrueLRUState(1, random.Random(0)))
 
 
 class TestSelection:
@@ -198,34 +198,118 @@ class TestSelection:
             set_engine(previous)
 
 
+#: (policy name, constructor kwargs): every registered policy, plus
+#: valid and invalid variants of the policies' keyword arguments.
+POLICY_CASES = tuple((name, {}) for name in available_policies()) + (
+    ("noisy-plru", {"update_prob": 0.0}),
+    ("noisy-plru", {"update_prob": 0.3}),
+    ("noisy-plru", {"update_prob": 1.5}),
+    ("dirty-protect-plru", {"protect_probs": (1.0,)}),
+    ("dirty-protect-plru", {"protect_probs": (0.5, 0.25, 0.9)}),
+    ("dirty-protect-plru", {"protect_probs": (2.0,)}),
+    ("srrip", {"rrpv_bits": 0}),
+    ("srrip", {"rrpv_bits": 1}),
+    ("srrip", {"rrpv_bits": 3}),
+)
+
+OPS = ("fill", "hit", "invalidate", "victim", "randomize")
+
+
 class TestFastStateRegistry:
     def test_every_registered_policy_has_a_fast_path(self):
-        from repro.replacement.fast_state import has_fast_state
-        from repro.replacement.registry import _REGISTRY
+        for name in available_policies():
+            state = fast_state_factory(make_policy_factory(name))(8, random.Random(0))
+            assert state.victim() in range(8)
 
-        for name, policy_cls in _REGISTRY.items():
-            assert has_fast_state(policy_cls), (
-                f"policy {name!r} ({policy_cls.__name__}) would silently "
-                "fall back to the adapter"
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(POLICY_CASES),
+        ways=st.sampled_from((0, 1, 2, 4, 6, 8, 16)),
+        seed=st.integers(min_value=0, max_value=2**32),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(min_value=0, max_value=15),
+                st.integers(min_value=0, max_value=2**16 - 1),
+            ),
+            max_size=80,
+        ),
+    )
+    @example(case=("lru", {}), ways=0, seed=0, ops=[])
+    @example(case=("tree-plru", {}), ways=6, seed=0, ops=[])
+    @example(case=("lfsr-random", {}), ways=6, seed=0, ops=[])
+    @example(case=("noisy-plru", {"update_prob": 1.5}), ways=8, seed=0, ops=[])
+    @example(
+        case=("dirty-protect-plru", {"protect_probs": (2.0,)}), ways=8, seed=0, ops=[]
+    )
+    @example(case=("srrip", {"rrpv_bits": 0}), ways=8, seed=0, ops=[])
+    def test_state_matches_reference_policy(self, case, ways, seed, ops):
+        """Same victims, draws and argument errors as the reference policy."""
+        name, kwargs = case
+        factory = make_policy_factory(name, **kwargs)
+        make_state = fast_state_factory(factory)
+        reference_rng = random.Random(seed)
+        state_rng = random.Random(seed)
+        try:
+            policy = factory(ways, reference_rng)
+        except ConfigurationError as error:
+            with pytest.raises(ConfigurationError) as state_error:
+                make_state(ways, state_rng)
+            assert str(state_error.value) == str(error)
+            return
+        state = make_state(ways, state_rng)
+        assert state.wants_dirty_hint == policy.wants_dirty_hint
+        victims, state_victims = [], []
+        for op, way, dirty_bits in ops:
+            way %= ways
+            if op == "fill":
+                policy.on_fill(way)
+                state.on_fill(way)
+            elif op == "hit":
+                policy.on_hit(way)
+                state.on_hit(way)
+            elif op == "invalidate":
+                policy.on_invalidate(way)
+                state.on_invalidate(way)
+            elif op == "randomize":
+                policy.randomize_state()
+                state.randomize()
+            else:
+                if policy.wants_dirty_hint:
+                    mask = tuple(bool(dirty_bits >> w & 1) for w in range(ways))
+                    policy.notify_dirty_ways(mask)
+                    state.notify_dirty_ways(mask)
+                victims.append(policy.victim())
+                state_victims.append(state.victim())
+        assert state_victims == victims
+        assert state_rng.getstate() == reference_rng.getstate()
 
-    def test_unregistered_subclass_falls_back_to_adapter(self):
-        from repro.replacement.fast_state import AdapterState, fast_state_for
-
+    def test_unregistered_policy_is_rejected_at_construction(self):
         class CustomLRU(TrueLRU):
             pass
 
-        state = fast_state_for(CustomLRU(4, random.Random(0)))
-        assert isinstance(state, AdapterState)
+        for factory in (
+            functools.partial(CustomLRU),
+            lambda ways, rng: TrueLRU(ways, rng),
+        ):
+            Cache("x", 4096, 4, 64, factory, rng=random.Random(0))
+            with pytest.raises(ConfigurationError, match="no fast replacement state"):
+                FastCache("x", 4096, 4, 64, factory, rng=random.Random(0))
 
-    def test_adapter_forwards_dirty_hint_opt_in(self):
-        from repro.replacement.fast_state import AdapterState
+    @pytest.mark.parametrize("engine, per_set", [("reference", 1), ("fast", 0)])
+    def test_reference_policies_built_per_set(self, engine, per_set, monkeypatch):
+        built = []
+        init = ReplacementPolicy.__init__
 
-        class HintedLRU(TrueLRU):
-            wants_dirty_hint = True
+        def counting(policy, *args, **kwargs):
+            built.append(policy)
+            init(policy, *args, **kwargs)
 
-        state = AdapterState(HintedLRU(4, random.Random(0)))
-        assert state.wants_dirty_hint
+        monkeypatch.setattr(ReplacementPolicy, "__init__", counting)
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+        sets = sum(len(list(level.sets)) for level in hierarchy.levels)
+        assert sets == 64 + 512 + 2048
+        assert len(built) == per_set * sets
 
 
 class TestFastCacheStructure:
@@ -236,8 +320,8 @@ class TestFastCacheStructure:
         for level in hierarchy.levels:
             assert type(level) is FastCache
             assert all(type(s) is FastSet for s in level.sets)
-        # Policy type introspection still works (test_cache_configs idiom).
-        assert type(hierarchy.l1.sets[0].policy).__name__ == "TreePLRU"
+        # Policy type introspection reads the set's integer state.
+        assert type(hierarchy.l1.sets[0].pol).__name__ == "TreePLRUState"
 
     def test_reference_remains_default(self):
         from repro.cache.configs import make_xeon_hierarchy

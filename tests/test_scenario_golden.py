@@ -3,9 +3,10 @@
 The WB-channel experiment family was rebased from imperative bodies onto
 ``compile_scenario`` + the library specs.  These tests pin the refactor:
 each experiment's quick/seed-0 JSON must equal, byte for byte, the output
-captured from the pre-refactor implementation (``tests/golden/``).  Any
-drift — RNG consumption order, loop nesting, seed formulas, row shaping —
-fails here before it can silently change published numbers.
+captured from the pre-refactor implementation (``tests/golden/``), on
+both engines.  Any drift — RNG consumption order, loop nesting, seed
+formulas, row shaping, a fast-engine divergence — fails here before it
+can silently change published numbers.
 """
 
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import run_experiment
+from repro.experiments.profiles import resolve_profile
 from repro.scenario.library import available_library_specs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -41,12 +43,18 @@ def test_every_library_spec_has_a_golden():
         assert (GOLDEN_DIR / f"{experiment_id}.quick-seed0.json").is_file()
 
 
-@pytest.mark.parametrize("experiment_id", SPEC_BACKED)
-def test_spec_rebased_experiment_matches_golden(experiment_id):
+@pytest.mark.parametrize(
+    "experiment_id, engine",
+    # The reference leg keeps the bare experiment id it always had.
+    [pytest.param(e, "reference", id=e) for e in SPEC_BACKED]
+    + [pytest.param(e, "fast", id=f"{e}-fast") for e in SPEC_BACKED],
+)
+def test_spec_rebased_experiment_matches_golden(experiment_id, engine):
     golden_path = GOLDEN_DIR / f"{experiment_id}.quick-seed0.json"
     golden = golden_path.read_text(encoding="utf-8")
-    result = run_experiment(experiment_id, profile="quick", seed=0)
+    profile = resolve_profile("quick").with_engine(engine)
+    result = run_experiment(experiment_id, profile=profile, seed=0)
     assert result.to_json(indent=2) + "\n" == golden, (
-        f"{experiment_id}: spec-compiled output drifted from the "
-        f"pre-refactor golden ({golden_path.name})"
+        f"{experiment_id} on the {engine} engine: spec-compiled output "
+        f"drifted from the pre-refactor golden ({golden_path.name})"
     )

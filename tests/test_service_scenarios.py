@@ -4,6 +4,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,11 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import ServiceApp, make_server
 from repro.service.scheduler import JobSpec
 from repro.service.store import ResultStore
+
+
+RANDOM_L1_TRACE = (
+    Path(__file__).resolve().parent.parent / "scenarios" / "random-l1-trace.json"
+)
 
 
 def tiny_sweep_spec() -> ScenarioSpec:
@@ -170,6 +176,27 @@ class TestErrorEnvelope:
             service._json("POST", "/jobs", body, ok=(200, 202))
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize(
+        "l1",
+        [
+            # Geometry fine, but tree-PLRU needs a power-of-two way count.
+            {"ways": 6, "size_bytes": 24576, "policy": "tree-plru"},
+            {"size_bytes": 1000},  # not sets * ways * line_size
+            {"ways": 0},
+            {"size_bytes": "32768"},
+        ],
+        ids=["six-way-tree-plru", "size-1000", "zero-ways", "string-size"],
+    )
+    def test_unbuildable_hierarchy_is_400_before_queueing(self, service, l1):
+        payload = json.loads(RANDOM_L1_TRACE.read_text(encoding="utf-8"))
+        payload["hierarchy"]["levels"][0].update(l1)
+        computations = service.healthz()["scheduler"]["computations"]
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit_scenario(payload, profile="quick", wait=True)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert service.healthz()["scheduler"]["computations"] == computations
 
     def test_unknown_experiment_is_400_bad_request(self, service):
         with pytest.raises(ServiceError) as excinfo:
