@@ -18,18 +18,24 @@ All line-state changes must therefore go through this class; mutating a
 :class:`~repro.cache.line.CacheLine` directly would desynchronise the
 index and the counters (``scan_counts`` exists so tests can verify they
 never drift).
+
+A way holds its own line only once a fill has reached it.  Until then it
+refers to the shared, read-only :data:`~repro.cache.line.EMPTY_LINE`, and
+:meth:`CacheSet.fill` replaces that with a fresh line; every other
+mutator reaches only valid lines.  Most sets of a large cache never fill
+most of their ways, so the lines that never held data are never built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Converts (tag, set_index) back into a line-aligned address so the
 #: hierarchy can route write-backs of evicted victims.
 AddressReconstructor = Callable[[int, int], int]
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.cache.line import CacheLine, EvictedLine
+from repro.cache.line import EMPTY_LINE, CacheLine, EvictedLine
 from repro.replacement.base import ReplacementPolicy
 
 
@@ -45,7 +51,7 @@ class CacheSet:
             )
         self.ways = ways
         self.policy = policy
-        self.lines: List[CacheLine] = [CacheLine() for _ in range(ways)]
+        self.lines: List[CacheLine] = [EMPTY_LINE] * ways
         #: O(1) lookup index over the valid lines.
         self._index: Dict[int, int] = {}
         self._valid_count = 0
@@ -146,6 +152,8 @@ class CacheSet:
             if line.dirty:
                 self._dirty_count -= 1
             self.policy.on_invalidate(way)
+        elif line is EMPTY_LINE:
+            line = self.lines[way] = CacheLine()
         line.tag = tag
         line.valid = True
         line.dirty = dirty
@@ -264,8 +272,3 @@ class CacheSet:
         The set's own policy generator is the only source of randomness.
         """
         self.policy.randomize_state()
-
-
-def iter_valid_lines(cache_set: CacheSet) -> Iterable[CacheLine]:
-    """Yield the valid lines of ``cache_set`` (test/diagnostic helper)."""
-    return (line for line in cache_set.lines if line.valid)

@@ -75,7 +75,7 @@ class LevelParams:
     allocation_policy: str = AllocationPolicy.WRITE_ALLOCATE.value
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size_bytes, int) or not isinstance(self.ways, int):
+        if not _is_int(self.size_bytes) or not _is_int(self.ways):
             raise ConfigurationError(
                 f"{self.name}: size_bytes and ways must be integers, "
                 f"got {self.size_bytes!r} and {self.ways!r}"
@@ -116,6 +116,13 @@ class LevelParams:
 #: hierarchies consume exactly the streams the historic factories did.
 _LEVEL_RNG_KEYS = ("l1", "l2", "llc")
 
+#: Caps that :meth:`HierarchyParams.validate` puts on a geometry from a
+#: request: far above every hierarchy in the repo (16 ways, 2,048 sets,
+#: 4 cores) and far below one whose construction would exhaust a worker.
+_MAX_WAYS = 64
+_MAX_SETS = 1 << 16
+_MAX_CORES = 64
+
 
 @dataclass(frozen=True)
 class HierarchyParams:
@@ -138,6 +145,11 @@ class HierarchyParams:
     cores: int = 1
 
     def __post_init__(self) -> None:
+        if not _is_int(self.line_size) or not _is_int(self.cores):
+            raise ConfigurationError(
+                f"line_size and cores must be integers, "
+                f"got {self.line_size!r} and {self.cores!r}"
+            )
         if not self.levels:
             raise ConfigurationError("HierarchyParams needs at least one level")
         if len(self.levels) > len(_LEVEL_RNG_KEYS):
@@ -276,9 +288,22 @@ class HierarchyParams:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` where :meth:`build` would,
-        without building a set (sizes may come from a request)."""
+        without building a set (sizes may come from a request), and
+        beyond 64 ways or 2^16 sets a level or 64 cores."""
+        if self.cores > _MAX_CORES:
+            raise ConfigurationError(
+                f"cores must be <= {_MAX_CORES}, got {self.cores}"
+            )
         for level in self.levels:
-            cache_layout(level.name, level.size_bytes, level.ways, self.line_size)
+            layout = cache_layout(
+                level.name, level.size_bytes, level.ways, self.line_size
+            )
+            if level.ways > _MAX_WAYS or layout.num_sets > _MAX_SETS:
+                raise ConfigurationError(
+                    f"{level.name}: {level.ways} ways and {layout.num_sets} "
+                    f"sets exceed the caps of {_MAX_WAYS} ways and "
+                    f"{_MAX_SETS} sets"
+                )
             make_policy_factory(level.policy).func.check_ways(level.ways)
         if self.cores > 1:
             # Imported lazily: repro.coherence builds on repro.cache.
@@ -308,9 +333,14 @@ class HierarchyParams:
             raise ConfigurationError("hierarchy 'levels' must be a list")
         return cls(
             levels=tuple(LevelParams.from_dict(dict(entry)) for entry in levels),
-            line_size=int(data.get("line_size", 64)),  # type: ignore[arg-type]
-            cores=int(data.get("cores", 1)),  # type: ignore[arg-type]
+            line_size=data.get("line_size", 64),  # type: ignore[arg-type]
+            cores=data.get("cores", 1),  # type: ignore[arg-type]
         )
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int; ``bool`` is not, though it subclasses it."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_fields(cls, data: Dict[str, object], context: str) -> None:

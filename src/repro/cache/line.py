@@ -4,6 +4,9 @@ The paper's entire channel rests on one bit of this dataclass: ``dirty``.
 ``locked`` and ``owner`` exist for the defense models (PLcache locks lines;
 partitioned caches and the statistics need to know which hardware thread
 installed a line).
+
+:data:`EMPTY_LINE` is the one invalid line that every way no fill has
+reached refers to, in every set of the process.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Optional
 class CacheLine:
     """One way of one cache set.
 
-    Slotted, because the reference engine keeps one per way of every set
-    it builds: a line takes 72 bytes instead of 112 with a ``__dict__``
+    Slotted, because the reference engine keeps one per way that a fill
+    has reached: a line takes 72 bytes instead of 112 with a ``__dict__``
     (CPython 3.11).
     ``dataclass(slots=True)`` needs Python 3.10, so the slots and the
     initialiser that carries the defaults are written out.
@@ -54,9 +57,30 @@ class CacheLine:
         self.locked = False
         self.owner = None
 
-    def matches(self, tag: int) -> bool:
-        """Whether this line is valid and holds ``tag``."""
-        return self.valid and self.tag == tag
+
+class EmptyLine(CacheLine):
+    """The invalid line of a way that no fill has reached yet.
+
+    One instance, :data:`EMPTY_LINE`, is shared by every such way of every
+    set, so it must never change. Its fields are class attributes over no
+    slots, which makes every attribute write raise ``AttributeError``
+    (even through ``object.__setattr__``) while ordinary lines keep their
+    plain slot writes.
+    """
+
+    __slots__ = ()
+
+    tag = 0
+    valid = False
+    dirty = False
+    locked = False
+    owner = None
+
+    def __init__(self) -> None:
+        pass  # CacheLine's initialiser would write the fields.
+
+
+EMPTY_LINE = EmptyLine()
 
 
 @dataclass(frozen=True)

@@ -90,24 +90,44 @@ def _tree_masks(ways: int) -> Tuple[List[int], List[int]]:
     return clear_masks, set_masks
 
 
+def _tree_walk(state: int, levels: int) -> int:
+    """The way the victim walk over packed tree bits ``state`` ends at."""
+    node = 0
+    way = 0
+    for _ in range(levels):
+        direction = (state >> node) & 1
+        way = (way << 1) | direction
+        node = 2 * node + 1 + direction
+    return way
+
+
+#: Widest tree whose victims come from a table: the table has
+#: ``2**(ways - 1)`` entries (32,768 at 16 ways, 2**31 at 32).
+_TABLE_MAX_WAYS = 16
+
+
 @functools.lru_cache(maxsize=None)
 def _tree_victims(ways: int) -> List[int]:
     """State -> victim lookup table, shared by all sets of ``ways`` ways."""
     levels = ways.bit_length() - 1
-    table: List[int] = []
-    for state in range(1 << (ways - 1)):
-        node = 0
-        way = 0
-        for _ in range(levels):
-            direction = (state >> node) & 1
-            way = (way << 1) | direction
-            node = 2 * node + 1 + direction
-        table.append(way)
-    return table
+    return [_tree_walk(state, levels) for state in range(1 << (ways - 1))]
+
+
+class _TreeWalker:
+    """State -> victim by walking the bits, for trees too wide to tabulate."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, ways: int) -> None:
+        self.levels = ways.bit_length() - 1
+
+    def __getitem__(self, state: int) -> int:
+        return _tree_walk(state, self.levels)
 
 
 class TreePLRUState(FastPolicyState):
-    """Tree-PLRU with packed bits and a shared state->victim table."""
+    """Tree-PLRU with packed bits and a shared state->victim table (a walk
+    of the bits above :data:`_TABLE_MAX_WAYS` ways)."""
 
     __slots__ = ("state", "_clear", "_set", "_victims")
 
@@ -117,7 +137,9 @@ class TreePLRUState(FastPolicyState):
         super().__init__(ways, rng)
         self.state = 0
         self._clear, self._set = _tree_masks(ways)
-        self._victims = _tree_victims(ways)
+        self._victims = (
+            _tree_victims(ways) if ways <= _TABLE_MAX_WAYS else _TreeWalker(ways)
+        )
 
     def on_fill(self, way: int) -> None:
         self.state = (self.state & self._clear[way]) | self._set[way]

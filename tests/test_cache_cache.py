@@ -225,6 +225,22 @@ class TestLazySets:
         path = [level.sets[level.set_index(address)] for level in levels]
         assert built == path
 
+    def test_reference_sets_build_a_line_on_its_ways_first_fill(self, monkeypatch):
+        built = []
+        init = CacheLine.__init__
+
+        def counting(line, *args, **kwargs):
+            built.append(line)
+            init(line, *args, **kwargs)
+
+        monkeypatch.setattr(CacheLine, "__init__", counting)
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine="reference")
+        sets = sum(len(list(level.sets)) for level in hierarchy.levels)
+        assert sets == 64 + 512 + 2048
+        assert len(built) == 0
+        hierarchy.load(0x12340, owner=0)
+        assert len(built) == len(hierarchy.levels)
+
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_a_set_builds_its_generator_on_its_first_draw(self, engine):
         hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.cache.cache_set import CacheSet, iter_valid_lines
+from repro.cache.cache_set import CacheSet
+from repro.cache.line import EMPTY_LINE, CacheLine
 from repro.replacement import TrueLRU
 
 
@@ -15,6 +18,19 @@ def make_set(ways=4, seed=0):
 
 def addr(tag, set_index):
     return tag  # trivial reconstructor for unit tests
+
+
+#: Field values of an invalid line, which the shared empty line must keep.
+EMPTY_FIELDS = (0, False, False, False, None)
+
+
+def fields(line):
+    return (line.tag, line.valid, line.dirty, line.locked, line.owner)
+
+
+def own_lines(cache_set):
+    """The distinct line objects of ``cache_set`` other than the shared one."""
+    return {id(line) for line in cache_set.lines if line is not EMPTY_LINE}
 
 
 class TestFill:
@@ -153,11 +169,6 @@ class TestAccounting:
         cache_set.fill(9, False, None, 0, addr)
         assert sorted(cache_set.resident_tags()) == [4, 9]
 
-    def test_iter_valid_lines(self):
-        cache_set = make_set()
-        cache_set.fill(1, False, None, 0, addr)
-        assert len(list(iter_valid_lines(cache_set))) == 1
-
 
 class TestConstruction:
     def test_policy_way_mismatch(self):
@@ -287,3 +298,104 @@ class TestTagIndex:
         assert evicted is not None
         assert cache_set.find(evicted.address) is None  # addr() returns tag
         assert 99 in cache_set.index_snapshot()
+
+
+class TestSharedEmptyLine:
+    """Ways share one read-only empty line until a fill reaches them."""
+
+    def test_fresh_sets_refer_to_the_one_empty_line(self):
+        first, second = make_set(ways=8), make_set(ways=4)
+        assert all(line is EMPTY_LINE for line in first.lines + second.lines)
+        assert type(EMPTY_LINE) is not CacheLine
+        assert fields(EMPTY_LINE) == EMPTY_FIELDS
+
+    @pytest.mark.parametrize("field", ["tag", "valid", "dirty", "locked", "owner"])
+    def test_empty_line_rejects_every_write(self, field):
+        with pytest.raises(AttributeError):
+            setattr(EMPTY_LINE, field, 1)
+        with pytest.raises(AttributeError):
+            object.__setattr__(EMPTY_LINE, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(EMPTY_LINE, field)
+        assert fields(EMPTY_LINE) == EMPTY_FIELDS
+
+    def test_a_stray_write_through_the_set_cannot_reach_it(self):
+        cache_set = make_set()
+        with pytest.raises(AttributeError):
+            cache_set.set_owner(0, 3)
+        with pytest.raises(AttributeError):
+            cache_set.lines[1].invalidate()
+        assert fields(EMPTY_LINE) == EMPTY_FIELDS
+
+    def test_fills_build_one_line_per_way_reached(self):
+        cache_set = make_set(ways=8)
+        reached = set()
+        for tag in range(3):
+            cache_set.fill(tag, tag == 1, 2, 0, addr)
+            reached.add(cache_set.find(tag))
+        cache_set.fill(10, False, None, 0, addr, allowed_ways=(6,))
+        reached.add(cache_set.find(10))
+        assert reached == {0, 1, 2, 6}
+        assert len(own_lines(cache_set)) == 4
+        # An invalidated way keeps its line; refilling reuses it.
+        line = cache_set.lines[1]
+        cache_set.invalidate(1)
+        cache_set.fill(11, False, None, 0, addr)
+        assert cache_set.lines[1] is line and line.tag == 11
+        assert len(own_lines(cache_set)) == 4
+        for way, line in enumerate(cache_set.lines):
+            assert (line is EMPTY_LINE) == (way not in reached)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ways=st.sampled_from((1, 2, 4, 8)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["fill", "fill_allowed", "hit", "mark_dirty", "lock",
+                     "invalidate", "invalidate_all"]
+                ),
+                st.integers(min_value=0, max_value=11),
+                st.integers(min_value=1, max_value=255),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_no_operation_changes_the_empty_line(self, ways, seed, ops):
+        cache_set = make_set(ways=ways, seed=seed)
+        reached = set()
+        for op, tag, bits in ops:
+            way = tag % ways
+            if op in ("fill", "fill_allowed") and cache_set.find(tag) is None:
+                allowed = None
+                if op == "fill_allowed":
+                    allowed = [w for w in range(ways) if bits >> w & 1] or [way]
+                try:
+                    cache_set.fill(tag, bits & 1 == 1, bits % 3, 0, addr, allowed)
+                except SimulationError:
+                    pass  # every permitted way locked: the set is unchanged
+                else:
+                    reached.add(cache_set.find(tag))
+            elif op == "hit" and cache_set.find(tag) is not None:
+                hit = cache_set.find(tag)
+                cache_set.touch(hit)
+                cache_set.set_owner(hit, bits)
+            elif op == "mark_dirty":
+                if cache_set.lines[way].valid:
+                    cache_set.mark_dirty(way)
+                else:
+                    with pytest.raises(SimulationError):
+                        cache_set.mark_dirty(way)
+            elif op == "lock":
+                cache_set.lock(tag)
+            elif op == "invalidate":
+                cache_set.invalidate(tag)
+            elif op == "invalidate_all":
+                cache_set.invalidate_all()
+            assert fields(EMPTY_LINE) == EMPTY_FIELDS
+            assert len(own_lines(cache_set)) == len(reached)
+            assert cache_set.scan_counts() == (
+                cache_set.valid_count(),
+                cache_set.dirty_count(),
+            )

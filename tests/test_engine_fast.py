@@ -26,7 +26,7 @@ from repro.engine import (
 )
 from repro.cache.cache import Cache
 from repro.cache.configs import make_xeon_hierarchy
-from repro.replacement import ReplacementPolicy, TrueLRU
+from repro.replacement import ReplacementPolicy, TrueLRU, fast_state
 from repro.replacement.fast_state import TrueLRUState, fast_state_factory
 from repro.replacement.registry import available_policies, make_policy_factory
 
@@ -224,13 +224,13 @@ class TestFastStateRegistry:
     @settings(max_examples=200, deadline=None)
     @given(
         case=st.sampled_from(POLICY_CASES),
-        ways=st.sampled_from((0, 1, 2, 4, 6, 8, 16)),
+        ways=st.sampled_from((0, 1, 2, 4, 6, 8, 16, 32, 64)),
         seed=st.integers(min_value=0, max_value=2**32),
         ops=st.lists(
             st.tuples(
                 st.sampled_from(OPS),
-                st.integers(min_value=0, max_value=15),
-                st.integers(min_value=0, max_value=2**16 - 1),
+                st.integers(min_value=0, max_value=63),
+                st.integers(min_value=0, max_value=2**64 - 1),
             ),
             max_size=80,
         ),
@@ -283,6 +283,25 @@ class TestFastStateRegistry:
                 state_victims.append(state.victim())
         assert state_victims == victims
         assert state_rng.getstate() == reference_rng.getstate()
+
+    def test_wide_trees_walk_their_bits_without_a_victim_table(self, monkeypatch):
+        table = fast_state._tree_victims
+
+        def bounded(ways):
+            if ways > 16:
+                raise AssertionError(f"{ways}-way victim table requested")
+            return table(ways)
+
+        monkeypatch.setattr(fast_state, "_tree_victims", bounded)
+        for name in ("tree-plru", "noisy-plru"):
+            factory = make_policy_factory(name)
+            for ways in (32, 64):
+                policy = factory(ways, random.Random(ways))
+                state = fast_state_factory(factory)(ways, random.Random(ways))
+                for way in (ways - 1, 0, ways // 2 + 1, 3):
+                    policy.on_fill(way)
+                    state.on_fill(way)
+                    assert state.victim() == policy.victim()
 
     def test_unregistered_policy_is_rejected_at_construction(self):
         class CustomLRU(TrueLRU):

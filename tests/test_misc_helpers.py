@@ -45,13 +45,6 @@ class TestCacheLine:
         assert not line.valid and not line.dirty and not line.locked
         assert line.owner is None
 
-    def test_matches_requires_validity(self):
-        line = CacheLine(tag=5, valid=False)
-        assert not line.matches(5)
-        line.valid = True
-        assert line.matches(5)
-        assert not line.matches(6)
-
     def test_evicted_line_is_frozen(self):
         snapshot = EvictedLine(address=0x40, dirty=True, owner=1)
         with pytest.raises(AttributeError):

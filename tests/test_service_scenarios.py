@@ -198,6 +198,34 @@ class TestErrorEnvelope:
         assert excinfo.value.code == "bad_request"
         assert service.healthz()["scheduler"]["computations"] == computations
 
+    @pytest.mark.parametrize(
+        "level, edit",
+        [
+            (None, {"line_size": "x"}),
+            (None, {"line_size": None}),
+            (None, {"cores": "two"}),
+            (None, {"cores": 2.5}),
+            # Just over the caps, and cheap to build even so.
+            (0, {"ways": 128, "size_bytes": 128 * 32 * 64, "policy": "lru"}),
+            (2, {"size_bytes": (1 << 17) * 16 * 64}),
+            (None, {"cores": 65}),
+        ],
+        ids=[
+            "string-line-size", "null-line-size", "string-cores",
+            "fractional-cores", "128-way-l1d", "llc-2^17-sets", "65-cores",
+        ],
+    )
+    def test_malformed_or_oversized_hierarchy_is_400(self, service, level, edit):
+        payload = json.loads(RANDOM_L1_TRACE.read_text(encoding="utf-8"))
+        hierarchy = payload["hierarchy"]
+        (hierarchy if level is None else hierarchy["levels"][level]).update(edit)
+        computations = service.healthz()["scheduler"]["computations"]
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit_scenario(payload, profile="quick", wait=True)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert service.healthz()["scheduler"]["computations"] == computations
+
     def test_unknown_experiment_is_400_bad_request(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.submit("not-a-thing")
