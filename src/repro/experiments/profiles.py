@@ -107,6 +107,11 @@ class RunProfile:
         Manifests written before a knob existed load with its default
         (``engine=None``, ``telemetry=False``).
         """
+        missing = [name for name in ("name", "reduced") if name not in data]
+        if missing:
+            raise ConfigurationError(
+                f"profile is missing required field(s): {', '.join(missing)}"
+            )
         engine = data.get("engine")
         return cls(
             name=str(data["name"]),

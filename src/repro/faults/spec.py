@@ -196,6 +196,12 @@ class FaultSpec:
             raise ConfigurationError(
                 f"unknown fault spec field(s): {', '.join(sorted(unknown))}"
             )
+        for name, value in data.items():
+            # Kept as given (an int stays an int): scenario keys hash it.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"fault spec field {name!r} must be a number, got {value!r}"
+                )
         return cls(**data)
 
 

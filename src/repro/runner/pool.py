@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import importlib
 import inspect
-import multiprocessing
 import random
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.rng import derive_seed
@@ -44,6 +43,9 @@ from repro.runner.manifest import (
 )
 from repro.runner.progress import NullProgress, ProgressListener
 from repro.runner.sharding import TaskSpec, dispatch_order
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import multiprocessing
 
 #: How often the scheduler polls running workers, in seconds.
 POLL_INTERVAL = 0.02
@@ -287,6 +289,9 @@ def execute_tasks(
             entries = execute_serial(tasks, progress)
         else:
             try:
+                # Imported here: the serial path never builds a process.
+                import multiprocessing
+
                 context = mp_context or multiprocessing.get_context()
                 entries_by_id = _execute_pool(tasks, jobs, context, progress)
             except (OSError, ValueError, ImportError):

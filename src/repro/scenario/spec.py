@@ -52,6 +52,65 @@ SCENARIO_KINDS = (
 )
 
 
+#: Marks a :func:`_read` field that has no default.
+_REQUIRED = object()
+
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "a boolean",
+    list: "a list",
+    dict: "a JSON object",
+}
+
+
+def _checked(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, else a loud ConfigurationError.
+
+    An ``int`` field takes no ``bool`` (though ``bool`` subclasses
+    ``int``); a ``float`` field takes an ``int`` or a ``float`` and gives
+    ``float(value)``; every other kind takes only its own type.
+    """
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigurationError(
+        f"{name!r} must be {_KIND_NAMES[kind]}, got {value!r}"
+    )
+
+
+def _read(data, name: str, kind: type, default=_REQUIRED):
+    """Field ``name`` of ``data``, checked by :func:`_checked`.
+
+    A missing field takes ``default``; a missing field without one is an
+    error.  A field whose default is ``None`` also takes ``null``.
+    """
+    if name not in data:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"missing required field {name!r}")
+        return default
+    value = data[name]
+    if value is None and default is None:
+        return None
+    return _checked(value, kind, name)
+
+
+def _read_tuple(data, name: str, kind: Optional[type], default=_REQUIRED):
+    """A list field as a tuple, each item checked as ``kind``.
+
+    ``kind=None`` keeps the items as given (an :class:`Axis` point may be
+    an ``int`` or a ``float``, and its key hashes which).
+    """
+    items = _read(data, name, list, default)
+    if items is None:
+        return None
+    if kind is not None:
+        items = [_checked(item, kind, name) for item in items]
+    return tuple(items)
+
+
 def _check_fields(cls, data, context: str) -> None:
     """Reject non-dicts and unknown keys loudly."""
     if not isinstance(data, dict):
@@ -91,7 +150,7 @@ class Counts:
     @classmethod
     def from_dict(cls, data) -> "Counts":
         _check_fields(cls, data, "counts")
-        return cls(quick=int(data["quick"]), full=int(data["full"]))
+        return cls(quick=_read(data, "quick", int), full=_read(data, "full", int))
 
 
 @dataclass(frozen=True)
@@ -114,7 +173,10 @@ class Axis:
     @classmethod
     def from_dict(cls, data) -> "Axis":
         _check_fields(cls, data, "axis")
-        return cls(quick=tuple(data["quick"]), full=tuple(data["full"]))
+        return cls(
+            quick=_read_tuple(data, "quick", None),
+            full=_read_tuple(data, "full", None),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +216,24 @@ class CodecSpec:
     @classmethod
     def from_dict(cls, data) -> "CodecSpec":
         _check_fields(cls, data, "codec")
-        level_map = data.get("level_map")
+        level_map = _read(data, "level_map", dict, None)
+        if level_map is not None:
+            # Keys name symbols: build() parses them back to ints.
+            level_map = {
+                _checked(symbol, str, "level_map"): _checked(
+                    count, int, "level_map"
+                )
+                for symbol, count in level_map.items()
+            }
+            if not all(symbol.isdecimal() for symbol in level_map):
+                raise ConfigurationError(
+                    f"'level_map' keys must be symbol numbers, "
+                    f"got {sorted(level_map)}"
+                )
         return cls(
-            kind=str(data.get("kind", "binary")),
-            d_on=int(data.get("d_on", 1)),
-            level_map=None if level_map is None else dict(level_map),
+            kind=_read(data, "kind", str, "binary"),
+            d_on=_read(data, "d_on", int, 1),
+            level_map=level_map,
         )
 
 
@@ -177,8 +252,8 @@ class SenderSpec:
     def from_dict(cls, data) -> "SenderSpec":
         _check_fields(cls, data, "sender")
         return cls(
-            kind=str(data.get("kind", "wb_paced_store")),
-            ensure_resident=bool(data.get("ensure_resident", False)),
+            kind=_read(data, "kind", str, "wb_paced_store"),
+            ensure_resident=_read(data, "ensure_resident", bool, False),
         )
 
 
@@ -201,11 +276,10 @@ class ReceiverSpec:
     @classmethod
     def from_dict(cls, data) -> "ReceiverSpec":
         _check_fields(cls, data, "receiver")
-        phase = data.get("phase")
         return cls(
-            kind=str(data.get("kind", "wb_probe")),
-            phase=None if phase is None else float(phase),
-            alignment_slack_symbols=int(data.get("alignment_slack_symbols", 4)),
+            kind=_read(data, "kind", str, "wb_probe"),
+            phase=_read(data, "phase", float, None),
+            alignment_slack_symbols=_read(data, "alignment_slack_symbols", int, 4),
         )
 
 
@@ -228,9 +302,9 @@ class CoRunnerSpec:
     def from_dict(cls, data) -> "CoRunnerSpec":
         _check_fields(cls, data, "co-runner")
         return cls(
-            kind=str(data.get("kind", "periodic_prober")),
-            lines=int(data.get("lines", 10)),
-            sweeps_per_period=int(data.get("sweeps_per_period", 10)),
+            kind=_read(data, "kind", str, "periodic_prober"),
+            lines=_read(data, "lines", int, 10),
+            sweeps_per_period=_read(data, "sweeps_per_period", int, 10),
         )
 
 
@@ -273,11 +347,11 @@ class ChannelSpec:
     def from_dict(cls, data) -> "ChannelSpec":
         _check_fields(cls, data, "channel")
         return cls(
-            level=str(data.get("level", "l1")),
+            level=_read(data, "level", str, "l1"),
             codec=CodecSpec.from_dict(data.get("codec", {})),
-            target_set=int(data.get("target_set", 21)),
-            replacement_set_size=int(data.get("replacement_set_size", 10)),
-            start_time=int(data.get("start_time", 30000)),
+            target_set=_read(data, "target_set", int, 21),
+            replacement_set_size=_read(data, "replacement_set_size", int, 10),
+            start_time=_read(data, "start_time", int, 30000),
             sender=SenderSpec.from_dict(data.get("sender", {})),
             receiver=ReceiverSpec.from_dict(data.get("receiver", {})),
         )
@@ -313,11 +387,11 @@ class DetectorSpec:
     def from_dict(cls, data) -> "DetectorSpec":
         _check_fields(cls, data, "detector")
         return cls(
-            kind=str(data["kind"]),
-            name=str(data["name"]),
-            window=int(data["window"]),
-            segment=int(data.get("segment", 0)),
-            max_lag=int(data.get("max_lag", 0)),
+            kind=_read(data, "kind", str),
+            name=_read(data, "name", str),
+            window=_read(data, "window", int),
+            segment=_read(data, "segment", int, 0),
+            max_lag=_read(data, "max_lag", int, 0),
         )
 
 
@@ -360,7 +434,7 @@ class BerSweepParams:
         _check_fields(cls, data, "wb_ber_sweep params")
         d_values = data.get("d_values")
         return cls(
-            periods=tuple(int(p) for p in data["periods"]),
+            periods=_read_tuple(data, "periods", int),
             d_values=None if d_values is None else Axis.from_dict(d_values),
             messages=Counts.from_dict(data.get("messages", {"quick": 6, "full": 90})),
             message_bits=Counts.from_dict(
@@ -369,7 +443,7 @@ class BerSweepParams:
             calibration_repetitions=Counts.from_dict(
                 data.get("calibration_repetitions", {"quick": 20, "full": 60})
             ),
-            seed_stride=int(data.get("seed_stride", 10007)),
+            seed_stride=_read(data, "seed_stride", int, 10007),
         )
 
 
@@ -392,7 +466,7 @@ class TraceParams:
     def from_dict(cls, data) -> "TraceParams":
         _check_fields(cls, data, "wb_trace params")
         return cls(
-            period=int(data.get("period", 4000)),
+            period=_read(data, "period", int, 4000),
             message_bits=Counts.from_dict(
                 data.get("message_bits", {"quick": 64, "full": 256})
             ),
@@ -427,14 +501,14 @@ class LevelCompareParams:
     def from_dict(cls, data) -> "LevelCompareParams":
         _check_fields(cls, data, "wb_level_compare params")
         return cls(
-            l1_periods=tuple(int(p) for p in data.get("l1_periods", (5500, 11000))),
-            l2_periods=tuple(int(p) for p in data.get("l2_periods", (22000, 44000))),
+            l1_periods=_read_tuple(data, "l1_periods", int, (5500, 11000)),
+            l2_periods=_read_tuple(data, "l2_periods", int, (22000, 44000)),
             messages=Counts.from_dict(data.get("messages", {"quick": 4, "full": 20})),
             message_bits=Counts.from_dict(
                 data.get("message_bits", {"quick": 48, "full": 128})
             ),
-            l1_calibration_repetitions=int(data.get("l1_calibration_repetitions", 40)),
-            seed_stride=int(data.get("seed_stride", 41)),
+            l1_calibration_repetitions=_read(data, "l1_calibration_repetitions", int, 40),
+            seed_stride=_read(data, "seed_stride", int, 41),
         )
 
 
@@ -469,9 +543,9 @@ class FaultSweepParams:
     def from_dict(cls, data) -> "FaultSweepParams":
         _check_fields(cls, data, "wb_fault_sweep params")
         return cls(
-            period=int(data.get("period", 5500)),
-            raw_message_bits=int(data.get("raw_message_bits", 80)),
-            payload_bits=int(data.get("payload_bits", 64)),
+            period=_read(data, "period", int, 5500),
+            raw_message_bits=_read(data, "raw_message_bits", int, 80),
+            payload_bits=_read(data, "payload_bits", int, 64),
             intensities=Axis.from_dict(
                 data.get(
                     "intensities",
@@ -482,8 +556,8 @@ class FaultSweepParams:
                 data.get("runs_per_point", {"quick": 1, "full": 3})
             ),
             fault=FaultSpec.from_dict(data.get("fault", FaultSpec().to_dict())),
-            collapse_threshold=float(data.get("collapse_threshold", 0.10)),
-            seed_stride=int(data.get("seed_stride", 991)),
+            collapse_threshold=_read(data, "collapse_threshold", float, 0.10),
+            seed_stride=_read(data, "seed_stride", int, 991),
         )
 
 
@@ -536,11 +610,11 @@ class OnlineDetectionParams:
     def from_dict(cls, data) -> "OnlineDetectionParams":
         _check_fields(cls, data, "online_detection params")
         defaults = cls()
-        detectors = data.get("detectors")
+        detectors = _read_tuple(data, "detectors", None, None)
         return cls(
-            period=int(data.get("period", 11000)),
-            target_set=int(data.get("target_set", 21)),
-            start_time=int(data.get("start_time", 2_000_000)),
+            period=_read(data, "period", int, 11000),
+            target_set=_read(data, "target_set", int, 21),
+            start_time=_read(data, "start_time", int, 2_000_000),
             num_symbols=Counts.from_dict(
                 data.get("num_symbols", {"quick": 48, "full": 192})
             ),
@@ -550,10 +624,10 @@ class OnlineDetectionParams:
                 if detectors is None
                 else tuple(DetectorSpec.from_dict(d) for d in detectors)
             ),
-            suspects=tuple(data.get("suspects", ("benign", "wb", "lru"))),
-            threshold_sigmas=float(data.get("threshold_sigmas", 3.0)),
-            calibration_seed_offset=int(data.get("calibration_seed_offset", 7919)),
-            roc_points=int(data.get("roc_points", 13)),
+            suspects=_read_tuple(data, "suspects", str, ("benign", "wb", "lru")),
+            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
+            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
+            roc_points=_read(data, "roc_points", int, 13),
         )
 
 
@@ -574,10 +648,9 @@ class DefenseEvalParams:
     @classmethod
     def from_dict(cls, data) -> "DefenseEvalParams":
         _check_fields(cls, data, "defense_eval params")
-        defenses = data.get("defenses")
         return cls(
             num_seeds=Counts.from_dict(data.get("num_seeds", {"quick": 2, "full": 6})),
-            defenses=None if defenses is None else tuple(str(d) for d in defenses),
+            defenses=_read_tuple(data, "defenses", str, None),
         )
 
 
@@ -642,9 +715,9 @@ class CrossCoreParams:
     def from_dict(cls, data) -> "CrossCoreParams":
         _check_fields(cls, data, "cross_core_wb params")
         defaults = cls()
-        detectors = data.get("detectors")
+        detectors = _read_tuple(data, "detectors", None, None)
         return cls(
-            period=int(data.get("period", 9000)),
+            period=_read(data, "period", int, 9000),
             messages=Counts.from_dict(data.get("messages", {"quick": 1, "full": 3})),
             message_bits=Counts.from_dict(
                 data.get("message_bits", {"quick": 24, "full": 64})
@@ -652,14 +725,14 @@ class CrossCoreParams:
             calibration_repetitions=Counts.from_dict(
                 data.get("calibration_repetitions", {"quick": 12, "full": 30})
             ),
-            seed_stride=int(data.get("seed_stride", 101)),
+            seed_stride=_read(data, "seed_stride", int, 101),
             detectors=(
                 defaults.detectors
                 if detectors is None
                 else tuple(DetectorSpec.from_dict(d) for d in detectors)
             ),
-            threshold_sigmas=float(data.get("threshold_sigmas", 3.0)),
-            calibration_seed_offset=int(data.get("calibration_seed_offset", 7919)),
+            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
+            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
             benign_periods=Counts.from_dict(
                 data.get("benign_periods", {"quick": 48, "full": 160})
             ),
@@ -782,32 +855,32 @@ class ClosedLoopParams:
     def from_dict(cls, data) -> "ClosedLoopParams":
         _check_fields(cls, data, "closed_loop_defense params")
         defaults = cls()
-        detectors = data.get("detectors")
+        detectors = _read_tuple(data, "detectors", None, None)
         return cls(
-            period=int(data.get("period", 11000)),
-            target_set=int(data.get("target_set", 21)),
-            start_time=int(data.get("start_time", 2_000_000)),
+            period=_read(data, "period", int, 11000),
+            target_set=_read(data, "target_set", int, 21),
+            start_time=_read(data, "start_time", int, 2_000_000),
             num_symbols=Counts.from_dict(
                 data.get("num_symbols", {"quick": 48, "full": 192})
             ),
-            replacement_set_size=int(data.get("replacement_set_size", 10)),
-            receiver_phase=float(data.get("receiver_phase", 0.5)),
+            replacement_set_size=_read(data, "replacement_set_size", int, 10),
+            receiver_phase=_read(data, "receiver_phase", float, 0.5),
             detectors=(
                 defaults.detectors
                 if detectors is None
                 else tuple(DetectorSpec.from_dict(d) for d in detectors)
             ),
-            suspects=tuple(data.get("suspects", ("wb", "lru"))),
-            threshold_sigmas=float(data.get("threshold_sigmas", 3.0)),
-            calibration_seed_offset=int(data.get("calibration_seed_offset", 7919)),
+            suspects=_read_tuple(data, "suspects", str, ("wb", "lru")),
+            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
+            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
             decoder_repetitions=Counts.from_dict(
                 data.get("decoder_repetitions", {"quick": 12, "full": 30})
             ),
-            fusion_k=int(data.get("fusion_k", 2)),
-            fusion_window=int(data.get("fusion_window", 300)),
-            fusion_min_hits=int(data.get("fusion_min_hits", 1)),
-            fusion_warmup=int(data.get("fusion_warmup", 40)),
-            defense=str(data.get("defense", "write_through")),
+            fusion_k=_read(data, "fusion_k", int, 2),
+            fusion_window=_read(data, "fusion_window", int, 300),
+            fusion_min_hits=_read(data, "fusion_min_hits", int, 1),
+            fusion_warmup=_read(data, "fusion_warmup", int, 40),
+            defense=_read(data, "defense", str, "write_through"),
         )
 
 
@@ -891,7 +964,7 @@ class ScenarioSpec:
             raise ConfigurationError(
                 "scenario spec is missing schema_version; refusing to guess"
             )
-        kind = str(data.get("kind", ""))
+        kind = _read(data, "kind", str, "")
         params_type = _PARAMS_TYPES.get(kind)
         if params_type is None:
             raise ConfigurationError(
@@ -899,17 +972,17 @@ class ScenarioSpec:
             )
         hierarchy = data.get("hierarchy")
         return cls(
-            name=str(data.get("name", "")),
+            name=_read(data, "name", str, ""),
             kind=kind,
             params=params_type.from_dict(data.get("params", {})),
             channel=ChannelSpec.from_dict(data.get("channel", {})),
             hierarchy=(
                 None if hierarchy is None else HierarchyParams.from_dict(hierarchy)
             ),
-            title=str(data.get("title", "")),
-            paper_reference=str(data.get("paper_reference", "")),
-            description=str(data.get("description", "")),
-            schema_version=int(data["schema_version"]),
+            title=_read(data, "title", str, ""),
+            paper_reference=_read(data, "paper_reference", str, ""),
+            description=_read(data, "description", str, ""),
+            schema_version=_read(data, "schema_version", int),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

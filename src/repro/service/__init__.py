@@ -8,12 +8,12 @@ behind traffic (the ROADMAP's north star):
   :mod:`repro.service.keys`), with LRU size-capped eviction and hit/miss
   counters.  Blobs are exactly ``ExperimentResult.to_json()`` bytes, so a
   stored result is bit-identical to a direct :mod:`repro.runner` run.
-* :mod:`repro.service.scheduler` — an **async job scheduler**: an asyncio
-  front end over the existing runner execution engine with a priority
-  queue, per-key in-flight deduplication (N identical submissions
-  coalesce into one computation), bounded queue depth with explicit
-  backpressure, cancellation, and the runner's per-job timeout / crash
-  retry when process isolation is on.
+* :mod:`repro.service.scheduler` — a **threaded job scheduler**: worker
+  threads under one lock over the existing runner execution engine,
+  with a priority queue, per-key in-flight deduplication (N identical
+  submissions coalesce into one computation), bounded queue depth with
+  explicit backpressure, cancellation, and the runner's per-job timeout /
+  crash retry when process isolation is on.
 * :mod:`repro.service.http` — a **stdlib-only HTTP/JSON API**
   (``POST /jobs``, ``GET /jobs/{id}``, ``GET /results/{key}``,
   ``GET /experiments``, ``GET /healthz``, ``GET /metrics``) whose
@@ -31,7 +31,7 @@ behind traffic (the ROADMAP's north star):
 * :mod:`repro.service.fleet` + :mod:`repro.service.worker` — a
   **crash-safe distributed worker fleet**: external worker processes
   claim jobs through a TTL lease protocol (``POST /fleet/claim``),
-  renew with heartbeats and upload result blobs; a supervisor loop
+  renew with heartbeats and upload result blobs; a supervisor thread
   expires dead leases, re-dispatches with capped deterministic backoff,
   and quarantines poison jobs into a ``dead_letter`` state.  With zero
   live workers the scheduler degrades gracefully back to the in-process
@@ -42,9 +42,9 @@ Quick start::
     from repro.service import JobScheduler, JobSpec, ResultStore
 
     store = ResultStore("results-store")
-    async with JobScheduler(store, workers=2) as scheduler:
-        job = await scheduler.submit(JobSpec("fig6", profile="quick"))
-        job = await scheduler.wait(job.job_id)
+    with JobScheduler(store, workers=2) as scheduler:
+        job = scheduler.submit(JobSpec.create("fig6", profile="quick"))
+        job = scheduler.wait(job.job_id)
         print(store.get(job.key).render())
 
 or, over HTTP: ``python -m repro.service --port 8321`` and see the

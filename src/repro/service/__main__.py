@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description=(
             "Serve experiments over HTTP with a content-addressed result "
-            "store and an async job scheduler (memoised, deduplicated)."
+            "store and a threaded job scheduler (memoised, deduplicated)."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1",

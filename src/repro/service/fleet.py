@@ -15,7 +15,7 @@ into the ``dead_letter`` terminal state instead of retrying forever.
 This module holds the passive state — configuration, lease and worker
 records, the fleet counter set — plus the pure timing helpers.  All
 mutation happens inside :class:`repro.service.scheduler.JobScheduler`
-on its event loop, which keeps the protocol lock-free.
+under its one lock, so the protocol needs no lock of its own.
 
 Correctness notes:
 
@@ -34,8 +34,8 @@ Correctness notes:
 
 from __future__ import annotations
 
+import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -165,7 +165,7 @@ class WorkerInfo:
 def new_lease_id() -> str:
     """Opaque lease token; unguessable so a stale worker cannot forge a
     successor lease after expiry re-dispatch."""
-    return f"lease-{uuid.uuid4().hex}"
+    return f"lease-{os.urandom(16).hex()}"
 
 
 def lease_backoff_seconds(key: str, attempt: int, cap: float) -> float:
@@ -181,7 +181,7 @@ def lease_backoff_seconds(key: str, attempt: int, cap: float) -> float:
 
 @dataclass
 class FleetState:
-    """All lease-protocol state, owned by the scheduler's event loop.
+    """All lease-protocol state, guarded by the scheduler's lock.
 
     ``clock`` is injectable (defaults to :func:`time.monotonic`) so the
     expiry tests can march time forward without sleeping.
@@ -225,12 +225,16 @@ class FleetState:
         return info
 
     def live_workers(self) -> List[WorkerInfo]:
-        """Workers heard from within the worker TTL."""
+        """Workers heard from within the worker TTL.
+
+        Iterates a snapshot, so a caller outside the scheduler's lock
+        may register a worker meanwhile.
+        """
         now = self.now()
         ttl = self.config.effective_worker_ttl
         return [
             info
-            for info in self.workers.values()
+            for info in list(self.workers.values())
             if (now - info.last_seen) <= ttl
         ]
 

@@ -1,10 +1,10 @@
 """Stdlib-only HTTP/JSON API over the scheduler and result store.
 
-The server is a :class:`http.server.ThreadingHTTPServer`; the scheduler
-lives on a dedicated asyncio event-loop thread, and every handler thread
-crosses into it through :func:`asyncio.run_coroutine_threadsafe`.  All
-scheduler *and store* state is therefore touched only on the loop thread
-— the handler threads just marshal JSON.
+The server is a :class:`http.server.ThreadingHTTPServer`.  Handler
+threads call the scheduler directly, and every store and telemetry call
+they make runs under the scheduler's one lock
+(:attr:`repro.service.scheduler.JobScheduler.lock`), so scheduler *and
+store* state change under that lock alone.
 
 Routes
 ======
@@ -76,8 +76,8 @@ with ``code`` one of ``bad_request`` (400), ``not_found`` (404),
 
 from __future__ import annotations
 
-import asyncio
 import json
+import math
 import pathlib
 import signal
 import threading
@@ -103,8 +103,9 @@ from repro.service.stream import (
     write_stream,
 )
 
-#: Cross-thread bridge timeout for calls that do not run experiments.
-_CONTROL_TIMEOUT = 30.0
+#: How long ``"wait": true`` blocks before answering 202 with the job
+#: still running.
+_MAX_WAIT_SECONDS = 3600.0
 
 #: Machine-readable error codes in the JSON error envelope, by status.
 _ERROR_CODES = {
@@ -118,7 +119,7 @@ _ERROR_CODES = {
 
 
 class ServiceApp:
-    """The service's composition root: store + scheduler + loop thread."""
+    """The service's composition root: store + scheduler."""
 
     def __init__(
         self,
@@ -142,43 +143,20 @@ class ServiceApp:
             fleet=fleet,
             stream=self.stream,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self.started_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ServiceApp":
-        if self._loop is not None:
-            return self
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(
-            target=self._run_loop, args=(loop,), name="repro-service-loop",
-            daemon=True,
-        )
-        self._loop = loop
-        self._thread = thread
-        thread.start()
-        self._call(self.scheduler.start())
-        self.started_at = now()
+        if self.started_at is None:
+            self.scheduler.start()
+            self.started_at = now()
         return self
 
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_forever()
-
     def stop(self) -> None:
-        if self._loop is None:
-            return
-        self._call(self.scheduler.stop())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        assert self._thread is not None
-        self._thread.join(timeout=_CONTROL_TIMEOUT)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
+        self.scheduler.stop()
+        self.started_at = None
 
     def __enter__(self) -> "ServiceApp":
         return self.start()
@@ -186,62 +164,42 @@ class ServiceApp:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _call(self, coroutine, timeout: float = _CONTROL_TIMEOUT):
-        """Run a coroutine on the scheduler loop from a handler thread."""
-        if self._loop is None:
-            raise ConfigurationError("service app is not started")
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout)
-
     # ------------------------------------------------------------------
     # Request handling (each returns (status, body-dict-or-bytes))
     # ------------------------------------------------------------------
     def submit(self, payload: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
         spec = _spec_from_payload(payload)
         priority = _int_field(payload, "priority", 0)
-        wait = payload.get("wait", False)
-        job = self._call(self.scheduler.submit(spec, priority=priority))
-        if wait and job.state not in JobState.TERMINAL:
-            wait_seconds = None if wait is True else float(wait)  # type: ignore[arg-type]
+        wait = _wait_field(payload)
+        job = self.scheduler.submit(spec, priority=priority)
+        if wait is not None:
             try:
-                job = self._call(
-                    self.scheduler.wait(job.job_id, timeout=wait_seconds),
-                    timeout=(wait_seconds or 3600.0) + _CONTROL_TIMEOUT,
-                )
-            except asyncio.TimeoutError:
+                job = self.scheduler.wait(job.job_id, timeout=wait)
+            except TimeoutError:
                 pass  # fall through: report the still-running job as 202
-        status = 200 if job.state in JobState.TERMINAL else 202
-        return status, job.to_dict()
+        with self.scheduler.lock:
+            status = 200 if job.state in JobState.TERMINAL else 202
+            return status, job.to_dict()
 
     def job(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        async def lookup():
-            return self.scheduler.job(job_id)
-
-        return 200, self._call(lookup()).to_dict()
+        with self.scheduler.lock:
+            return 200, self.scheduler.job(job_id).to_dict()
 
     def cancel(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        cancelled = self._call(self.scheduler.cancel(job_id))
-        job = self._call_job(job_id)
-        body = job.to_dict()
+        with self.scheduler.lock:
+            cancelled = self.scheduler.cancel(job_id)
+            body = self.scheduler.job(job_id).to_dict()
         body["cancelled"] = cancelled
         return (200 if cancelled else 409), body
 
-    def _call_job(self, job_id: str):
-        async def lookup():
-            return self.scheduler.job(job_id)
-
-        return self._call(lookup())
-
     def result_bytes(self, key: str) -> Optional[bytes]:
-        async def fetch():
+        with self.scheduler.lock:
             try:
                 return self.store.get_bytes(key)
             except ManifestError:
                 # Same self-healing as the scheduler: discard, miss.
                 self.store.discard(key)
                 return None
-
-        return self._call(fetch())
 
     def experiments(self) -> Tuple[int, Dict[str, object]]:
         from repro.experiments.registry import available_experiments
@@ -251,7 +209,7 @@ class ServiceApp:
     def healthz(self) -> Tuple[int, Dict[str, object]]:
         from repro.orchestration import live_snapshots, orchestration_counters
 
-        async def snapshot():
+        with self.scheduler.lock:
             # A draining service is deliberately not-ready: report 503 so
             # load balancers stop routing while in-flight work finishes.
             draining = bool(self.scheduler.fleet.draining)
@@ -269,12 +227,10 @@ class ServiceApp:
             }
             return (503 if draining else 200), body
 
-        return self._call(snapshot())
-
     def metrics_text(self) -> str:
         from repro.orchestration import orchestration_counters
 
-        async def render():
+        with self.scheduler.lock:
             return render_prometheus(
                 self.scheduler.snapshot(),
                 self.store.stats.to_dict(),
@@ -284,30 +240,24 @@ class ServiceApp:
                 orchestration=orchestration_counters(),
             )
 
-        return self._call(render())
-
     # ------------------------------------------------------------------
     # Fleet lease protocol (worker-facing)
     # ------------------------------------------------------------------
     def fleet_view(self) -> Tuple[int, Dict[str, object]]:
-        async def snapshot():
-            return self.scheduler.fleet.snapshot()
-
-        return 200, self._call(snapshot())
+        with self.scheduler.lock:
+            return 200, self.scheduler.fleet.snapshot()
 
     def fleet_claim(self, payload: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
         worker_id = _worker_id(payload)
         # Always 200: an idle poll is a successful claim attempt whose
         # body says "no work" (a 204 could not carry the JSON hints).
-        return 200, self._call(self.scheduler.fleet_claim(worker_id))
+        return 200, self.scheduler.fleet_claim(worker_id)
 
     def fleet_heartbeat(
         self, lease_id: str, payload: Dict[str, object]
     ) -> Tuple[int, Dict[str, object]]:
         worker_id = _worker_id(payload)
-        return 200, self._call(
-            self.scheduler.fleet_heartbeat(lease_id, worker_id)
-        )
+        return 200, self.scheduler.fleet_heartbeat(lease_id, worker_id)
 
     def fleet_complete(
         self, lease_id: str, payload: Dict[str, object]
@@ -319,10 +269,8 @@ class ServiceApp:
             raise ConfigurationError(
                 f"'wall_seconds' must be a number, got {wall!r}"
             )
-        return 200, self._call(
-            self.scheduler.fleet_complete(
-                lease_id, worker_id, result, wall_seconds=float(wall)
-            )
+        return 200, self.scheduler.fleet_complete(
+            lease_id, worker_id, result, wall_seconds=float(wall)
         )
 
     def fleet_fail(
@@ -334,16 +282,11 @@ class ServiceApp:
             raise ConfigurationError(
                 "'error' must be a non-empty string describing the failure"
             )
-        return 200, self._call(
-            self.scheduler.fleet_fail(lease_id, worker_id, error)
-        )
+        return 200, self.scheduler.fleet_fail(lease_id, worker_id, error)
 
     def retry_after(self) -> int:
-        """Current backpressure hint, computed on the scheduler loop."""
-        async def hint():
-            return self.scheduler.retry_after_seconds()
-
-        return self._call(hint())
+        """Current backpressure hint (see ``retry_after_seconds``)."""
+        return self.scheduler.retry_after_seconds()
 
 
 def _worker_id(payload: Dict[str, object]) -> str:
@@ -360,6 +303,21 @@ def _int_field(payload: Dict[str, object], name: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name!r} must be an integer, got {value!r}")
     return value
+
+
+def _wait_field(payload: Dict[str, object]) -> Optional[float]:
+    """Seconds ``POST /jobs`` blocks for the result; ``None`` answers at once."""
+    wait = payload.get("wait", False)
+    if isinstance(wait, bool):
+        return _MAX_WAIT_SECONDS if wait else None
+    if isinstance(wait, (int, float)) and math.isfinite(wait) and wait >= 0:
+        if wait == 0:
+            return None
+        return min(float(wait), threading.TIMEOUT_MAX)
+    raise ConfigurationError(
+        f"'wait' must be a boolean or a non-negative number of seconds, "
+        f"got {wait!r}"
+    )
 
 
 def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
@@ -392,7 +350,9 @@ def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
     if isinstance(profile, dict):
         profile = RunProfile.from_dict(profile)
     timeout = payload.get("timeout")
-    if timeout is not None and not isinstance(timeout, (int, float)):
+    if timeout is not None and (
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+    ):
         raise ConfigurationError(
             f"'timeout' must be a number of seconds or null, got {timeout!r}"
         )
@@ -467,32 +427,25 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # -- methods -------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._respond(self._post)
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._respond(self._get)
+
+    def end_headers(self) -> None:
+        self._response_started = True
+        super().end_headers()
+
+    def _respond(self, route) -> None:
+        """Run ``route``; answer what it raises with the error envelope.
+
+        An exception no typed error maps is a 500 ``internal`` with its
+        traceback on stderr, unless response bytes already left: then the
+        connection is dropped, as for an ``OSError`` while streaming.
+        """
+        self._response_started = False
         try:
-            if self.path == "/jobs":
-                status, body = self.app.submit(self._read_body())
-                self._send_json(status, body)
-            elif self.path.startswith("/jobs/") and self.path.endswith("/cancel"):
-                job_id = self.path[len("/jobs/"):-len("/cancel")]
-                status, body = self.app.cancel(job_id)
-                self._send_json(status, body)
-            elif self.path == "/fleet/claim":
-                self._send_json(*self.app.fleet_claim(self._read_body()))
-            elif self.path.startswith("/fleet/leases/"):
-                rest = self.path[len("/fleet/leases/"):]
-                lease_id, _, action = rest.rpartition("/")
-                body = self._read_body()
-                if action == "heartbeat":
-                    self._send_json(*self.app.fleet_heartbeat(lease_id, body))
-                elif action == "complete":
-                    self._send_json(*self.app.fleet_complete(lease_id, body))
-                elif action == "fail":
-                    self._send_json(*self.app.fleet_fail(lease_id, body))
-                else:
-                    self._send_error_json(
-                        404, f"no fleet lease action {action!r}"
-                    )
-            else:
-                self._send_error_json(404, f"no POST route {self.path!r}")
+            route()
         except QueueFullError as exc:
             self._send_error_json(
                 429, str(exc), {"Retry-After": str(self.app.retry_after())}
@@ -510,6 +463,40 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, str(exc))
         except ReproError as exc:
             self._send_error_json(500, str(exc))
+        except Exception as exc:  # noqa: BLE001 - the envelope promise
+            if self._response_started:
+                raise
+            self.server.handle_error(self.request, self.client_address)
+            self._send_error_json(
+                500, f"internal error ({type(exc).__name__}); see the server log"
+            )
+
+    def _post(self) -> None:
+        if self.path == "/jobs":
+            status, body = self.app.submit(self._read_body())
+            self._send_json(status, body)
+        elif self.path.startswith("/jobs/") and self.path.endswith("/cancel"):
+            job_id = self.path[len("/jobs/"):-len("/cancel")]
+            status, body = self.app.cancel(job_id)
+            self._send_json(status, body)
+        elif self.path == "/fleet/claim":
+            self._send_json(*self.app.fleet_claim(self._read_body()))
+        elif self.path.startswith("/fleet/leases/"):
+            rest = self.path[len("/fleet/leases/"):]
+            lease_id, _, action = rest.rpartition("/")
+            body = self._read_body()
+            if action == "heartbeat":
+                self._send_json(*self.app.fleet_heartbeat(lease_id, body))
+            elif action == "complete":
+                self._send_json(*self.app.fleet_complete(lease_id, body))
+            elif action == "fail":
+                self._send_json(*self.app.fleet_fail(lease_id, body))
+            else:
+                self._send_error_json(
+                    404, f"no fleet lease action {action!r}"
+                )
+        else:
+            self._send_error_json(404, f"no POST route {self.path!r}")
 
     # -- live event streaming ------------------------------------------
     def _wants_stream(self, params: Dict[str, list]) -> bool:
@@ -582,70 +569,63 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.app.stream.detach(client)
             self.close_connection = True
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def _get(self) -> None:
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path
         params = urllib.parse.parse_qs(parsed.query)
-        try:
-            if path == "/healthz":
-                self._send_json(*self.app.healthz())
-            elif path == "/metrics":
-                text = self.app.metrics_text().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                )
-                self.send_header("Content-Length", str(len(text)))
-                self.end_headers()
-                self.wfile.write(text)
-            elif path == "/experiments":
-                self._send_json(*self.app.experiments())
-            elif path == "/fleet":
-                self._send_json(*self.app.fleet_view())
-            elif path == "/events":
-                self._stream_events(params)
-            elif path.startswith("/jobs/") and path.endswith("/events"):
-                job_id = path[len("/jobs/"):-len("/events")]
-                self.app.job(job_id)  # 404 before committing to a stream
+        if path == "/healthz":
+            self._send_json(*self.app.healthz())
+        elif path == "/metrics":
+            text = self.app.metrics_text().encode("utf-8")
+            self.send_response(200)
+            self.send_header(
+                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            )
+            self.send_header("Content-Length", str(len(text)))
+            self.end_headers()
+            self.wfile.write(text)
+        elif path == "/experiments":
+            self._send_json(*self.app.experiments())
+        elif path == "/fleet":
+            self._send_json(*self.app.fleet_view())
+        elif path == "/events":
+            self._stream_events(params)
+        elif path.startswith("/jobs/") and path.endswith("/events"):
+            job_id = path[len("/jobs/"):-len("/events")]
+            self.app.job(job_id)  # 404 before committing to a stream
+            self._stream_events(
+                params,
+                accepts=ServiceStream.job_filter(job_id),
+                default_replay=True,
+            )
+        elif path.startswith("/jobs/"):
+            job_id = path[len("/jobs/"):]
+            if self._wants_stream(params):
+                self.app.job(job_id)
                 self._stream_events(
                     params,
-                    accepts=ServiceStream.job_filter(job_id),
+                    accepts=ServiceStream.job_state_filter(job_id),
                     default_replay=True,
                 )
-            elif path.startswith("/jobs/"):
-                job_id = path[len("/jobs/"):]
-                if self._wants_stream(params):
-                    self.app.job(job_id)
-                    self._stream_events(
-                        params,
-                        accepts=ServiceStream.job_state_filter(job_id),
-                        default_replay=True,
-                    )
-                else:
-                    self._send_json(*self.app.job(job_id))
-            elif path.startswith("/results/"):
-                key = path[len("/results/"):]
-                blob = self.app.result_bytes(key)
-                if blob is None:
-                    self._send_error_json(
-                        404,
-                        f"no stored result for key {key!r}; "
-                        f"submit the job to (re)compute it",
-                    )
-                else:
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(blob)))
-                    self.end_headers()
-                    self.wfile.write(blob)
             else:
-                self._send_error_json(404, f"no GET route {path!r}")
-        except UnknownJobError as exc:
-            self._send_error_json(404, str(exc))
-        except ConfigurationError as exc:
-            self._send_error_json(400, str(exc))
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
+                self._send_json(*self.app.job(job_id))
+        elif path.startswith("/results/"):
+            key = path[len("/results/"):]
+            blob = self.app.result_bytes(key)
+            if blob is None:
+                self._send_error_json(
+                    404,
+                    f"no stored result for key {key!r}; "
+                    f"submit the job to (re)compute it",
+                )
+            else:
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+        else:
+            self._send_error_json(404, f"no GET route {path!r}")
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -713,10 +693,7 @@ def serve(
         )
 
         def _drain_then_stop() -> None:
-            drained = app._call(
-                app.scheduler.drain(timeout=drain_timeout),
-                timeout=drain_timeout + _CONTROL_TIMEOUT,
-            )
+            drained = app.scheduler.drain(timeout=drain_timeout)
             print(
                 "drained cleanly" if drained
                 else "drain timed out; stopping with leases outstanding",

@@ -1,6 +1,6 @@
 """Per-job ambient stream binding and progress frames.
 
-The scheduler runs job groups on executor threads; wrapping the
+The scheduler runs each computation on a worker thread; wrapping the
 computation in :func:`job_publisher_scope` binds a job-stamped view of
 the service hub as that thread's ambient publisher
 (:func:`repro.telemetry.net.bind_publisher`).  Everything published

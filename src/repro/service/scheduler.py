@@ -1,6 +1,6 @@
-"""Async job scheduler: priority queue + dedup + backpressure over the runner.
+"""Job scheduler: priority queue + dedup + backpressure over the runner.
 
-The scheduler is an asyncio front end over the existing
+The scheduler is a thread-based front end over the existing
 :mod:`repro.runner` execution engine.  One :class:`JobSpec` names an
 experiment configuration; its canonical cache key
 (:func:`repro.service.keys.cache_key`) drives three behaviours:
@@ -21,31 +21,35 @@ backpressure signal the HTTP layer translates.  Queued jobs can be
 cancelled; cancellation never leaves a partial blob in the store because
 results are stored only after a computation finishes.
 
-Execution happens off the event loop in executor threads, each driving
-the runner's engine for exactly one task.  With ``isolate=True`` the
-task runs in a worker *process* through the same pool machinery the CLI
-uses — inheriting its per-task timeout, crash retry with deterministic
-backoff, and serial fallback; ``isolate=False`` runs in-process (cheap,
-but timeouts are then advisory only).
+One :class:`threading.Condition` (:attr:`JobScheduler.lock`) guards all
+scheduler state, and the HTTP layer takes it for its store and telemetry
+calls too.  ``workers`` threads pop the heap and each drives the
+runner's engine for exactly one task *outside* the lock, then stores
+the result and finishes the computation under it.  With
+``isolate=True`` the task runs in a worker *process* through the same
+pool machinery the CLI uses — inheriting its per-task timeout, crash
+retry with deterministic backoff, and serial fallback; ``isolate=False``
+runs in-process (cheap, but timeouts are then advisory only).
 
 With live *fleet* workers (external processes claiming jobs over HTTP
 through the lease protocol in :mod:`repro.service.fleet`), the
-in-process executor path stands down and workers pull queued
+in-process worker threads stand down and workers pull queued
 computations via :meth:`JobScheduler.fleet_claim`, heartbeat their
-leases, and upload result blobs; a supervisor loop expires dead leases,
-re-dispatches with capped deterministic backoff, and quarantines poison
-jobs into the ``dead_letter`` state.  With zero live workers the
-scheduler degrades gracefully back to the in-process pool.
+leases, and upload result blobs; a supervisor thread expires dead
+leases, re-dispatches with capped deterministic backoff, and quarantines
+poison jobs into the ``dead_letter`` state.  With zero live workers the
+scheduler degrades gracefully back to the in-process threads.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
 import math
+import threading
+import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError, ManifestError, ReproError
 from repro.experiments.profiles import ProfileLike, RunProfile, resolve_profile
@@ -264,11 +268,11 @@ def compute_entry(spec: JobSpec, isolate: bool) -> ManifestEntry:
 
 
 class JobScheduler:
-    """The asyncio scheduler; use as an async context manager.
+    """The threaded scheduler; use as a context manager.
 
-    All state mutation happens on the owning event loop, so no locks are
-    needed; cross-thread callers go through
-    :func:`asyncio.run_coroutine_threadsafe` (see the HTTP layer).
+    :attr:`lock` guards every piece of state below, so each public
+    method is safe to call from any thread.  Computations run outside
+    it, on the ``workers`` threads :meth:`start` spawns.
     """
 
     def __init__(
@@ -297,8 +301,10 @@ class JobScheduler:
         #: execution binds the hub so run telemetry mirrors out live.
         self.stream = stream
         self.fleet = FleetState(config=fleet or FleetConfig())
+        #: The one lock over scheduler, store and telemetry state; a
+        #: condition so waiters block on it until a job finishes.
+        self.lock = threading.Condition()
         self._jobs: Dict[str, Job] = {}
-        self._futures: Dict[str, asyncio.Future] = {}
         self._inflight: Dict[str, _Computation] = {}
         self._heap: List[tuple] = []
         self._queued = 0
@@ -308,10 +314,12 @@ class JobScheduler:
         self._delayed: List[tuple] = []
         self._sequence = itertools.count()
         self._job_sequence = itertools.count(1)
-        self._worker_tasks: List[asyncio.Task] = []
-        self._supervisor_task: Optional[asyncio.Task] = None
-        self._wakeup: Optional[asyncio.Condition] = None
-        self._started = False
+        #: Set to tell this run's threads to exit; ``None`` when stopped.
+        self._stop_event: Optional[threading.Event] = None
+        self._threads: List[threading.Thread] = []
+        #: Worker threads currently running a computation (outside the
+        #: lock); :meth:`stop` does not wait for them.
+        self._computing: Set[threading.Thread] = set()
         #: EWMA of recent computation wall time, seeding the queue-depth
         #: derived ``Retry-After`` hint (seconds).
         self._recent_wall_seconds = 0.5
@@ -330,72 +338,88 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "JobScheduler":
-        """Spawn the worker tasks (idempotent)."""
-        if self._started:
-            return self
-        self._wakeup = asyncio.Condition()
-        self._worker_tasks = [
-            asyncio.get_running_loop().create_task(self._worker_loop(index))
-            for index in range(self.workers)
-        ]
-        self._supervisor_task = asyncio.get_running_loop().create_task(
-            self._supervisor_loop()
-        )
-        self._started = True
+    def start(self) -> "JobScheduler":
+        """Spawn the worker and supervisor threads (idempotent)."""
+        with self.lock:
+            if self._stop_event is not None:
+                return self
+            stop_event = threading.Event()
+            self._stop_event = stop_event
+            self._threads = [
+                threading.Thread(
+                    target=self._worker_loop,
+                    args=(stop_event,),
+                    name=f"repro-scheduler-worker-{index}",
+                    daemon=True,
+                )
+                for index in range(self.workers)
+            ]
+            self._threads.append(
+                threading.Thread(
+                    target=self._supervisor_loop,
+                    args=(stop_event,),
+                    name="repro-scheduler-supervisor",
+                    daemon=True,
+                )
+            )
+            for thread in self._threads:
+                thread.start()
         return self
 
-    async def stop(self, drain: bool = False) -> None:
-        """Stop the workers; ``drain=True`` finishes the backlog first."""
-        if not self._started:
+    def stop(self, drain: bool = False) -> None:
+        """Stop the threads; ``drain=True`` finishes the backlog first.
+
+        A computation still running is not waited for: its jobs are
+        cancelled here, and its thread drops the result when it returns.
+        """
+        if self._stop_event is None:
             return
         if drain:
-            await self.join()
-        tasks = list(self._worker_tasks)
-        if self._supervisor_task is not None:
-            tasks.append(self._supervisor_task)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._worker_tasks = []
-        self._supervisor_task = None
-        self._started = False
-        # Fail anything still queued, leased out, or parked in re-dispatch
-        # backoff, so waiters do not hang forever.
-        for lease in list(self.fleet.leases.values()):
-            self.fleet.release(lease.lease_id)
-        self._delayed = []
-        for computation in list(self._inflight.values()):
-            if computation.state in (JobState.QUEUED, JobState.RUNNING):
-                self._finish_computation(
-                    computation,
-                    state=JobState.CANCELLED,
-                    error="scheduler stopped before this job finished",
-                )
-
-    async def join(self) -> None:
-        """Wait until no computation is queued or running."""
-        while self._inflight:
-            pending = [
-                self._futures[job.job_id]
-                for computation in self._inflight.values()
-                for job in computation.jobs
+            self.join()
+        with self.lock:
+            if self._stop_event is None:
+                return
+            self._stop_event.set()
+            self._stop_event = None
+            self.lock.notify_all()
+            idle = [
+                thread for thread in self._threads
+                if thread not in self._computing
             ]
-            if not pending:
-                await asyncio.sleep(0)
-                continue
-            await asyncio.wait(pending)
+            self._threads = []
+            # Fail anything still queued, leased out, or parked in
+            # re-dispatch backoff, so waiters do not hang forever.
+            for lease in list(self.fleet.leases.values()):
+                self.fleet.release(lease.lease_id)
+            self._delayed = []
+            for computation in list(self._inflight.values()):
+                if computation.state in (JobState.QUEUED, JobState.RUNNING):
+                    self._finish_computation(
+                        computation,
+                        state=JobState.CANCELLED,
+                        error="scheduler stopped before this job finished",
+                    )
+            # Nothing cancelled above may run after a restart.
+            self._heap = []
+            self._queued = 0
+        for thread in idle:
+            thread.join()
 
-    async def __aenter__(self) -> "JobScheduler":
-        return await self.start()
+    def join(self) -> None:
+        """Wait until no computation is queued or running."""
+        with self.lock:
+            self.lock.wait_for(lambda: not self._inflight)
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
+    def __enter__(self) -> "JobScheduler":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # ------------------------------------------------------------------
     # Submission API
     # ------------------------------------------------------------------
-    async def submit(self, spec: JobSpec, priority: int = 0) -> Job:
+    def submit(self, spec: JobSpec, priority: int = 0) -> Job:
         """Submit one job; returns its (possibly already DONE) record.
 
         Raises :class:`QueueFullError` when the submission would need a
@@ -405,75 +429,70 @@ class JobScheduler:
         the service is draining or an unhealthy fleet is shedding load;
         memoised and coalesced submissions are still served.
         """
-        if not self._started:
-            raise ConfigurationError(
-                "scheduler is not running; use 'async with JobScheduler(...)'"
+        with self.lock:
+            if self._stop_event is None:
+                raise ConfigurationError(
+                    "scheduler is not running; use 'with JobScheduler(...)'"
+                )
+            self._validate(spec)
+            key = spec.key
+            tick = self.telemetry.submission()
+            self.counters["submitted"] += 1
+            job = Job(
+                job_id=f"job-{next(self._job_sequence):06d}",
+                spec=spec,
+                key=key,
+                priority=priority,
             )
-        self._validate(spec)
-        key = spec.key
-        tick = self.telemetry.submission()
-        self.counters["submitted"] += 1
-        job = Job(
-            job_id=f"job-{next(self._job_sequence):06d}",
-            spec=spec,
-            key=key,
-            priority=priority,
-        )
-        self._jobs[job.job_id] = job
-        self._futures[job.job_id] = asyncio.get_running_loop().create_future()
+            self._jobs[job.job_id] = job
 
-        # 1. Memoised: serve straight from the content-addressed store.
-        cached = self._store_probe(key)
-        if cached:
-            job.state = JobState.DONE
-            job.source = SOURCE_STORE
-            self.counters["store_served"] += 1
-            self.counters["completed"] += 1
-            self.telemetry.store_hit(key, tick)
-            self._publish_job(job)
-            self._resolve(job)
-            return job
+            # 1. Memoised: serve straight from the content-addressed store.
+            cached = self._store_probe(key)
+            if cached:
+                job.state = JobState.DONE
+                job.source = SOURCE_STORE
+                self.counters["store_served"] += 1
+                self.counters["completed"] += 1
+                self.telemetry.store_hit(key, tick)
+                self._publish_job(job)
+                return job
 
-        # 2. Coalesce onto an identical computation already in flight.
-        computation = self._inflight.get(key)
-        if computation is not None and not computation.cancelled:
-            job.source = SOURCE_COALESCED
+            # 2. Coalesce onto an identical computation already in flight.
+            computation = self._inflight.get(key)
+            if computation is not None and not computation.cancelled:
+                job.source = SOURCE_COALESCED
+                computation.jobs.append(job)
+                self.counters["deduplicated"] += 1
+                self.telemetry.coalesced(key, tick)
+                self._publish_job(job)
+                return job
+
+            # 3. New computation: first the fleet's degradation ladder (a
+            # draining or unhealthy fleet sheds load with 503), then the
+            # bounded queue with explicit 429 backpressure.
+            shed_reason = self._shed_reason()
+            if shed_reason is not None:
+                self.fleet.counters["shed"] += 1
+                del self._jobs[job.job_id]
+                raise FleetUnavailableError(
+                    shed_reason, retry_after=self.retry_after_seconds()
+                )
+            if self._queued >= self.queue_depth:
+                self.counters["rejected"] += 1
+                del self._jobs[job.job_id]
+                raise QueueFullError(self.queue_depth)
+            computation = _Computation(key=key, spec=spec, priority=priority)
             computation.jobs.append(job)
-            self.counters["deduplicated"] += 1
-            self.telemetry.coalesced(key, tick)
-            self._publish_job(job)
-            return job
-
-        # 3. New computation: first the fleet's degradation ladder (a
-        # draining or unhealthy fleet sheds load with 503), then the
-        # bounded queue with explicit 429 backpressure.
-        shed_reason = self._shed_reason()
-        if shed_reason is not None:
-            self.fleet.counters["shed"] += 1
-            del self._jobs[job.job_id]
-            del self._futures[job.job_id]
-            raise FleetUnavailableError(
-                shed_reason, retry_after=self.retry_after_seconds()
+            self._inflight[key] = computation
+            heapq.heappush(
+                self._heap, (-priority, next(self._sequence), computation)
             )
-        if self._queued >= self.queue_depth:
-            self.counters["rejected"] += 1
-            del self._jobs[job.job_id]
-            del self._futures[job.job_id]
-            raise QueueFullError(self.queue_depth)
-        computation = _Computation(key=key, spec=spec, priority=priority)
-        computation.jobs.append(job)
-        self._inflight[key] = computation
-        heapq.heappush(
-            self._heap, (-priority, next(self._sequence), computation)
-        )
-        self._queued += 1
-        self.counters["computations"] += 1
-        self.telemetry.computation_enqueued(key, tick)
-        self._publish_job(job)
-        assert self._wakeup is not None
-        async with self._wakeup:
-            self._wakeup.notify()
-        return job
+            self._queued += 1
+            self.counters["computations"] += 1
+            self.telemetry.computation_enqueued(key, tick)
+            self._publish_job(job)
+            self.lock.notify_all()
+            return job
 
     def _validate(self, spec: JobSpec) -> None:
         if spec.scenario is not None:
@@ -507,20 +526,29 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> Job:
         """Current record of ``job_id`` (raises on unknown ids)."""
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise UnknownJobError(f"no job {job_id!r} in this scheduler")
+        with self.lock:
+            try:
+                return self._jobs[job_id]
+            except KeyError:
+                raise UnknownJobError(f"no job {job_id!r} in this scheduler")
 
-    async def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
-        """Block until ``job_id`` reaches a terminal state."""
-        job = self.job(job_id)
-        future = self._futures[job_id]
-        if not future.done():
-            await asyncio.wait_for(asyncio.shield(future), timeout)
-        return job
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
+        """Block until ``job_id`` reaches a terminal state.
 
-    async def cancel(self, job_id: str) -> bool:
+        Raises the builtin :class:`TimeoutError` when ``timeout``
+        seconds pass first.
+        """
+        with self.lock:
+            job = self.job(job_id)
+            if not self.lock.wait_for(
+                lambda: job.state in JobState.TERMINAL, timeout
+            ):
+                raise TimeoutError(
+                    f"job {job_id!r} still {job.state} after {timeout}s"
+                )
+            return job
+
+    def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; returns ``True`` when it took effect.
 
         Running computations are not interrupted (the runner may be
@@ -530,26 +558,27 @@ class JobScheduler:
         stays consistent: nothing is written for a computation whose
         every job was cancelled before it ran.
         """
-        job = self.job(job_id)
-        if job.state != JobState.QUEUED:
-            return False
-        computation = self._inflight.get(job.key)
-        if computation is None or computation.state != JobState.QUEUED:
-            return False
-        if job in computation.jobs:
-            computation.jobs.remove(job)
-        job.state = JobState.CANCELLED
-        self.counters["cancelled"] += 1
-        self.telemetry.cancelled(job.key, self.telemetry.bus.time)
-        self._publish_job(job)
-        self._resolve(job)
-        if not computation.jobs:
-            # Last rider gone: the computation itself is abandoned (the
-            # heap entry is skipped lazily when a worker pops it).
-            computation.cancelled = True
-            del self._inflight[computation.key]
-            self._queued -= 1
-        return True
+        with self.lock:
+            job = self.job(job_id)
+            if job.state != JobState.QUEUED:
+                return False
+            computation = self._inflight.get(job.key)
+            if computation is None or computation.state != JobState.QUEUED:
+                return False
+            if job in computation.jobs:
+                computation.jobs.remove(job)
+            job.state = JobState.CANCELLED
+            self.counters["cancelled"] += 1
+            self.telemetry.cancelled(job.key, self.telemetry.bus.time)
+            self._publish_job(job)
+            if not computation.jobs:
+                # Last rider gone: the computation itself is abandoned
+                # (the heap entry is skipped lazily when a worker pops it).
+                computation.cancelled = True
+                del self._inflight[computation.key]
+                self._queued -= 1
+            self.lock.notify_all()
+            return True
 
     # ------------------------------------------------------------------
     # Worker side
@@ -570,63 +599,66 @@ class JobScheduler:
             return True
         return bool(self.fleet.live_workers())
 
-    async def _worker_loop(self, worker_index: int) -> None:
-        del worker_index
-        assert self._wakeup is not None
+    def _worker_loop(self, stop_event: threading.Event) -> None:
+        thread = threading.current_thread()
         while True:
-            async with self._wakeup:
+            with self.lock:
                 # Poll (rather than wait forever) so the loop notices
                 # fleet workers appearing/expiring and delayed
                 # computations being promoted without an explicit
                 # notification for every such event.
-                while not self._heap or self._fleet_engaged():
-                    try:
-                        await asyncio.wait_for(self._wakeup.wait(), 0.1)
-                    except asyncio.TimeoutError:
-                        pass
+                while not stop_event.is_set() and (
+                    not self._heap or self._fleet_engaged()
+                ):
+                    self.lock.wait(0.1)
+                if stop_event.is_set():
+                    return
                 _neg_priority, _seq, computation = heapq.heappop(self._heap)
-            if computation.cancelled:
-                continue
-            self._queued -= 1
-            computation.state = JobState.RUNNING
-            for job in computation.jobs:
-                job.state = JobState.RUNNING
-                self._publish_job(job)
-            lead_job_id = computation.jobs[0].job_id if computation.jobs else ""
-            loop = asyncio.get_running_loop()
+                if computation.cancelled:
+                    continue
+                self._queued -= 1
+                computation.state = JobState.RUNNING
+                for job in computation.jobs:
+                    job.state = JobState.RUNNING
+                    self._publish_job(job)
+                lead_job_id = (
+                    computation.jobs[0].job_id if computation.jobs else ""
+                )
+                self._computing.add(thread)
             try:
-                entry = await loop.run_in_executor(
-                    None,
-                    self._compute_entry_bound,
-                    computation.spec,
-                    lead_job_id,
+                entry = self._compute_entry_bound(
+                    computation.spec, lead_job_id
                 )
             except Exception as exc:  # noqa: BLE001 - fan failure out
-                self._finish_computation(
-                    computation,
-                    state=JobState.FAILED,
-                    error=f"scheduler execution error: {exc!r}",
-                )
-                continue
-            if entry.ok:
-                evicted = self.store.put(computation.key, entry.result)
-                self.telemetry.result_stored(
-                    computation.key, self.telemetry.bus.time
-                )
-                for victim in evicted:
-                    self.telemetry.store_evicted(
-                        victim.key, self.telemetry.bus.time
+                entry = None
+                error = f"scheduler execution error: {exc!r}"
+            with self.lock:
+                self._computing.discard(thread)
+                if stop_event.is_set():
+                    return  # stop() already cancelled its jobs: drop it
+                if entry is None:
+                    self._finish_computation(
+                        computation, state=JobState.FAILED, error=error
                     )
-                self._finish_computation(
-                    computation, state=JobState.DONE, entry=entry
-                )
-            else:
-                self._finish_computation(
-                    computation,
-                    state=JobState.FAILED,
-                    error=f"{entry.status}: {entry.error}",
-                    entry=entry,
-                )
+                elif entry.ok:
+                    evicted = self.store.put(computation.key, entry.result)
+                    self.telemetry.result_stored(
+                        computation.key, self.telemetry.bus.time
+                    )
+                    for victim in evicted:
+                        self.telemetry.store_evicted(
+                            victim.key, self.telemetry.bus.time
+                        )
+                    self._finish_computation(
+                        computation, state=JobState.DONE, entry=entry
+                    )
+                else:
+                    self._finish_computation(
+                        computation,
+                        state=JobState.FAILED,
+                        error=f"{entry.status}: {entry.error}",
+                        entry=entry,
+                    )
 
     def _finish_computation(
         self,
@@ -671,18 +703,14 @@ class JobScheduler:
             elif state == JobState.DEAD_LETTER:
                 self.counters["failed"] += 1
             self._publish_job(job)
-            self._resolve(job)
-
-    def _resolve(self, job: Job) -> None:
-        future = self._futures.get(job.job_id)
-        if future is not None and not future.done():
-            future.set_result(job)
+        self.lock.notify_all()
 
     def _publish_job(self, job: Job) -> None:
-        """One ``job`` frame per state transition (loop thread only).
+        """One ``job`` frame per state transition (under :attr:`lock`).
 
         Publishing is lock-plus-append per attached stream client — a
-        slow consumer overflows its own bounded queue, never this loop.
+        slow consumer overflows its own bounded queue, never stalls the
+        scheduler.
         """
         if self.stream is not None:
             self.stream.publish_job(job)
@@ -690,7 +718,7 @@ class JobScheduler:
     def _compute_entry_bound(
         self, spec: JobSpec, lead_job_id: str
     ) -> ManifestEntry:
-        """Executor-thread entry: run the job with the hub bound.
+        """Worker-thread entry: run the job with the hub bound.
 
         Binding the job-stamped hub view around :func:`compute_entry`
         lets in-process runs mirror their telemetry frames (closed-loop
@@ -705,7 +733,7 @@ class JobScheduler:
             return compute_entry(spec, self.isolate)
 
     # ------------------------------------------------------------------
-    # Fleet lease protocol (all coroutines run on the owning loop)
+    # Fleet lease protocol
     # ------------------------------------------------------------------
     def _shed_reason(self) -> Optional[str]:
         """Why a new computation must be shed right now, or ``None``."""
@@ -725,20 +753,21 @@ class JobScheduler:
         """Backpressure hint (seconds) derived from queue depth and
         worker count: backlog × recent seconds-per-job ÷ capacity,
         clamped to [1, 60].  Served as ``Retry-After`` on 429/503."""
-        running = sum(
-            1
-            for computation in self._inflight.values()
-            if computation.state == JobState.RUNNING
-        )
-        backlog = self._queued + running + 1
-        live = len(self.fleet.live_workers())
-        capacity = live if live > 0 else self.workers
-        hint = math.ceil(
-            backlog * self._recent_wall_seconds / max(1, capacity)
-        )
-        return max(1, min(60, int(hint)))
+        with self.lock:
+            running = sum(
+                1
+                for computation in self._inflight.values()
+                if computation.state == JobState.RUNNING
+            )
+            backlog = self._queued + running + 1
+            live = len(self.fleet.live_workers())
+            capacity = live if live > 0 else self.workers
+            hint = math.ceil(
+                backlog * self._recent_wall_seconds / max(1, capacity)
+            )
+            return max(1, min(60, int(hint)))
 
-    async def fleet_claim(self, worker_id: str) -> Dict[str, object]:
+    def fleet_claim(self, worker_id: str) -> Dict[str, object]:
         """A fleet worker asks for work; returns a grant or an idle poll.
 
         The grant carries the lease (id, key, TTL, attempt) and the full
@@ -748,60 +777,61 @@ class JobScheduler:
         ``retry_seconds`` suggests a poll interval; ``draining`` tells
         the worker to finish up and exit.
         """
-        if not worker_id:
-            raise ConfigurationError("fleet claim needs a worker_id")
-        info = self.fleet.touch_worker(worker_id)
-        idle: Dict[str, object] = {
-            "lease": None,
-            "draining": self.fleet.draining,
-            "retry_seconds": min(
-                1.0, self.fleet.config.effective_supervisor_interval
-            ),
-        }
-        if self.fleet.draining:
-            return idle
-        computation = self._pop_claimable()
-        if computation is None:
-            return idle
-        self._queued -= 1
-        computation.state = JobState.RUNNING
-        for job in computation.jobs:
-            job.state = JobState.RUNNING
-            self._publish_job(job)
-        computation.lease_attempts += 1
-        lease = self.fleet.grant(
-            computation.key, worker_id, computation.lease_attempts
-        )
-        computation.lease_id = lease.lease_id
-        computation.lease_history.append(
-            {
-                "attempt": lease.attempt,
-                "worker_id": worker_id,
-                "lease_id": lease.lease_id,
-                "outcome": "granted",
-            }
-        )
-        info.claims += 1
-        spec = computation.spec
-        return {
-            "lease": {
-                "lease_id": lease.lease_id,
-                "key": computation.key,
-                "ttl": self.fleet.config.lease_ttl,
-                "attempt": lease.attempt,
-            },
-            "draining": False,
-            "job": {
-                "experiment_id": spec.experiment_id,
-                "profile": spec.profile.to_dict(),
-                "seed": spec.seed,
-                "timeout": spec.timeout,
-                "entry_point": spec.entry_point,
-                "scenario": (
-                    None if spec.scenario is None else spec.scenario.to_json()
+        with self.lock:
+            if not worker_id:
+                raise ConfigurationError("fleet claim needs a worker_id")
+            info = self.fleet.touch_worker(worker_id)
+            idle: Dict[str, object] = {
+                "lease": None,
+                "draining": self.fleet.draining,
+                "retry_seconds": min(
+                    1.0, self.fleet.config.effective_supervisor_interval
                 ),
-            },
-        }
+            }
+            if self.fleet.draining:
+                return idle
+            computation = self._pop_claimable()
+            if computation is None:
+                return idle
+            self._queued -= 1
+            computation.state = JobState.RUNNING
+            for job in computation.jobs:
+                job.state = JobState.RUNNING
+                self._publish_job(job)
+            computation.lease_attempts += 1
+            lease = self.fleet.grant(
+                computation.key, worker_id, computation.lease_attempts
+            )
+            computation.lease_id = lease.lease_id
+            computation.lease_history.append(
+                {
+                    "attempt": lease.attempt,
+                    "worker_id": worker_id,
+                    "lease_id": lease.lease_id,
+                    "outcome": "granted",
+                }
+            )
+            info.claims += 1
+            spec = computation.spec
+            return {
+                "lease": {
+                    "lease_id": lease.lease_id,
+                    "key": computation.key,
+                    "ttl": self.fleet.config.lease_ttl,
+                    "attempt": lease.attempt,
+                },
+                "draining": False,
+                "job": {
+                    "experiment_id": spec.experiment_id,
+                    "profile": spec.profile.to_dict(),
+                    "seed": spec.seed,
+                    "timeout": spec.timeout,
+                    "entry_point": spec.entry_point,
+                    "scenario": (
+                        None if spec.scenario is None else spec.scenario.to_json()
+                    ),
+                },
+            }
 
     def _pop_claimable(self) -> Optional[_Computation]:
         """Highest-priority queued computation, skipping dead entries."""
@@ -814,14 +844,15 @@ class JobScheduler:
             return computation
         return None
 
-    async def fleet_heartbeat(
+    def fleet_heartbeat(
         self, lease_id: str, worker_id: Optional[str] = None
     ) -> Dict[str, object]:
         """Renew a lease (raises :class:`LeaseError` on a dead one)."""
-        lease = self.fleet.renew(lease_id, worker_id)
-        return lease.to_dict()
+        with self.lock:
+            lease = self.fleet.renew(lease_id, worker_id)
+            return lease.to_dict()
 
-    async def fleet_complete(
+    def fleet_complete(
         self,
         lease_id: str,
         worker_id: str,
@@ -837,75 +868,77 @@ class JobScheduler:
         dropped: the re-dispatched attempt's bit-identical result is
         the one that gets stored.
         """
-        try:
-            lease = self.fleet.checked(lease_id, worker_id)
-        except LeaseError:
-            self.fleet.counters["uploads_rejected"] += 1
-            raise
-        computation = self._inflight.get(lease.key)
-        if computation is None or computation.lease_id != lease_id:
-            self.fleet.counters["uploads_rejected"] += 1
+        with self.lock:
+            try:
+                lease = self.fleet.checked(lease_id, worker_id)
+            except LeaseError:
+                self.fleet.counters["uploads_rejected"] += 1
+                raise
+            computation = self._inflight.get(lease.key)
+            if computation is None or computation.lease_id != lease_id:
+                self.fleet.counters["uploads_rejected"] += 1
+                self.fleet.release(lease_id)
+                raise LeaseError(
+                    f"lease {lease_id!r} no longer maps to a live computation"
+                )
+            from repro.experiments.base import ExperimentResult
+
+            if not isinstance(result, dict):
+                raise ConfigurationError(
+                    "fleet upload payload must be a result object"
+                )
+            try:
+                parsed = ExperimentResult.from_dict(result)
+            except Exception as exc:  # noqa: BLE001 - torn/garbage upload
+                # The lease stays live: a malformed blob is indistinguishable
+                # from a worker dying mid-upload, and expiry re-dispatches it.
+                raise ConfigurationError(
+                    f"fleet upload payload is not a valid result: {exc!r}"
+                ) from exc
             self.fleet.release(lease_id)
-            raise LeaseError(
-                f"lease {lease_id!r} no longer maps to a live computation"
+            computation.lease_id = None
+            self._lease_outcome(computation, lease_id, "completed")
+            info = self.fleet.touch_worker(worker_id)
+            info.completed += 1
+            self.fleet.counters["fleet_completed"] += 1
+            evicted = self.store.put(computation.key, parsed)
+            self.telemetry.result_stored(computation.key, self.telemetry.bus.time)
+            for victim in evicted:
+                self.telemetry.store_evicted(victim.key, self.telemetry.bus.time)
+            self._finish_computation(
+                computation,
+                state=JobState.DONE,
+                attempts=lease.attempt,
+                wall_seconds=wall_seconds,
             )
-        from repro.experiments.base import ExperimentResult
+            return {"stored": True, "key": computation.key}
 
-        if not isinstance(result, dict):
-            raise ConfigurationError(
-                "fleet upload payload must be a result object"
-            )
-        try:
-            parsed = ExperimentResult.from_dict(result)
-        except Exception as exc:  # noqa: BLE001 - torn/garbage upload
-            # The lease stays live: a malformed blob is indistinguishable
-            # from a worker dying mid-upload, and expiry re-dispatches it.
-            raise ConfigurationError(
-                f"fleet upload payload is not a valid result: {exc!r}"
-            ) from exc
-        self.fleet.release(lease_id)
-        computation.lease_id = None
-        self._lease_outcome(computation, lease_id, "completed")
-        info = self.fleet.touch_worker(worker_id)
-        info.completed += 1
-        self.fleet.counters["fleet_completed"] += 1
-        evicted = self.store.put(computation.key, parsed)
-        self.telemetry.result_stored(computation.key, self.telemetry.bus.time)
-        for victim in evicted:
-            self.telemetry.store_evicted(victim.key, self.telemetry.bus.time)
-        self._finish_computation(
-            computation,
-            state=JobState.DONE,
-            attempts=lease.attempt,
-            wall_seconds=wall_seconds,
-        )
-        return {"stored": True, "key": computation.key}
-
-    async def fleet_fail(
+    def fleet_fail(
         self, lease_id: str, worker_id: str, error: str
     ) -> Dict[str, object]:
         """Report a *deterministic* failure (the experiment itself
         raised).  Mirrors the pool's semantics: deterministic failures
         are not retried — retrying would fail identically."""
-        lease = self.fleet.checked(lease_id, worker_id)
-        computation = self._inflight.get(lease.key)
-        self.fleet.release(lease_id)
-        if computation is None or computation.lease_id != lease_id:
-            raise LeaseError(
-                f"lease {lease_id!r} no longer maps to a live computation"
+        with self.lock:
+            lease = self.fleet.checked(lease_id, worker_id)
+            computation = self._inflight.get(lease.key)
+            self.fleet.release(lease_id)
+            if computation is None or computation.lease_id != lease_id:
+                raise LeaseError(
+                    f"lease {lease_id!r} no longer maps to a live computation"
+                )
+            computation.lease_id = None
+            self._lease_outcome(computation, lease_id, "failed")
+            info = self.fleet.touch_worker(worker_id)
+            info.failed += 1
+            self.fleet.counters["fleet_failed"] += 1
+            self._finish_computation(
+                computation,
+                state=JobState.FAILED,
+                error=error or "fleet worker reported failure",
+                attempts=lease.attempt,
             )
-        computation.lease_id = None
-        self._lease_outcome(computation, lease_id, "failed")
-        info = self.fleet.touch_worker(worker_id)
-        info.failed += 1
-        self.fleet.counters["fleet_failed"] += 1
-        self._finish_computation(
-            computation,
-            state=JobState.FAILED,
-            error=error or "fleet worker reported failure",
-            attempts=lease.attempt,
-        )
-        return {"state": JobState.FAILED, "key": computation.key}
+            return {"state": JobState.FAILED, "key": computation.key}
 
     @staticmethod
     def _lease_outcome(
@@ -919,9 +952,10 @@ class JobScheduler:
     def begin_drain(self) -> None:
         """Enter drain mode: shed new submissions, grant no new leases,
         let in-flight leases finish (SIGTERM handling)."""
-        self.fleet.draining = True
+        with self.lock:
+            self.fleet.draining = True
 
-    async def drain(self, timeout: Optional[float] = None) -> bool:
+    def drain(self, timeout: Optional[float] = None) -> bool:
         """Drain in-flight leases; ``True`` when everything finished.
 
         Enters drain mode, then waits for live leases and running
@@ -931,27 +965,29 @@ class JobScheduler:
         is cancelled by the subsequent :meth:`stop`.
         """
         self.begin_drain()
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while True:
-            busy = bool(self.fleet.leases) or any(
-                computation.state == JobState.RUNNING
-                for computation in self._inflight.values()
-            )
-            if not busy:
-                return True
-            if deadline is not None and loop.time() >= deadline:
-                return False
-            await asyncio.sleep(0.02)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self.lock:
+            while True:
+                busy = bool(self.fleet.leases) or any(
+                    computation.state == JobState.RUNNING
+                    for computation in self._inflight.values()
+                )
+                if not busy:
+                    return True
+                if deadline is not None and time.monotonic() >= deadline:
+                    return False
+                self.lock.wait(0.02)
 
     # ------------------------------------------------------------------
     # Supervisor: lease expiry, re-dispatch backoff, dead-lettering
     # ------------------------------------------------------------------
-    async def _supervisor_loop(self) -> None:
+    def _supervisor_loop(self, stop_event: threading.Event) -> None:
         interval = self.fleet.config.effective_supervisor_interval
-        while True:
-            await asyncio.sleep(interval)
-            self.supervise_once()
+        while not stop_event.wait(interval):
+            with self.lock:
+                if stop_event.is_set():
+                    return
+                self.supervise_once()
 
     def supervise_once(self) -> None:
         """One supervisor tick (synchronous; also driven by tests).
@@ -962,84 +998,86 @@ class JobScheduler:
         failed leases — and promotes delayed computations whose backoff
         has elapsed back onto the heap.
         """
-        for lease in self.fleet.expired_leases():
-            self.fleet.release(lease.lease_id)
-            self.fleet.counters["leases_expired"] += 1
-            computation = self._inflight.get(lease.key)
-            if computation is None or computation.lease_id != lease.lease_id:
-                continue  # completed/failed just before the tick
-            computation.lease_id = None
-            self._lease_outcome(computation, lease.lease_id, "expired")
-            if computation.lease_attempts >= self.fleet.config.dead_letter_after:
-                self.fleet.counters["dead_letter"] += 1
-                self.fleet.dead_letters.append(
-                    {
-                        "key": computation.key,
-                        "experiment_id": computation.spec.experiment_id,
-                        "lease_attempts": computation.lease_attempts,
-                        "lease_history": list(computation.lease_history),
-                    }
-                )
-                self._finish_computation(
-                    computation,
-                    state=JobState.DEAD_LETTER,
-                    error=(
-                        f"dead-lettered after {computation.lease_attempts} "
-                        f"failed lease(s)"
-                    ),
-                    attempts=computation.lease_attempts,
-                )
-                continue
-            delay = lease_backoff_seconds(
-                computation.key,
-                computation.lease_attempts,
-                self.fleet.config.backoff_cap,
-            )
-            computation.state = JobState.QUEUED
-            for job in computation.jobs:
-                job.state = JobState.QUEUED
-                self._publish_job(job)
-            self.fleet.counters["redispatches"] += 1
-            self._queued += 1
-            self._delayed.append((self.fleet.now() + delay, computation))
-        if self._delayed:
-            now = self.fleet.now()
-            still_waiting = []
-            for ready_at, computation in self._delayed:
-                if computation.cancelled:
-                    continue  # cancel() already settled the accounting
-                if ready_at <= now:
-                    heapq.heappush(
-                        self._heap,
-                        (
-                            -computation.priority,
-                            next(self._sequence),
-                            computation,
-                        ),
+        with self.lock:
+            for lease in self.fleet.expired_leases():
+                self.fleet.release(lease.lease_id)
+                self.fleet.counters["leases_expired"] += 1
+                computation = self._inflight.get(lease.key)
+                if computation is None or computation.lease_id != lease.lease_id:
+                    continue  # completed/failed just before the tick
+                computation.lease_id = None
+                self._lease_outcome(computation, lease.lease_id, "expired")
+                if computation.lease_attempts >= self.fleet.config.dead_letter_after:
+                    self.fleet.counters["dead_letter"] += 1
+                    self.fleet.dead_letters.append(
+                        {
+                            "key": computation.key,
+                            "experiment_id": computation.spec.experiment_id,
+                            "lease_attempts": computation.lease_attempts,
+                            "lease_history": list(computation.lease_history),
+                        }
                     )
-                else:
-                    still_waiting.append((ready_at, computation))
-            self._delayed = still_waiting
+                    self._finish_computation(
+                        computation,
+                        state=JobState.DEAD_LETTER,
+                        error=(
+                            f"dead-lettered after {computation.lease_attempts} "
+                            f"failed lease(s)"
+                        ),
+                        attempts=computation.lease_attempts,
+                    )
+                    continue
+                delay = lease_backoff_seconds(
+                    computation.key,
+                    computation.lease_attempts,
+                    self.fleet.config.backoff_cap,
+                )
+                computation.state = JobState.QUEUED
+                for job in computation.jobs:
+                    job.state = JobState.QUEUED
+                    self._publish_job(job)
+                self.fleet.counters["redispatches"] += 1
+                self._queued += 1
+                self._delayed.append((self.fleet.now() + delay, computation))
+            if self._delayed:
+                now = self.fleet.now()
+                still_waiting = []
+                for ready_at, computation in self._delayed:
+                    if computation.cancelled:
+                        continue  # cancel() already settled the accounting
+                    if ready_at <= now:
+                        heapq.heappush(
+                            self._heap,
+                            (
+                                -computation.priority,
+                                next(self._sequence),
+                                computation,
+                            ),
+                        )
+                    else:
+                        still_waiting.append((ready_at, computation))
+                self._delayed = still_waiting
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Counters plus gauges for ``/metrics`` and ``/healthz``."""
-        running = sum(
-            1
-            for computation in self._inflight.values()
-            if computation.state == JobState.RUNNING
-        )
-        data: Dict[str, object] = dict(self.counters)
-        data["queued"] = self._queued
-        data["running"] = running
-        data["inflight_keys"] = len(self._inflight)
-        data["workers"] = self.workers
-        data["delayed"] = len(self._delayed)
-        data["retry_after_seconds"] = self.retry_after_seconds()
-        data["fleet"] = self.fleet.snapshot()
-        return data
+        with self.lock:
+            running = sum(
+                1
+                for computation in self._inflight.values()
+                if computation.state == JobState.RUNNING
+            )
+            data: Dict[str, object] = dict(self.counters)
+            data["queued"] = self._queued
+            data["running"] = running
+            data["inflight_keys"] = len(self._inflight)
+            data["workers"] = self.workers
+            data["delayed"] = len(self._delayed)
+            data["retry_after_seconds"] = self.retry_after_seconds()
+            data["fleet"] = self.fleet.snapshot()
+            return data
 
 
 def spec_with_timeout(spec: JobSpec, timeout: Optional[float]) -> JobSpec:

@@ -99,7 +99,7 @@ class ResultStore:
     multiple processes* (last replace wins — harmless, both wrote the
     same content-addressed bytes) but is safe for one service process
     with many threads when guarded by the scheduler's lock discipline:
-    all store calls happen on the scheduler's event-loop thread.
+    every store call runs under the scheduler's one lock.
     """
 
     def __init__(

@@ -23,7 +23,7 @@ only.
 
 Isolate-mode caveat: jobs running in the process pool cannot mirror
 run-local telemetry across the process boundary; their ``job`` frames
-still stream (the scheduler publishes those from the loop thread).
+still stream (the scheduler publishes those under its lock).
 """
 
 from __future__ import annotations

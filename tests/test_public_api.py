@@ -76,6 +76,43 @@ print(json.dumps({
 }))
 """
 
+#: Module families that neither the threaded scheduler nor an in-process
+#: run needs: each adds start-up time and peak memory to every server.
+_SERVER_FREE_FAMILIES = (
+    "asyncio", "concurrent.futures", "logging", "subprocess", "multiprocessing",
+)
+
+#: Run in a fresh interpreter: the service entry point serves one quick
+#: ``table2`` job with ``wait: true`` from a temporary store; prints the
+#: reply and which of the families named in ``argv`` it loaded.
+_SERVICE_JOB_PROBE = """
+import json, sys, tempfile
+import repro.service.__main__
+from repro.service.http import ServiceApp
+from repro.service.store import ResultStore
+with tempfile.TemporaryDirectory() as tmp:
+    with ServiceApp(ResultStore(tmp)) as app:
+        status, job = app.submit(
+            {"experiment_id": "table2", "profile": "quick", "wait": True}
+        )
+print(json.dumps({
+    "status": status,
+    "state": job["state"],
+    "loaded": [name for name in sys.argv[1:] if name in sys.modules],
+}))
+"""
+
+#: Run in a fresh interpreter: one task through the serial pool path;
+#: prints its status and whether ``multiprocessing`` got imported.
+_SERIAL_POOL_PROBE = """
+import json, sys
+from repro.experiments.profiles import QUICK
+from repro.runner.pool import execute_tasks
+from repro.runner.sharding import TaskSpec
+(entry,) = execute_tasks([TaskSpec("table2", "table2", 0, QUICK)], jobs=1)
+print(json.dumps([entry.status, "multiprocessing" in sys.modules]))
+"""
+
 
 def _run_fresh(code, *args):
     """Run ``code`` in a fresh interpreter with this ``repro`` on the path."""
@@ -192,9 +229,19 @@ class TestImportHygiene:
         assert _inside(loaded, "cache", "cpu", "channels", "engine", "scenario") == []
         assert not set(loaded) & _experiment_modules()
 
+    def test_served_job_loads_no_asyncio_or_process_machinery(self):
+        # The scheduler runs on threads and the in-process path never
+        # forks, so a server that computed a job has none of these.
+        report = _run_fresh(_SERVICE_JOB_PROBE, *_SERVER_FREE_FAMILIES)
+        assert (report["status"], report["state"]) == (200, "done")
+        assert report["loaded"] == []
+
+    def test_serial_execution_loads_no_multiprocessing(self):
+        assert _run_fresh(_SERIAL_POOL_PROBE) == ["ok", False]
+
     def test_concurrent_first_use_matches_serial(self):
         # The service's in-process workers import an experiment's modules
-        # from executor threads the first time a job needs them.
+        # from worker threads the first time a job needs them.
         ids = ["fig4", "fig5", "fig7", "sidechannel", "table2", "table4"]
         assert _run_fresh(_CONCURRENT_FIRST_USE_PROBE, *ids) == dict.fromkeys(ids, True)
 

@@ -6,7 +6,6 @@ are exercised without wall-clock sleeps.  The HTTP tests run a real
 server with a real :class:`~repro.service.worker.FleetWorker` thread.
 """
 
-import asyncio
 import threading
 import time
 
@@ -58,7 +57,7 @@ class FakeClock:
         self.now += seconds
 
 
-async def fleet_scheduler(tmp_path, **config):
+def fleet_scheduler(tmp_path, **config):
     """A started scheduler with a fake clock and one live fleet worker.
 
     Touching ``w-live`` before any submission keeps the in-process pool
@@ -71,7 +70,7 @@ async def fleet_scheduler(tmp_path, **config):
     scheduler = JobScheduler(
         store, workers=1, fleet=FleetConfig(**config)
     )
-    await scheduler.start()
+    scheduler.start()
     clock = FakeClock()
     scheduler.fleet.clock = clock
     scheduler.fleet.touch_worker("w-live")
@@ -115,341 +114,305 @@ class TestBackoff:
 
 class TestLeaseLifecycle:
     def test_claim_complete_stores_bit_identical_blob(self, tmp_path):
-        async def scenario():
-            scheduler, store, clock = await fleet_scheduler(tmp_path)
-            try:
-                job = await scheduler.submit(echo_spec(seed=5))
-                grant = await scheduler.fleet_claim("w-live")
-                assert grant["lease"]["attempt"] == 1
-                assert grant["job"]["entry_point"] == SEED_ECHO
-                assert grant["job"]["seed"] == 5
-                lease_id = grant["lease"]["lease_id"]
-                await scheduler.fleet_complete(
-                    lease_id,
-                    "w-live",
-                    echo_result(5).to_dict(),
-                    wall_seconds=0.25,
-                )
-                record = scheduler.job(job.job_id)
-                assert record.state == JobState.DONE
-                assert record.attempts == 1
-                assert record.wall_seconds == 0.25
-                assert record.lease_history[-1]["outcome"] == "completed"
-                assert store.get_bytes(job.key) == (
-                    echo_result(5).to_json().encode("utf-8")
-                )
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+        scheduler, store, clock = fleet_scheduler(tmp_path)
+        try:
+            job = scheduler.submit(echo_spec(seed=5))
+            grant = scheduler.fleet_claim("w-live")
+            assert grant["lease"]["attempt"] == 1
+            assert grant["job"]["entry_point"] == SEED_ECHO
+            assert grant["job"]["seed"] == 5
+            lease_id = grant["lease"]["lease_id"]
+            scheduler.fleet_complete(
+                lease_id,
+                "w-live",
+                echo_result(5).to_dict(),
+                wall_seconds=0.25,
+            )
+            record = scheduler.job(job.job_id)
+            assert record.state == JobState.DONE
+            assert record.attempts == 1
+            assert record.wall_seconds == 0.25
+            assert record.lease_history[-1]["outcome"] == "completed"
+            assert store.get_bytes(job.key) == (
+                echo_result(5).to_json().encode("utf-8")
+            )
+        finally:
+            scheduler.stop()
 
     def test_heartbeat_extends_the_lease(self, tmp_path):
-        async def scenario():
-            scheduler, _store, clock = await fleet_scheduler(
-                tmp_path, lease_ttl=10.0
-            )
-            try:
-                await scheduler.submit(echo_spec())
-                grant = await scheduler.fleet_claim("w-live")
-                lease_id = grant["lease"]["lease_id"]
-                # Without the renewal this would be 2s past expiry.
-                clock.advance(8.0)
-                renewed = await scheduler.fleet_heartbeat(lease_id, "w-live")
-                assert renewed["renewals"] == 1
-                clock.advance(4.0)
-                scheduler.supervise_once()
-                assert lease_id in scheduler.fleet.leases
-                assert scheduler.fleet.counters["leases_expired"] == 0
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+        scheduler, _store, clock = fleet_scheduler(
+            tmp_path, lease_ttl=10.0
+        )
+        try:
+            scheduler.submit(echo_spec())
+            grant = scheduler.fleet_claim("w-live")
+            lease_id = grant["lease"]["lease_id"]
+            # Without the renewal this would be 2s past expiry.
+            clock.advance(8.0)
+            renewed = scheduler.fleet_heartbeat(lease_id, "w-live")
+            assert renewed["renewals"] == 1
+            clock.advance(4.0)
+            scheduler.supervise_once()
+            assert lease_id in scheduler.fleet.leases
+            assert scheduler.fleet.counters["leases_expired"] == 0
+        finally:
+            scheduler.stop()
 
     def test_foreign_worker_cannot_use_the_lease(self, tmp_path):
-        async def scenario():
-            scheduler, _store, _clock = await fleet_scheduler(tmp_path)
-            try:
-                await scheduler.submit(echo_spec())
-                grant = await scheduler.fleet_claim("w-live")
-                lease_id = grant["lease"]["lease_id"]
-                with pytest.raises(LeaseError):
-                    await scheduler.fleet_heartbeat(lease_id, "w-other")
-                with pytest.raises(LeaseError):
-                    await scheduler.fleet_complete(
-                        lease_id, "w-other", echo_result().to_dict()
-                    )
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+        scheduler, _store, _clock = fleet_scheduler(tmp_path)
+        try:
+            scheduler.submit(echo_spec())
+            grant = scheduler.fleet_claim("w-live")
+            lease_id = grant["lease"]["lease_id"]
+            with pytest.raises(LeaseError):
+                scheduler.fleet_heartbeat(lease_id, "w-other")
+            with pytest.raises(LeaseError):
+                scheduler.fleet_complete(
+                    lease_id, "w-other", echo_result().to_dict()
+                )
+        finally:
+            scheduler.stop()
 
 
 class TestExpiryAndRedispatch:
     def test_expiry_redispatch_and_stale_upload_rejection(self, tmp_path):
-        async def scenario():
-            scheduler, store, clock = await fleet_scheduler(
-                tmp_path, lease_ttl=10.0, backoff_cap=5.0
+        scheduler, store, clock = fleet_scheduler(
+            tmp_path, lease_ttl=10.0, backoff_cap=5.0
+        )
+        try:
+            job = scheduler.submit(echo_spec(seed=9))
+            first = scheduler.fleet_claim("w-live")
+            stale_id = first["lease"]["lease_id"]
+
+            # TTL elapses without a heartbeat: the supervisor expires
+            # the lease and parks the computation in backoff.
+            clock.advance(10.5)
+            scheduler.supervise_once()
+            assert scheduler.fleet.counters["leases_expired"] == 1
+            assert scheduler.fleet.counters["redispatches"] == 1
+            assert scheduler.job(job.job_id).state == JobState.QUEUED
+
+            # Not claimable until the backoff elapses.
+            idle = scheduler.fleet_claim("w-live")
+            assert idle["lease"] is None
+
+            clock.advance(
+                lease_backoff_seconds(job.key, 1, cap=5.0) + 0.01
             )
-            try:
-                job = await scheduler.submit(echo_spec(seed=9))
-                first = await scheduler.fleet_claim("w-live")
-                stale_id = first["lease"]["lease_id"]
+            scheduler.supervise_once()
+            second = scheduler.fleet_claim("w-live")
+            assert second["lease"]["attempt"] == 2
 
-                # TTL elapses without a heartbeat: the supervisor expires
-                # the lease and parks the computation in backoff.
-                clock.advance(10.5)
-                scheduler.supervise_once()
-                assert scheduler.fleet.counters["leases_expired"] == 1
-                assert scheduler.fleet.counters["redispatches"] == 1
-                assert scheduler.job(job.job_id).state == JobState.QUEUED
-
-                # Not claimable until the backoff elapses.
-                idle = await scheduler.fleet_claim("w-live")
-                assert idle["lease"] is None
-
-                clock.advance(
-                    lease_backoff_seconds(job.key, 1, cap=5.0) + 0.01
+            # The original (expired) worker finishes anyway: its
+            # upload quotes a dead lease and must bounce 409-style.
+            with pytest.raises(LeaseError):
+                scheduler.fleet_complete(
+                    stale_id, "w-live", echo_result(9).to_dict()
                 )
-                scheduler.supervise_once()
-                second = await scheduler.fleet_claim("w-live")
-                assert second["lease"]["attempt"] == 2
+            assert scheduler.fleet.counters["uploads_rejected"] == 1
+            assert store.get_bytes(job.key) is None
 
-                # The original (expired) worker finishes anyway: its
-                # upload quotes a dead lease and must bounce 409-style.
-                with pytest.raises(LeaseError):
-                    await scheduler.fleet_complete(
-                        stale_id, "w-live", echo_result(9).to_dict()
-                    )
-                assert scheduler.fleet.counters["uploads_rejected"] == 1
-                assert store.get_bytes(job.key) is None
-
-                await scheduler.fleet_complete(
-                    second["lease"]["lease_id"],
-                    "w-live",
-                    echo_result(9).to_dict(),
-                )
-                record = scheduler.job(job.job_id)
-                assert record.state == JobState.DONE
-                history = [
-                    (entry["attempt"], entry["outcome"])
-                    for entry in record.lease_history
-                ]
-                assert history == [(1, "expired"), (2, "completed")]
-                assert store.get_bytes(job.key) == (
-                    echo_result(9).to_json().encode("utf-8")
-                )
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+            scheduler.fleet_complete(
+                second["lease"]["lease_id"],
+                "w-live",
+                echo_result(9).to_dict(),
+            )
+            record = scheduler.job(job.job_id)
+            assert record.state == JobState.DONE
+            history = [
+                (entry["attempt"], entry["outcome"])
+                for entry in record.lease_history
+            ]
+            assert history == [(1, "expired"), (2, "completed")]
+            assert store.get_bytes(job.key) == (
+                echo_result(9).to_json().encode("utf-8")
+            )
+        finally:
+            scheduler.stop()
 
     def test_torn_upload_is_rejected_without_releasing_the_lease(
         self, tmp_path
     ):
-        async def scenario():
-            scheduler, store, _clock = await fleet_scheduler(tmp_path)
-            try:
-                job = await scheduler.submit(echo_spec(seed=3))
-                grant = await scheduler.fleet_claim("w-live")
-                lease_id = grant["lease"]["lease_id"]
-                with pytest.raises(ConfigurationError):
-                    await scheduler.fleet_complete(
-                        lease_id, "w-live", {"garbage": True}
-                    )
-                # The lease survives (a torn upload looks like a worker
-                # dying mid-upload; expiry will re-dispatch), the store
-                # holds nothing, and a clean retry of the upload lands.
-                assert lease_id in scheduler.fleet.leases
-                assert store.get_bytes(job.key) is None
-                await scheduler.fleet_complete(
-                    lease_id, "w-live", echo_result(3).to_dict()
+        scheduler, store, _clock = fleet_scheduler(tmp_path)
+        try:
+            job = scheduler.submit(echo_spec(seed=3))
+            grant = scheduler.fleet_claim("w-live")
+            lease_id = grant["lease"]["lease_id"]
+            with pytest.raises(ConfigurationError):
+                scheduler.fleet_complete(
+                    lease_id, "w-live", {"garbage": True}
                 )
-                assert scheduler.job(job.job_id).state == JobState.DONE
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+            # The lease survives (a torn upload looks like a worker
+            # dying mid-upload; expiry will re-dispatch), the store
+            # holds nothing, and a clean retry of the upload lands.
+            assert lease_id in scheduler.fleet.leases
+            assert store.get_bytes(job.key) is None
+            scheduler.fleet_complete(
+                lease_id, "w-live", echo_result(3).to_dict()
+            )
+            assert scheduler.job(job.job_id).state == JobState.DONE
+        finally:
+            scheduler.stop()
 
     def test_dead_letter_after_k_failed_leases(self, tmp_path):
-        async def scenario():
-            scheduler, store, clock = await fleet_scheduler(
-                tmp_path, lease_ttl=10.0, dead_letter_after=3
-            )
-            try:
-                job = await scheduler.submit(echo_spec(seed=13))
-                for attempt in range(1, 4):
-                    # Claim may need the backoff promoted first.
-                    grant = await scheduler.fleet_claim("w-live")
-                    assert grant["lease"]["attempt"] == attempt
-                    clock.advance(10.5)
-                    scheduler.supervise_once()
-                    clock.advance(
-                        lease_backoff_seconds(
-                            job.key, attempt, cap=5.0
-                        )
-                        + 0.01
+        scheduler, store, clock = fleet_scheduler(
+            tmp_path, lease_ttl=10.0, dead_letter_after=3
+        )
+        try:
+            job = scheduler.submit(echo_spec(seed=13))
+            for attempt in range(1, 4):
+                # Claim may need the backoff promoted first.
+                grant = scheduler.fleet_claim("w-live")
+                assert grant["lease"]["attempt"] == attempt
+                clock.advance(10.5)
+                scheduler.supervise_once()
+                clock.advance(
+                    lease_backoff_seconds(
+                        job.key, attempt, cap=5.0
                     )
-                    scheduler.supervise_once()
-                record = scheduler.job(job.job_id)
-                assert record.state == JobState.DEAD_LETTER
-                assert "dead-lettered after 3" in str(record.error)
-                assert [
-                    entry["outcome"] for entry in record.lease_history
-                ] == ["expired", "expired", "expired"]
-                assert scheduler.fleet.counters["dead_letter"] == 1
-                assert len(scheduler.fleet.dead_letters) == 1
-                quarantined = scheduler.fleet.dead_letters[0]
-                assert quarantined["key"] == job.key
-                assert quarantined["lease_attempts"] == 3
-                assert len(quarantined["lease_history"]) == 3
-                assert store.get_bytes(job.key) is None
-                # Terminal: nothing further to claim.
-                assert (await scheduler.fleet_claim("w-live"))["lease"] is None
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+                    + 0.01
+                )
+                scheduler.supervise_once()
+            record = scheduler.job(job.job_id)
+            assert record.state == JobState.DEAD_LETTER
+            assert "dead-lettered after 3" in str(record.error)
+            assert [
+                entry["outcome"] for entry in record.lease_history
+            ] == ["expired", "expired", "expired"]
+            assert scheduler.fleet.counters["dead_letter"] == 1
+            assert len(scheduler.fleet.dead_letters) == 1
+            quarantined = scheduler.fleet.dead_letters[0]
+            assert quarantined["key"] == job.key
+            assert quarantined["lease_attempts"] == 3
+            assert len(quarantined["lease_history"]) == 3
+            assert store.get_bytes(job.key) is None
+            # Terminal: nothing further to claim.
+            assert (scheduler.fleet_claim("w-live"))["lease"] is None
+        finally:
+            scheduler.stop()
 
     def test_cancellation_racing_lease_expiry(self, tmp_path):
         """Cancel lands between expiry and re-claim: the job must never
         run again and the dead worker's late upload must not store."""
 
-        async def scenario():
-            scheduler, store, clock = await fleet_scheduler(tmp_path)
-            try:
-                job = await scheduler.submit(echo_spec(seed=21))
-                grant = await scheduler.fleet_claim("w-live")
-                stale_id = grant["lease"]["lease_id"]
-                clock.advance(10.5)
-                scheduler.supervise_once()  # expired → backoff, QUEUED
-                assert scheduler.job(job.job_id).state == JobState.QUEUED
+        scheduler, store, clock = fleet_scheduler(tmp_path)
+        try:
+            job = scheduler.submit(echo_spec(seed=21))
+            grant = scheduler.fleet_claim("w-live")
+            stale_id = grant["lease"]["lease_id"]
+            clock.advance(10.5)
+            scheduler.supervise_once()  # expired → backoff, QUEUED
+            assert scheduler.job(job.job_id).state == JobState.QUEUED
 
-                assert await scheduler.cancel(job.job_id) is True
-                assert scheduler.job(job.job_id).state == JobState.CANCELLED
+            assert scheduler.cancel(job.job_id) is True
+            assert scheduler.job(job.job_id).state == JobState.CANCELLED
 
-                # The dead lease's upload bounces and stores nothing.
-                with pytest.raises(LeaseError):
-                    await scheduler.fleet_complete(
-                        stale_id, "w-live", echo_result(21).to_dict()
-                    )
-                assert store.get_bytes(job.key) is None
+            # The dead lease's upload bounces and stores nothing.
+            with pytest.raises(LeaseError):
+                scheduler.fleet_complete(
+                    stale_id, "w-live", echo_result(21).to_dict()
+                )
+            assert store.get_bytes(job.key) is None
 
-                # Backoff elapses: the cancelled computation must not be
-                # promoted back onto the heap or claimed again.
-                clock.advance(60.0)
-                scheduler.supervise_once()
-                assert (await scheduler.fleet_claim("w-live"))["lease"] is None
-                assert scheduler._queued == 0
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+            # Backoff elapses: the cancelled computation must not be
+            # promoted back onto the heap or claimed again.
+            clock.advance(60.0)
+            scheduler.supervise_once()
+            assert (scheduler.fleet_claim("w-live"))["lease"] is None
+            assert scheduler._queued == 0
+        finally:
+            scheduler.stop()
 
 
 class TestDegradationLadder:
     def test_zero_workers_falls_back_to_in_process_pool(self, tmp_path):
         """No fleet workers ever seen: the pre-fleet path still serves."""
 
-        async def scenario():
-            store = ResultStore(tmp_path / "store")
-            scheduler = JobScheduler(
-                store, workers=1, fleet=FleetConfig(lease_ttl=10.0)
+        store = ResultStore(tmp_path / "store")
+        scheduler = JobScheduler(
+            store, workers=1, fleet=FleetConfig(lease_ttl=10.0)
+        )
+        with scheduler:
+            job = scheduler.submit(echo_spec(seed=7))
+            record = scheduler.wait(job.job_id, timeout=WAIT)
+            assert record.state == JobState.DONE
+            assert record.lease_history == []
+            assert store.get_bytes(job.key) == (
+                echo_result(7).to_json().encode("utf-8")
             )
-            async with scheduler:
-                job = await scheduler.submit(echo_spec(seed=7))
-                record = await scheduler.wait(job.job_id, timeout=WAIT)
-                assert record.state == JobState.DONE
-                assert record.lease_history == []
-                assert store.get_bytes(job.key) == (
-                    echo_result(7).to_json().encode("utf-8")
-                )
-
-        asyncio.run(scenario())
 
     def test_expired_fleet_worker_reenables_in_process_pool(self, tmp_path):
         """A fleet worker that vanishes hands the queue back in-process."""
 
-        async def scenario():
-            store = ResultStore(tmp_path / "store")
-            scheduler = JobScheduler(
-                store,
-                workers=1,
-                fleet=FleetConfig(lease_ttl=0.2, supervisor_interval=0.05),
-            )
-            async with scheduler:
-                scheduler.fleet.touch_worker("w-ghost")
-                assert scheduler._fleet_engaged()
-                job = await scheduler.submit(echo_spec(seed=30))
-                # The ghost never claims; once its worker TTL (= lease
-                # TTL) lapses the in-process pool picks the job up.
-                record = await scheduler.wait(job.job_id, timeout=WAIT)
-                assert record.state == JobState.DONE
-                assert record.lease_history == []
-
-        asyncio.run(scenario())
+        store = ResultStore(tmp_path / "store")
+        scheduler = JobScheduler(
+            store,
+            workers=1,
+            fleet=FleetConfig(lease_ttl=0.2, supervisor_interval=0.05),
+        )
+        with scheduler:
+            scheduler.fleet.touch_worker("w-ghost")
+            assert scheduler._fleet_engaged()
+            job = scheduler.submit(echo_spec(seed=30))
+            # The ghost never claims; once its worker TTL (= lease
+            # TTL) lapses the in-process pool picks the job up.
+            record = scheduler.wait(job.job_id, timeout=WAIT)
+            assert record.state == JobState.DONE
+            assert record.lease_history == []
 
     def test_min_workers_sheds_submissions_with_retry_hint(self, tmp_path):
-        async def scenario():
-            store = ResultStore(tmp_path / "store")
-            scheduler = JobScheduler(
-                store, workers=1, fleet=FleetConfig(min_workers=2)
-            )
-            async with scheduler:
-                scheduler.fleet.touch_worker("w-only")
-                with pytest.raises(FleetUnavailableError) as excinfo:
-                    await scheduler.submit(echo_spec())
-                assert "1 live worker(s), 2 required" in str(excinfo.value)
-                assert excinfo.value.retry_after >= 1
-                assert scheduler.fleet.counters["shed"] == 1
-                # The shed submission left no orphan records behind.
-                assert scheduler._queued == 0
-                assert not scheduler._inflight
-                assert scheduler._jobs == {}
-
-        asyncio.run(scenario())
+        store = ResultStore(tmp_path / "store")
+        scheduler = JobScheduler(
+            store, workers=1, fleet=FleetConfig(min_workers=2)
+        )
+        with scheduler:
+            scheduler.fleet.touch_worker("w-only")
+            with pytest.raises(FleetUnavailableError) as excinfo:
+                scheduler.submit(echo_spec())
+            assert "1 live worker(s), 2 required" in str(excinfo.value)
+            assert excinfo.value.retry_after >= 1
+            assert scheduler.fleet.counters["shed"] == 1
+            # The shed submission left no orphan records behind.
+            assert scheduler._queued == 0
+            assert not scheduler._inflight
+            assert scheduler._jobs == {}
 
     def test_draining_sheds_new_work_but_finishes_leases(self, tmp_path):
-        async def scenario():
-            scheduler, _store, _clock = await fleet_scheduler(tmp_path)
-            try:
-                job = await scheduler.submit(echo_spec(seed=2))
-                grant = await scheduler.fleet_claim("w-live")
-                scheduler.begin_drain()
-                with pytest.raises(FleetUnavailableError):
-                    await scheduler.submit(echo_spec(seed=99))
-                # Drain-mode claims tell the worker to exit.
-                assert (await scheduler.fleet_claim("w-live"))["draining"]
-                # The in-flight lease still completes normally.
-                await scheduler.fleet_complete(
-                    grant["lease"]["lease_id"],
-                    "w-live",
-                    echo_result(2).to_dict(),
-                )
-                assert scheduler.job(job.job_id).state == JobState.DONE
-                assert await scheduler.drain(timeout=1.0) is True
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+        scheduler, _store, _clock = fleet_scheduler(tmp_path)
+        try:
+            job = scheduler.submit(echo_spec(seed=2))
+            grant = scheduler.fleet_claim("w-live")
+            scheduler.begin_drain()
+            with pytest.raises(FleetUnavailableError):
+                scheduler.submit(echo_spec(seed=99))
+            # Drain-mode claims tell the worker to exit.
+            assert (scheduler.fleet_claim("w-live"))["draining"]
+            # The in-flight lease still completes normally.
+            scheduler.fleet_complete(
+                grant["lease"]["lease_id"],
+                "w-live",
+                echo_result(2).to_dict(),
+            )
+            assert scheduler.job(job.job_id).state == JobState.DONE
+            assert scheduler.drain(timeout=1.0) is True
+        finally:
+            scheduler.stop()
 
     def test_retry_after_tracks_backlog_and_capacity(self, tmp_path):
-        async def scenario():
-            scheduler, _store, _clock = await fleet_scheduler(tmp_path)
-            try:
-                idle_hint = scheduler.retry_after_seconds()
-                assert 1 <= idle_hint <= 60
-                for seed in range(6):
-                    await scheduler.submit(echo_spec(seed=seed))
-                loaded_hint = scheduler.retry_after_seconds()
-                assert loaded_hint >= idle_hint
-                # More live workers divide the backlog down.
-                for index in range(7):
-                    scheduler.fleet.touch_worker(f"w-extra-{index}")
-                assert scheduler.retry_after_seconds() <= loaded_hint
-            finally:
-                await scheduler.stop()
-
-        asyncio.run(scenario())
+        scheduler, _store, _clock = fleet_scheduler(tmp_path)
+        try:
+            idle_hint = scheduler.retry_after_seconds()
+            assert 1 <= idle_hint <= 60
+            for seed in range(6):
+                scheduler.submit(echo_spec(seed=seed))
+            loaded_hint = scheduler.retry_after_seconds()
+            assert loaded_hint >= idle_hint
+            # More live workers divide the backlog down.
+            for index in range(7):
+                scheduler.fleet.touch_worker(f"w-extra-{index}")
+            assert scheduler.retry_after_seconds() <= loaded_hint
+        finally:
+            scheduler.stop()
 
 
 class TestFleetOverHTTP:
@@ -598,14 +561,11 @@ class TestSigtermDrain:
     def test_stop_cancels_outstanding_leases(self, tmp_path):
         """stop() after a failed drain leaves no waiter hanging."""
 
-        async def scenario():
-            scheduler, _store, _clock = await fleet_scheduler(tmp_path)
-            job = await scheduler.submit(echo_spec(seed=77))
-            await scheduler.fleet_claim("w-live")
-            assert await scheduler.drain(timeout=0.05) is False
-            await scheduler.stop()
-            record = scheduler.job(job.job_id)
-            assert record.state == JobState.CANCELLED
-            assert scheduler.fleet.leases == {}
-
-        asyncio.run(scenario())
+        scheduler, _store, _clock = fleet_scheduler(tmp_path)
+        job = scheduler.submit(echo_spec(seed=77))
+        scheduler.fleet_claim("w-live")
+        assert scheduler.drain(timeout=0.05) is False
+        scheduler.stop()
+        record = scheduler.job(job.job_id)
+        assert record.state == JobState.CANCELLED
+        assert scheduler.fleet.leases == {}

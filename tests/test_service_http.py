@@ -168,6 +168,34 @@ class TestErrorCodes:
             service._json("GET", "/nope")
         assert excinfo.value.status == 404
 
+    def test_unmapped_exception_is_500_internal(self, service, monkeypatch):
+        def explode(self, payload):
+            raise RuntimeError("not a ReproError")
+
+        monkeypatch.setattr(ServiceApp, "submit", explode)
+        address = urllib.parse.urlsplit(service.base_url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST", "/jobs", body=json.dumps({"experiment_id": "table4"}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            envelope = json.loads(response.read().decode("utf-8"))
+            assert response.status == 500
+            assert envelope["error"]["code"] == "internal"
+            # The connection stays open for the next request.
+            sock = connection.sock
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            assert connection.sock is sock
+        finally:
+            connection.close()
+
 
 class TestBackpressureOverHTTP:
     @pytest.fixture

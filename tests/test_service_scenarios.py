@@ -226,6 +226,58 @@ class TestErrorEnvelope:
         assert excinfo.value.code == "bad_request"
         assert service.healthz()["scheduler"]["computations"] == computations
 
+    @pytest.mark.parametrize(
+        "scenario, path, value",
+        [
+            ("random-l1-trace", ("scenario", "channel", "target_set"), "x"),
+            ("random-l1-trace", ("scenario", "channel", "target_set"), 2.7),
+            ("random-l1-trace", ("scenario", "schema_version"), "x"),
+            ("random-l1-trace", ("scenario", "params", "period"), "fast"),
+            ("random-l1-trace", ("scenario", "channel", "codec", "d_on"), [1]),
+            (
+                "random-l1-trace",
+                ("scenario", "channel", "codec", "level_map"),
+                {"x": 3},
+            ),
+            (
+                "random-l1-trace",
+                ("scenario", "channel", "sender", "ensure_resident"),
+                "false",
+            ),
+            (
+                "fault_tolerance",
+                ("scenario", "params", "fault", "drop_rate"),
+                "often",
+            ),
+            ("random-l1-trace", ("profile",), {"name": "quick", "engine": "fast"}),
+            ("random-l1-trace", ("wait",), "soon"),
+            ("random-l1-trace", ("timeout",), True),
+        ],
+        ids=[
+            "string-target-set", "fractional-target-set",
+            "string-schema-version", "string-period", "list-d-on",
+            "non-numeric-level-map-symbol", "string-ensure-resident",
+            "string-fault-rate", "profile-without-reduced", "string-wait",
+            "boolean-timeout",
+        ],
+    )
+    def test_malformed_field_is_400_before_queueing(
+        self, service, scenario, path, value
+    ):
+        spec_file = RANDOM_L1_TRACE.parent / f"{scenario}.json"
+        spec = json.loads(spec_file.read_text(encoding="utf-8"))
+        body = {"scenario": spec, "profile": "quick", "wait": True}
+        parent = body
+        for name in path[:-1]:
+            parent = parent[name]
+        parent[path[-1]] = value
+        computations = service.healthz()["scheduler"]["computations"]
+        with pytest.raises(ServiceError) as excinfo:
+            service._json("POST", "/jobs", body, ok=(200, 202))
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert service.healthz()["scheduler"]["computations"] == computations
+
     def test_unknown_experiment_is_400_bad_request(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.submit("not-a-thing")
