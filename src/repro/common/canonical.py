@@ -21,16 +21,27 @@ even JSON.
   silently colliding across layout changes.
 
 :func:`canonical_digest` is the companion content address: the SHA-256
-hex digest of the canonical bytes.
+hex digest of the canonical bytes.  It takes ``sha256`` from CPython's
+built-in module (``_sha256`` through 3.11, ``_sha2`` from 3.12), as the
+``random`` module takes its SHA-512, so computing a key loads neither
+``hashlib`` nor OpenSSL's libcrypto.  ``hashlib`` is the fallback for
+interpreters built without that module; the digest is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict
 
 from repro.common.errors import ConfigurationError
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: Top-level keys accepted as the explicit version stamp when
 #: ``require_version=True``.  ``schema_version`` is what result and
@@ -79,7 +90,7 @@ def canonical_json(data: object, *, require_version: bool = False) -> str:
 def canonical_digest(data: object, *, require_version: bool = False) -> str:
     """SHA-256 hex digest of :func:`canonical_json` — a content address."""
     text = canonical_json(data, require_version=require_version)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 def canonical_loads(text: str) -> Dict[str, object]:

@@ -16,7 +16,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ReproError
 from repro.experiments.base import ExperimentResult
@@ -84,7 +84,8 @@ class ServiceClient:
             ) as response:
                 return response.status, response.read()
         except urllib.error.HTTPError as exc:
-            return exc.code, exc.read()
+            with exc:
+                return exc.code, exc.read()
 
     def _json(self, method: str, path: str,
               body: Optional[Dict[str, object]] = None,
@@ -280,11 +281,14 @@ class ServiceClient:
         reconnect: bool = True,
         max_reconnects: int = 5,
         timeout: Optional[float] = None,
+        types: Optional[Sequence[str]] = None,
     ) -> Iterator[Dict[str, object]]:
         """Yield decoded frames from the NDJSON event stream.
 
         ``job_id=None`` follows the server-wide ``GET /events``;
-        otherwise ``GET /jobs/{id}/events``.  Each yielded dict carries
+        otherwise ``GET /jobs/{id}/events``.  ``types`` (e.g. ``("job",
+        "alarm")``) asks the server to queue only frames of those types,
+        so rare frames survive a busy hub.  Each yielded dict carries
         ``id`` and ``type`` plus the frame payload.  On a broken
         connection the generator transparently reconnects (up to
         ``max_reconnects`` times) with ``Last-Event-ID`` set to the
@@ -299,6 +303,8 @@ class ServiceClient:
         attempts = 0
         while max_events is None or delivered < max_events:
             query: Dict[str, str] = {"format": "ndjson"}
+            if types is not None:
+                query["type"] = ",".join(types)
             if max_events is not None:
                 query["max_events"] = str(max_events - delivered)
             url = (

@@ -1,8 +1,12 @@
 """Stdlib-only HTTP/JSON API over the scheduler and result store.
 
-The server is a :class:`http.server.ThreadingHTTPServer`.  Handler
-threads call the scheduler directly, and every store and telemetry call
-they make runs under the scheduler's one lock
+The server is a threading :mod:`socketserver` TCP server with a small
+HTTP/1.1 layer of its own (:class:`ServiceHandler`): keep-alive,
+``Content-Length`` bodies, ``Expect: 100-continue`` and
+``http.server``'s input caps, but no ``http.server``, whose
+``http.client`` would load ``ssl`` and the ``email`` package into every
+serving process.  Handler threads call the scheduler directly, and every
+store and telemetry call they make runs under the scheduler's one lock
 (:attr:`repro.service.scheduler.JobScheduler.lock`), so scheduler *and
 store* state change under that lock alone.
 
@@ -28,7 +32,10 @@ Routes
                                     ``Last-Event-ID`` (header or query)
                                     resumes, ``?max_events=N`` bounds,
                                     ``?format=sse|ndjson`` selects
-                                    framing
+                                    framing, ``?type=a,b`` keeps only
+                                    frames of those types (also on
+                                    ``/jobs/{id}/events``; empty is
+                                    ``400``)
 ``GET /results/{key}``              the stored result blob, verbatim bytes
 ``GET /experiments``                registered experiment ids
 ``GET /healthz``                    liveness + queue/store/fleet/stream
@@ -71,7 +78,14 @@ Every non-2xx response carries one JSON envelope::
 
 with ``code`` one of ``bad_request`` (400), ``not_found`` (404),
 ``conflict`` (409), ``queue_full`` (429), ``unavailable`` (503) or
-``internal`` (500).
+``internal`` (500).  Requests the HTTP layer refuses before any route
+runs get the same envelope, and the connection then closes: a malformed
+request line, header or ``Content-Length`` (``bad_request``), a request
+line over 65,536 bytes (``uri_too_long``, 414), a header line over
+65,536 bytes or more than 100 headers (``headers_too_large``, 431), an
+unknown method or a ``Transfer-Encoding`` body (``not_implemented``,
+501), and an HTTP major version other than 1 (``version_not_supported``,
+505).
 """
 
 from __future__ import annotations
@@ -79,11 +93,15 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import re
 import signal
+import socketserver
+import sys
 import threading
+import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple, Union
+from http import HTTPStatus
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError, ManifestError, ReproError
 from repro.experiments.profiles import RunProfile
@@ -112,10 +130,40 @@ _ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     409: "conflict",
+    414: "uri_too_long",
     429: "queue_full",
+    431: "headers_too_large",
     500: "internal",
+    501: "not_implemented",
     503: "unavailable",
+    505: "version_not_supported",
 }
+
+#: Input caps, as ``http.server`` sets them: the longest request or
+#: header line in bytes, and the most header lines in one request.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/([0-9])\.([0-9])")
+_DECIMAL = re.compile(r"[0-9]{1,18}")
+
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+#: Control characters an access-log line escapes, as ``http.server`` does.
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_LOG_ESCAPES[ord("\\")] = "\\\\"
+
+
+def _http_date() -> str:
+    """The current time as an HTTP ``Date`` value, in English, in GMT."""
+    year, month, day, hh, mm, ss, weekday = time.gmtime()[:7]
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _WEEKDAYS[weekday], day, _MONTHS[month - 1], year, hh, mm, ss,
+    )
 
 
 class ServiceApp:
@@ -371,10 +419,28 @@ def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
     )
 
 
-class ServiceHandler(BaseHTTPRequestHandler):
-    """Routes requests into the :class:`ServiceApp` on ``self.server``."""
+class _RequestError(Exception):
+    """A request the HTTP layer refuses before any route runs."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class ServiceHandler(socketserver.StreamRequestHandler):
+    """HTTP/1.1 on one connection; routes requests into the :class:`ServiceApp`.
+
+    The handler parses the request line and headers itself, so a serving
+    process loads neither ``http.server`` nor ``http.client`` (and through
+    them ``ssl`` and the ``email`` package).  ``headers`` maps lower-cased
+    names to values.  Connections are kept alive unless the request is
+    HTTP/1.0 without ``Connection: keep-alive``, says ``Connection:
+    close``, or was refused.  A body the route did not read is skipped
+    before the next request, or the connection closes when it is large.
+    """
 
     server_version = "repro-service/1"
+    sys_version = "Python/" + sys.version.split()[0]
     protocol_version = "HTTP/1.1"
     # A response leaves as two writes (headers, then body).  With Nagle on,
     # a keep-alive connection holds the body until the client's delayed
@@ -385,11 +451,139 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def app(self) -> ServiceApp:
         return self.server.app  # type: ignore[attr-defined]
 
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
+    # -- protocol ------------------------------------------------------
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self.handle_one_request()
 
+    def handle_one_request(self) -> None:
+        self.command = self.path = self.requestline = ""
+        self.headers: Dict[str, str] = {}
+        self._body_left = 0
+        self._headers_buffer: List[bytes] = []
+        self._response_started = False
+        try:
+            if not self._parse_request():
+                self.close_connection = True
+                return
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                raise _RequestError(
+                    501, f"unsupported method {self.command!r}"
+                )
+        except _RequestError as exc:
+            # Any body is still unread: answer, then close.
+            self._send_error_json(exc.status, str(exc), {"Connection": "close"})
+            return
+        if self._expects_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        method()
+        # A body the route left unread: skip a small one, so that the next
+        # request parses from its first byte; close rather than read a
+        # large one.
+        if self._body_left > _MAX_LINE:
+            self.close_connection = True
+        elif self._body_left:
+            self._take_body()
+
+    def _parse_request(self) -> bool:
+        """Read the request line and headers; False once the client is gone.
+
+        Raises :class:`_RequestError` for a request to refuse.
+        """
+        raw = self.rfile.readline(_MAX_LINE + 1)
+        if len(raw) > _MAX_LINE:
+            raise _RequestError(
+                414, f"request line longer than {_MAX_LINE} bytes"
+            )
+        self.requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = _VERSION.fullmatch(words[-1]) if len(words) == 3 else None
+        if version is None:
+            raise _RequestError(
+                400, f"malformed request line {self.requestline!r}"
+            )
+        if version.group(1) != "1":
+            raise _RequestError(505, f"unsupported version {words[-1]!r}")
+        self.command, self.path = words[0], words[1]
+        self._read_headers()
+        connection = {
+            token.strip().lower()
+            for token in self.headers.get("connection", "").split(",")
+        }
+        http_11 = version.group(2) != "0"
+        if "close" in connection:
+            self.close_connection = True
+        elif not http_11:
+            self.close_connection = "keep-alive" not in connection
+        self._expects_continue = http_11 and (
+            self.headers.get("expect", "").lower() == "100-continue"
+        )
+        if "transfer-encoding" in self.headers:
+            raise _RequestError(
+                501, "chunked request bodies are not supported; "
+                     "send Content-Length"
+            )
+        length = self.headers.get("content-length", "0")
+        if _DECIMAL.fullmatch(length) is None:
+            raise _RequestError(400, f"malformed Content-Length {length!r}")
+        self._body_left = int(length)
+        return True
+
+    def _read_headers(self) -> None:
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _RequestError(
+                    431, f"header line longer than {_MAX_LINE} bytes"
+                )
+            if line in (b"\r\n", b"\n", b""):
+                return
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or name.split() != [name]:
+                raise _RequestError(400, f"malformed header line {line!r}")
+            key, value = name.lower(), value.strip()
+            if self.headers.setdefault(key, value) != value and (
+                key == "content-length"
+            ):
+                raise _RequestError(400, "conflicting Content-Length headers")
+        raise _RequestError(431, f"more than {_MAX_HEADERS} header lines")
+
+    def send_response(self, code: int) -> None:
+        self.log_message('"%s" %s -', self.requestline, code)
+        phrase = HTTPStatus(code).phrase
+        self._headers_buffer.append(
+            f"{self.protocol_version} {code} {phrase}\r\n".encode("latin-1")
+        )
+        self.send_header("Server", f"{self.server_version} {self.sys_version}")
+        self.send_header("Date", _http_date())
+
+    def send_header(self, keyword: str, value: str) -> None:
+        self._headers_buffer.append(f"{keyword}: {value}\r\n".encode("latin-1"))
+        if keyword.lower() == "connection" and value.lower() == "close":
+            self.close_connection = True
+
+    def end_headers(self) -> None:
+        self._response_started = True
+        self._headers_buffer.append(b"\r\n")
+        self.wfile.write(b"".join(self._headers_buffer))
+        self._headers_buffer = []
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        """One access-log line on stderr, in ``http.server``'s layout."""
+        if getattr(self.server, "verbose", False):
+            year, month, day, hh, mm, ss = time.localtime()[:6]
+            sys.stderr.write(
+                "%s - - [%02d/%s/%04d %02d:%02d:%02d] %s\n" % (
+                    self.client_address[0], day, _MONTHS[month - 1], year,
+                    hh, mm, ss, (format % args).translate(_LOG_ESCAPES),
+                )
+            )
+
+    # -- plumbing ------------------------------------------------------
     def _send_json(self, status: int, body: Dict[str, object],
                    headers: Optional[Dict[str, str]] = None) -> None:
         blob = json.dumps(body, sort_keys=True).encode("utf-8")
@@ -412,9 +606,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             headers,
         )
 
+    def _take_body(self) -> bytes:
+        """The request's ``Content-Length`` body; later calls get ``b""``."""
+        length, self._body_left = self._body_left, 0
+        return self.rfile.read(length) if length else b""
+
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._take_body()
         if not raw:
             raise ConfigurationError("request body must be a JSON object")
         try:
@@ -426,15 +624,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return body
 
     # -- methods -------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def do_POST(self) -> None:  # noqa: N802 - dispatched as do_<method>
         self._respond(self._post)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def do_GET(self) -> None:  # noqa: N802 - dispatched as do_<method>
         self._respond(self._get)
-
-    def end_headers(self) -> None:
-        self._response_started = True
-        super().end_headers()
 
     def _respond(self, route) -> None:
         """Run ``route``; answer what it raises with the error envelope.
@@ -443,7 +637,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         traceback on stderr, unless response bytes already left: then the
         connection is dropped, as for an ``OSError`` while streaming.
         """
-        self._response_started = False
         try:
             route()
         except QueueFullError as exc:
@@ -504,7 +697,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         flag = (params.get("stream") or ["0"])[0]
         if flag not in ("", "0", "false", "no"):
             return True
-        return "text/event-stream" in (self.headers.get("Accept") or "")
+        return "text/event-stream" in self.headers.get("accept", "")
 
     def _stream_events(
         self,
@@ -520,12 +713,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         subscriber still sees the job's earlier transitions.
         ``?max_events=N`` terminates the chunked body after N frames —
         the finite-response mode tests and one-shot consumers use.
+        ``?type=a,b`` queues only frames of those types for this client,
+        AND-ed with ``accepts``, so a busy hub cannot crowd them out of
+        its bounded queue.
         The handler thread blocks here; a slow consumer overflows its
         own bounded queue and can never back-pressure the scheduler.
         """
-        last_raw = self.headers.get("Last-Event-ID")
+        last_raw = self.headers.get("last-event-id")
         if last_raw is None:
-            last_raw = (params.get("last_event_id") or [None])[0]
+            last_raw = (params.get("last_event_id") or [""])[0] or None
         if last_raw is not None:
             try:
                 last_event_id: Optional[int] = int(last_raw)
@@ -535,7 +731,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
         else:
             last_event_id = 0 if default_replay else None
-        max_raw = (params.get("max_events") or [None])[0]
+        max_raw = (params.get("max_events") or [""])[0] or None
         max_events: Optional[int] = None
         if max_raw is not None:
             try:
@@ -548,8 +744,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 raise ConfigurationError(
                     f"max_events must be positive, got {max_events}"
                 )
+        types = params.get("type")
+        if types is not None:
+            names = {name for value in types for name in value.split(",") if name}
+            if not names:
+                raise ConfigurationError("type must name at least one frame type")
+            accepts = ServiceStream.type_filter(names, accepts)
         sse, content_type = negotiate_framing(
-            self.headers.get("Accept") or "", params
+            self.headers.get("accept", ""), params
         )
         client = self.app.stream.attach(
             last_event_id=last_event_id, accepts=accepts
@@ -572,7 +774,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _get(self) -> None:
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path
-        params = urllib.parse.parse_qs(parsed.query)
+        params = urllib.parse.parse_qs(parsed.query, keep_blank_values=True)
         if path == "/healthz":
             self._send_json(*self.app.healthz())
         elif path == "/metrics":
@@ -628,10 +830,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"no GET route {path!r}")
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """HTTP server carrying its :class:`ServiceApp` for the handler."""
+class ServiceServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    """Threaded HTTP server carrying its :class:`ServiceApp` for the handler."""
 
     daemon_threads = True
+    allow_reuse_address = True
     #: Accept backlog.  The stdlib default of 5 drops connections
     #: (ECONNRESET) under saturation bursts — a whole fleet of workers
     #: claiming/heartbeating while a submission burst lands.

@@ -11,8 +11,9 @@ the service-wide event spine:
   ``alarm`` / ``flip`` frames, sweep ``progress`` marks — mirrors into
   the hub with a ``job_id`` stamp;
 * HTTP handler threads attach bounded :class:`~repro.telemetry.net
-  .StreamClient` queues and write frames out as SSE or NDJSON
-  (see :func:`write_stream`).
+  .StreamClient` queues, filtered by job and, with ``?type=``, by frame
+  type (:meth:`ServiceStream.type_filter`), and write frames out as SSE
+  or NDJSON (see :func:`write_stream`).
 
 The hub assigns its own monotonically increasing event ids, which are
 the ``Last-Event-ID`` resume cursor of the HTTP endpoints.  A slow or
@@ -29,7 +30,7 @@ still stream (the scheduler publishes those under its lock).
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.telemetry.net import (
     StreamClient,
@@ -110,6 +111,19 @@ class ServiceStream:
             )
 
         return accepts
+
+    @staticmethod
+    def type_filter(
+        types: Iterable[str],
+        accepts: Optional[Callable[[StreamFrame], bool]] = None,
+    ) -> Callable[[StreamFrame], bool]:
+        """Predicate keeping only frames of ``types`` that ``accepts`` keeps."""
+        wanted = frozenset(types)
+
+        def keeps(frame: StreamFrame) -> bool:
+            return frame.type in wanted and (accepts is None or accepts(frame))
+
+        return keeps
 
     def snapshot(self) -> Dict[str, object]:
         """Gauge view for ``/healthz`` and ``/metrics``."""

@@ -1,6 +1,7 @@
 """The package's top-level public API surface."""
 
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -82,24 +83,47 @@ _SERVER_FREE_FAMILIES = (
     "asyncio", "concurrent.futures", "logging", "subprocess", "multiprocessing",
 )
 
-#: Run in a fresh interpreter: the service entry point serves one quick
-#: ``table2`` job with ``wait: true`` from a temporary store; prints the
-#: reply and which of the families named in ``argv`` it loaded.
+#: Modules a server that speaks plain HTTP has no use for: ``http.server``
+#: and ``http.client`` load the ``email`` package and ``ssl`` (libssl and
+#: libcrypto).
+_TLS_AND_MAIL_MODULES = ("http.server", "http.client", "email", "ssl", "_ssl")
+
+#: Run in a fresh interpreter: the service entry point's server answers
+#: one quick ``table2`` job with ``wait: true`` from a temporary store,
+#: asked over a raw socket so that the probe loads no HTTP client itself;
+#: prints the reply and which of the modules named in ``argv`` it loaded.
 _SERVICE_JOB_PROBE = """
-import json, sys, tempfile
+import json, socket, sys, tempfile, threading
 import repro.service.__main__
-from repro.service.http import ServiceApp
+from repro.service.http import ServiceApp, make_server
 from repro.service.store import ResultStore
+body = json.dumps({"experiment_id": "table2", "profile": "quick", "wait": True})
+request = ("POST /jobs HTTP/1.1\\r\\nConnection: close\\r\\n"
+           "Content-Length: %d\\r\\n\\r\\n%s")
 with tempfile.TemporaryDirectory() as tmp:
     with ServiceApp(ResultStore(tmp)) as app:
-        status, job = app.submit(
-            {"experiment_id": "table2", "profile": "quick", "wait": True}
-        )
+        server = make_server(app)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        with socket.create_connection(server.server_address[:2], timeout=60) as sock:
+            sock.sendall((request % (len(body), body)).encode())
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        server.shutdown()
+        server.server_close()
+head, _, payload = reply.partition(b"\\r\\n\\r\\n")
 print(json.dumps({
-    "status": status,
-    "state": job["state"],
+    "status": int(head.split()[1]),
+    "state": json.loads(payload)["state"],
     "loaded": [name for name in sys.argv[1:] if name in sys.modules],
 }))
+"""
+
+#: Run in a fresh interpreter: one quick run of the experiment named by
+#: ``argv[1]``; prints which of the modules named in ``argv[2:]`` it loaded.
+_EXPERIMENT_PROBE = """
+import json, sys
+from repro.experiments.registry import run_experiment
+run_experiment(sys.argv[1], profile="quick", seed=0)
+print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
 """
 
 #: Run in a fresh interpreter: one task through the serial pool path;
@@ -131,6 +155,13 @@ def _run_fresh(code, *args):
     )
     assert process.returncode == 0, process.stderr
     return json.loads(process.stdout)
+
+
+def _openssl_digest_modules():
+    """``hashlib`` and OpenSSL's ``_hashlib``, where a built-in SHA-256
+    (``_sha256``, or ``_sha2`` from 3.12) lets canonical digests avoid them."""
+    builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    return ("hashlib", "_hashlib") if builtin else ()
 
 
 def _repro_modules_loaded_by(module):
@@ -235,6 +266,19 @@ class TestImportHygiene:
         report = _run_fresh(_SERVICE_JOB_PROBE, *_SERVER_FREE_FAMILIES)
         assert (report["status"], report["state"]) == (200, "done")
         assert report["loaded"] == []
+
+    def test_served_job_loads_no_http_client_tls_or_openssl_digest(self):
+        # The HTTP layer parses requests itself and cache keys take the
+        # built-in SHA-256, so a plain-HTTP server maps no libssl or
+        # libcrypto.
+        modules = _TLS_AND_MAIL_MODULES + _openssl_digest_modules()
+        report = _run_fresh(_SERVICE_JOB_PROBE, *modules)
+        assert (report["status"], report["state"]) == (200, "done")
+        assert report["loaded"] == []
+
+    def test_quick_experiment_loads_no_hashlib(self):
+        # fig6 computes canonical digests; they take the built-in SHA-256.
+        assert _run_fresh(_EXPERIMENT_PROBE, "fig6", *_openssl_digest_modules()) == []
 
     def test_serial_execution_loads_no_multiprocessing(self):
         assert _run_fresh(_SERIAL_POOL_PROBE) == ["ok", False]

@@ -1,7 +1,9 @@
 """HTTP API surface: routes, status codes, and bit-identical serving."""
 
+import email.utils
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -134,7 +136,8 @@ class TestErrorCodes:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_removed_engine_is_400(self, service):
         profile = dict(QUICK.to_dict(), engine="batch")
@@ -197,6 +200,177 @@ class TestErrorCodes:
             connection.close()
 
 
+def _connect(client):
+    """A raw socket to the service behind ``client``."""
+    address = urllib.parse.urlsplit(client.base_url)
+    return socket.create_connection((address.hostname, address.port), timeout=10)
+
+
+def _read_response(reader):
+    """``(status, headers, body)`` of one response read off ``reader``."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while True:
+        line = reader.readline().decode("latin-1")
+        if line in ("\r\n", ""):
+            break
+        name, _, value = line.partition(":")
+        headers[name.lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def _exchange(client, data):
+    """Send ``data`` on a fresh connection; ``(status, headers, body, closed)``.
+
+    ``closed`` is whether the server closed the connection after it
+    answered.
+    """
+    with _connect(client) as sock, sock.makefile("rb") as reader:
+        sock.sendall(data)
+        status, headers, body = _read_response(reader)
+        try:
+            closed = reader.read(1) == b""
+        except ConnectionResetError:
+            closed = True
+    return status, headers, body, closed
+
+
+def _envelope_code(body):
+    envelope = json.loads(body.decode("utf-8"))
+    assert set(envelope) == {"error"}
+    assert set(envelope["error"]) == {"code", "message"}
+    return envelope["error"]["code"]
+
+
+class TestHTTPLayer:
+    """The request parsing, caps and connection handling, over raw sockets."""
+
+    def test_response_carries_server_and_english_date(self, service):
+        status, headers, _, _ = _exchange(
+            service, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert status == 200
+        assert headers["server"].startswith("repro-service/1 Python/")
+        date = email.utils.parsedate_to_datetime(headers["date"])
+        assert abs(date.timestamp() - time.time()) < 60
+        assert headers["date"] == email.utils.format_datetime(date, usegmt=True)
+
+    def test_malformed_request_line_is_400_envelope(self, service):
+        status, headers, body, closed = _exchange(service, b"garbage\r\n\r\n")
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        assert _envelope_code(body) == "bad_request"
+        assert closed
+
+    def test_overlong_request_line_is_414_envelope(self, service):
+        line = b"GET /" + b"a" * 65536  # 65,541 bytes and no line end yet
+        status, _, body, closed = _exchange(service, line)
+        assert status == 414
+        assert _envelope_code(body) == "uri_too_long"
+        assert closed
+
+    def test_too_many_headers_is_431_envelope(self, service):
+        headers = b"".join(b"X-H%d: v\r\n" % n for n in range(101))
+        status, _, body, closed = _exchange(
+            service, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 431
+        assert _envelope_code(body) == "headers_too_large"
+        assert closed
+
+    def test_a_hundred_headers_are_accepted(self, service):
+        headers = b"".join(b"X-H%d: v\r\n" % n for n in range(99))
+        status, _, _, _ = _exchange(
+            service,
+            b"GET /healthz HTTP/1.1\r\n" + headers
+            + b"Connection: close\r\n\r\n",
+        )
+        assert status == 200
+
+    def test_overlong_header_line_is_431_envelope(self, service):
+        status, _, body, closed = _exchange(
+            service, b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 65536
+        )
+        assert status == 431
+        assert _envelope_code(body) == "headers_too_large"
+        assert closed
+
+    def test_unknown_method_is_501_envelope(self, service):
+        status, _, body, closed = _exchange(service, b"BREW /pot HTTP/1.1\r\n\r\n")
+        assert status == 501
+        assert _envelope_code(body) == "not_implemented"
+        assert closed
+
+    def test_malformed_content_length_is_400_envelope(self, service):
+        status, _, body, closed = _exchange(
+            service, b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
+        )
+        assert status == 400
+        assert _envelope_code(body) == "bad_request"
+        assert closed
+
+    def test_http_1_0_closes_the_connection(self, service):
+        status, _, _, closed = _exchange(service, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert status == 200
+        assert closed
+
+    def test_http_1_0_keep_alive_keeps_the_connection(self, service):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with _connect(service) as sock, sock.makefile("rb") as reader:
+            for _ in range(2):
+                sock.sendall(request)
+                assert _read_response(reader)[0] == 200
+
+    def test_connection_close_is_honoured(self, service):
+        status, _, _, closed = _exchange(
+            service, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert status == 200
+        assert closed
+
+    def test_three_requests_on_one_keep_alive_socket(self, service):
+        with _connect(service) as sock, sock.makefile("rb") as reader:
+            for path in (b"/healthz", b"/experiments", b"/healthz"):
+                sock.sendall(b"GET " + path + b" HTTP/1.1\r\n\r\n")
+                status, headers, body = _read_response(reader)
+                assert status == 200
+                assert "connection" not in headers
+                json.loads(body.decode("utf-8"))
+
+    def test_expect_100_continue_answers_before_the_body(self, service):
+        body = json.dumps({
+            "experiment_id": "fake", "entry_point": WELL_BEHAVED,
+            "seed": 21, "wait": True,
+        }).encode("utf-8")
+        with _connect(service) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nContent-Type: application/json\r\n"
+                b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            # The body is not sent yet, so this reply cannot be the final one.
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, reply = _read_response(reader)
+        assert status == 200
+        assert json.loads(reply.decode("utf-8"))["state"] == "done"
+
+    def test_unread_body_does_not_corrupt_the_next_request(self, service):
+        with _connect(service) as sock, sock.makefile("rb") as reader:
+            body = b'{"experiment_id": "fig6"}'
+            sock.sendall(
+                b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                + body + b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            status, _, body = _read_response(reader)
+            assert status == 404
+            assert _envelope_code(body) == "not_found"
+            status, _, body = _read_response(reader)
+            assert status == 200
+            assert json.loads(body.decode("utf-8"))["status"] == "ok"
+
+
 class TestBackpressureOverHTTP:
     @pytest.fixture
     def tight_service(self, tmp_path, monkeypatch):
@@ -239,11 +413,12 @@ class TestBackpressureOverHTTP:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 429
+        with excinfo.value as error:
+            assert error.code == 429
+            retry_after = error.headers.get("Retry-After")
         # The hint is derived from queue depth / worker count, not a
         # constant: 1 running + 1 queued + the rejected one over a
         # single worker must wait at least the nominal seconds-per-job.
-        retry_after = excinfo.value.headers.get("Retry-After")
         assert retry_after is not None
         hinted = int(retry_after)
         assert 1 <= hinted <= 60

@@ -1,10 +1,13 @@
 """Cache-key canonicalisation: stability, sensitivity, live-object refusal."""
 
+import hashlib
+
 import pytest
 
 from repro.channels.wb import WBChannelConfig
 from repro.channels.encoding import BinaryDirtyCodec
 from repro.common import canonical_json
+from repro.common.canonical import canonical_digest
 from repro.common.errors import ConfigurationError
 from repro.experiments.base import SCHEMA_VERSION
 from repro.experiments.profiles import RunProfile
@@ -92,3 +95,18 @@ class TestWBConfigFingerprint:
         config = WBChannelConfig(hierarchy_factory=dict)
         with pytest.raises(ConfigurationError, match="hierarchy_factory"):
             wb_config_fingerprint(config)
+
+
+class TestCanonicalDigest:
+    @pytest.mark.parametrize("payload", [
+        {"b": [1, {"c": None, "a": [True, False]}], "a": {"z": {}, "y": []}},
+        {"rate_kbps": 1375.0, "ber": 0.04166666666666666, "tiny": 1e-300},
+        {"name": "Zürich ☃ 日本", "emoji": "🔑", "escape": "\u0000\n"},
+    ], ids=["nested", "float", "non_ascii"])
+    def test_digest_is_hashlib_sha256_of_the_canonical_bytes(self, payload):
+        # The built-in SHA-256 module must give hashlib's digest, or every
+        # stored key would move.
+        expected = hashlib.sha256(
+            canonical_json(payload).encode("utf-8")
+        ).hexdigest()
+        assert canonical_digest(payload) == expected

@@ -311,7 +311,8 @@ class TestErrorEnvelope:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        body = json.loads(excinfo.value.read().decode("utf-8"))
+        with excinfo.value as error:
+            body = json.loads(error.read().decode("utf-8"))
         assert set(body) == {"error"}
         assert set(body["error"]) == {"code", "message"}
         assert body["error"]["code"] == "bad_request"

@@ -10,6 +10,7 @@ while draining), and the stream series on ``/metrics``.
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -81,6 +82,18 @@ class TestServiceStreamUnit:
         assert not accepts(StreamFrame(2, "score", {"job_id": "job-1"}))
         assert not accepts(StreamFrame(3, JOB_FRAME, {"job_id": "job-2"}))
 
+    def test_type_filter_ands_with_the_job_filter(self):
+        accepts = ServiceStream.type_filter(
+            {"alarm", "flip"}, ServiceStream.job_filter("job-1")
+        )
+        assert accepts(StreamFrame(1, "alarm", {"job_id": "job-1"}))
+        assert accepts(StreamFrame(2, "flip", {"job_id": "job-1"}))
+        assert not accepts(StreamFrame(3, "alarm", {"job_id": "job-2"}))
+        assert not accepts(StreamFrame(4, "cache_event", {"job_id": "job-1"}))
+        alone = ServiceStream.type_filter(["alarm"])
+        assert alone(StreamFrame(5, "alarm", {}))
+        assert not alone(StreamFrame(6, "score", {}))
+
     def test_slow_client_drops_without_blocking_the_publisher(self):
         stream = ServiceStream(client_capacity=2)
         stream.attach()
@@ -145,7 +158,8 @@ class TestJobFrames:
             urllib.request.urlopen(
                 client.base_url + "/jobs/job-999999/events", timeout=10
             )
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_job_get_upgrades_to_a_stream_with_stream_param(self, service):
         _, client = service
@@ -181,6 +195,74 @@ class TestJobFrames:
         assert '"state": "queued"' in body
 
 
+class TestTypeFilteredStreams:
+    @pytest.fixture
+    def small_queue_service(self, tmp_path):
+        """A running service whose stream clients queue 8 frames each."""
+        from repro.service.store import ResultStore
+
+        app = ServiceApp(
+            ResultStore(tmp_path / "store"), workers=1,
+            stream=ServiceStream(client_capacity=8),
+        )
+        with app:
+            server = make_server(app)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            host, port = server.server_address[:2]
+            try:
+                yield app, ServiceClient(f"http://{host}:{port}")
+            finally:
+                server.shutdown()
+                server.server_close()
+
+    def test_rare_frames_survive_a_flood_larger_than_the_queue(
+        self, small_queue_service
+    ):
+        app, client = small_queue_service
+        hub = app.stream.publisher
+        unfiltered = app.stream.attach()  # never drained: shows the overflow
+        received = []
+        follower = threading.Thread(target=lambda: received.extend(
+            client.stream_events(types=("alarm", "flip"), max_events=2, timeout=10)
+        ))
+        follower.start()
+        deadline = time.monotonic() + 10
+        while app.stream.snapshot()["clients"] < 2:
+            assert time.monotonic() < deadline, "the follower never attached"
+            time.sleep(0.01)
+        hub.publish("alarm", {"job_id": "job-1", "time": 60})
+        for n in range(64):
+            hub.publish("cache_event", {"job_id": "job-1", "n": n})
+        hub.publish("flip", {"job_id": "job-1", "time": 60})
+        follower.join(timeout=10)
+        app.stream.detach(unfiltered)
+        assert [frame["type"] for frame in received] == ["alarm", "flip"]
+        assert unfiltered.dropped > 0  # the flood did overflow a plain queue
+
+    def test_job_stream_type_filter_ands_with_the_job(self, service):
+        _, client = service
+        first = client.submit("fake", entry_point=WELL_BEHAVED, seed=16, wait=True)
+        client.submit("fake", entry_point=WELL_BEHAVED, seed=17, wait=True)
+        job_id = str(first["job_id"])
+        frames = list(client.stream_events(
+            job_id=job_id, types=("job",), max_events=3, timeout=10
+        ))
+        assert [frame["state"] for frame in frames] == ["queued", "running", "done"]
+        assert {frame["job_id"] for frame in frames} == {job_id}
+
+    def test_empty_type_is_400(self, service):
+        _, client = service
+        for query in ("type=", "type=,"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    client.base_url + "/events?" + query, timeout=10
+                )
+            with excinfo.value as error:
+                assert error.code == 400
+                body = json.loads(error.read().decode("utf-8"))
+            assert body["error"]["code"] == "bad_request"
+
+
 class TestHealthAndMetrics:
     def test_healthz_carries_the_orchestration_block(self, service):
         _, client = service
@@ -204,7 +286,8 @@ class TestHealthAndMetrics:
         assert "orchestration" in health
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(client.base_url + "/healthz", timeout=10)
-        assert excinfo.value.code == 503
+        with excinfo.value as error:
+            assert error.code == 503
 
     def test_metrics_expose_the_stream_and_orchestration_series(self, service):
         _, client = service
