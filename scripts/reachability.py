@@ -13,13 +13,16 @@ thread started here (``sys.setprofile`` and ``threading.setprofile``):
   ``scripts/run_campaign.py --json``.
 
 It then prints every function defined under ``src/repro`` that was never
-called, with its size in lines, in two groups:
+called, with its size in lines, in three groups:
 
 1. those whose name a file under ``src/`` (package tables excluded),
    ``examples/`` or ``scripts/`` uses: a path the sweep did not take may
    still reach them;
-2. those whose name only files under ``tests/`` use, or none: candidates
-   for deletion.
+2. those whose name only files under ``tests/`` use, or none, and that
+   nobody has decided on yet: candidates for deletion;
+3. those :data:`KEPT` keeps on purpose, each with its reason (public API,
+   CI entry points, test oracles, accessors of live state).  A ``KEPT``
+   key that names no function is reported as stale.
 
 A function counts as named where code uses its name and, for a method,
 its class's name too; definitions, annotations, ``__all__`` lists and
@@ -70,6 +73,62 @@ NOT_SWEPT = ("service/worker.py", "service/fleet.py")
 
 #: A string constant that names something: ``name``, ``pkg.mod:name``.
 _NAME_PATH = re.compile(r"[A-Za-z_][\w.:]*")
+
+_PUBLIC = "public API: the repro table and the README quick start"
+_STATE_VIEW = "state view that the invariant and engine-parity tests compare"
+_ACCESSOR = "short accessor through which tests read live state"
+
+#: Never-called functions kept on purpose, keyed as the report keys them
+#: (``path:qualname``); a key also keeps the functions nested in it.
+KEPT: Dict[str, str] = {
+    "channels/wb/protocol.py:quick_channel_run": _PUBLIC,
+    "common/units.py:kbps_to_period_cycles": _PUBLIC,
+    "cache/configs.py:make_tiny_hierarchy": _PUBLIC,
+    "scenario/library.py:library_spec":
+        "public API: the repro.scenario table's spec lookup",
+    "runner/manifest.py:RunManifest.result_for":
+        "public API: the README's manifest example reads results with it",
+    "scenario/zoo.py:verify_zoo": "CI's zoo step calls it",
+    "scenario/zoo.py:write_zoo": "regenerates the committed zoo and KEYS.json",
+    "faults/chaos.py:crash_once_then_run":
+        "runner chaos entry point, named as an entry_point string",
+    "faults/chaos.py:hang_once_then_run":
+        "runner chaos entry point, named as an entry_point string",
+    "coherence/hierarchy.py:CoherentHierarchy.check_invariants":
+        "oracle of the MESI fuzz tests",
+    "cache/cache_set.py:CacheSet.index_snapshot": _STATE_VIEW,
+    "cache/cache_set.py:CacheSet.valid_count": _STATE_VIEW,
+    "cache/cache_set.py:CacheSet.scan_counts": _STATE_VIEW,
+    "engine/fast_set.py:FastSet.index_snapshot": _STATE_VIEW,
+    "engine/fast_set.py:FastSet.valid_count": _STATE_VIEW,
+    "engine/fast_set.py:FastSet.scan_counts": _STATE_VIEW,
+    "replacement/tree_plru.py:TreePLRU.tree_bits": _STATE_VIEW,
+    "replacement/srrip.py:SRRIP.rrpv_values": _STATE_VIEW,
+    "replacement/bit_plru.py:BitPLRU.mru_bits": _STATE_VIEW,
+    "cache/hierarchy.py:CacheHierarchy.probe_level": _ACCESSOR,
+    "cache/hierarchy.py:CacheHierarchy.dirty_in_l1_set": _ACCESSOR,
+    "coherence/hierarchy.py:CoherentHierarchy.probe_level": _ACCESSOR,
+    "coherence/hierarchy.py:CoherentHierarchy.dirty_in_l1_set": _ACCESSOR,
+    "coherence/hierarchy.py:CoherentHierarchy.l1_of": _ACCESSOR,
+    "mem/address_space.py:AddressSpace.is_mapped": _ACCESSOR,
+    "cache/configs.py:XeonE5_2650Config.l1_sets": _ACCESSOR,
+    "engine/selection.py:current_engine": _ACCESSOR,
+    "faults/fleet.py:FleetFaultDecision.loses_lease": _ACCESSOR,
+    "sidechannel/rsa_victim.py:KeyRecoveryResult.fully_recovered": _ACCESSOR,
+    "sidechannel/victim.py:VictimContext.set_of_line0": _ACCESSOR,
+    "sidechannel/victim.py:VictimContext.set_of_line1": _ACCESSOR,
+    "telemetry/net.py:StreamPublisher.client_count": _ACCESSOR,
+    "telemetry/session.py:active_session": _ACCESSOR,
+    "telemetry/session.py:default_config": _ACCESSOR,
+    "analysis/capacity.py:summarize_channel_capacity":
+        "ROADMAP item 3 reports channel capacity with it",
+    "defenses/randomized_mapping.py:find_eviction_set":
+        "ROADMAP item 3 wires it into the defenses verdict it backs",
+    "_lazy.py:lazy_exports.__dir__": "dir() of a package calls it (PEP 562)",
+    "runner/__init__.py:_CheckpointProgress.task_retried":
+        "the runner calls it on a worker-crash retry; its class lives in "
+        "a package __init__, which the name check skips",
+}
 
 
 class Function:
@@ -300,7 +359,8 @@ def sweep(log) -> Tuple[Set[Tuple[str, int]], List[str]]:
 def build_report(
     called: Set[Tuple[str, int]], failed: List[str]
 ) -> Dict[str, object]:
-    """Counts, the two never-called groups, and every function called."""
+    """Counts, the three never-called groups, stale ``KEPT`` keys, and
+    every function called."""
     functions = defined_functions()
     # Package ``__init__`` files hold only the export tables.
     product_files = [
@@ -314,6 +374,18 @@ def build_report(
     was_called = [f for f in swept if (f.path, f.first) in called]
     never = [f for f in swept if (f.path, f.first) not in called]
 
+    def kept_reason(function: Function) -> Optional[str]:
+        parts = function.qualname.split("#", 1)[0].split(".")
+        for end in range(len(parts), 0, -1):
+            reason = KEPT.get(f"{function.path}:{'.'.join(parts[:end])}")
+            if reason is not None:
+                return reason
+        return None
+
+    kept = [f for f in never if kept_reason(f) is not None]
+    undecided = [f for f in never if kept_reason(f) is None]
+    defined_keys = {f.key for f in functions}
+
     def named_in_product(function: Function) -> bool:
         # A method is reachable only if its class is named too.
         for part in function.qualname.split("#", 1)[0].split("."):
@@ -322,11 +394,19 @@ def build_report(
                 return False
         return True
 
-    def rows(group: List[Function]) -> List[Dict[str, object]]:
-        return [
-            {"function": f.key, "line": f.first, "lines": f.size}
-            for f in sorted(group, key=lambda f: (-f.size, f.key))
-        ]
+    def rows(
+        group: List[Function],
+        reason: Optional[Callable[[Function], Optional[str]]] = None,
+    ) -> List[Dict[str, object]]:
+        listed = []
+        for f in sorted(group, key=lambda f: (-f.size, f.key)):
+            row: Dict[str, object] = {
+                "function": f.key, "line": f.first, "lines": f.size
+            }
+            if reason is not None:
+                row["reason"] = reason(f)
+            listed.append(row)
+        return listed
 
     return {
         "defined": len(swept),
@@ -337,11 +417,13 @@ def build_report(
         },
         "failed_steps": failed,
         "never_called_named_in_product": rows(
-            [f for f in never if named_in_product(f)]
+            [f for f in undecided if named_in_product(f)]
         ),
         "never_called_named_only_in_tests": rows(
-            [f for f in never if not named_in_product(f)]
+            [f for f in undecided if not named_in_product(f)]
         ),
+        "never_called_kept": rows(kept, kept_reason),
+        "stale_kept_keys": sorted(set(KEPT) - defined_keys),
         "called_functions": sorted(f.key for f in was_called),
     }
 
@@ -359,13 +441,17 @@ def print_report(report: Dict[str, object]) -> None:
          report["never_called_named_in_product"]),
         ("never called, named only under tests/ (or nowhere)",
          report["never_called_named_only_in_tests"]),
+        ("never called, kept on purpose", report["never_called_kept"]),
     )
     for title, rows in groups:
         total = sum(row["lines"] for row in rows)
         print(f"\n{title}: {len(rows)} functions, {total} lines")
         for row in rows:
+            reason = f": {row['reason']}" if "reason" in row else ""
             print(f"  {row['lines']:5d}  {row['function']}  "
-                  f"(line {row['line']})")
+                  f"(line {row['line']}){reason}")
+    for key in report["stale_kept_keys"]:
+        print(f"\nSTALE KEEP ENTRY (names no function): {key}")
     for failure in report["failed_steps"]:
         print(f"\nFAILED STEP: {failure}")
 

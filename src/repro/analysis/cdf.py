@@ -29,13 +29,6 @@ def empirical_cdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return points
 
 
-def cdf_at(samples: Sequence[float], value: float) -> float:
-    """Fraction of samples <= ``value``."""
-    if not samples:
-        raise ConfigurationError("cannot evaluate a CDF with zero samples")
-    return sum(1 for sample in samples if sample <= value) / len(samples)
-
-
 def histogram(
     samples: Sequence[float], bin_width: float = 1.0
 ) -> Dict[float, int]:

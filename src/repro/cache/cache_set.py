@@ -233,10 +233,6 @@ class CacheSet:
         """Copy of the tag -> way index (exposed for the staleness tests)."""
         return dict(self._index)
 
-    def resident_tags(self) -> List[int]:
-        """Tags of all valid lines (unordered semantics, way order)."""
-        return [line.tag for line in self.lines if line.valid]
-
     def way_states(self) -> Tuple[Tuple[bool, Optional[int], bool, bool, Optional[int]], ...]:
         """Normalised per-way snapshot for cross-engine comparisons.
 
@@ -256,14 +252,6 @@ class CacheSet:
         if way is None:
             return False
         self.lines[way].locked = True
-        return True
-
-    def unlock(self, tag: int) -> bool:
-        """Unlock ``tag``; False if absent."""
-        way = self._index.get(tag)
-        if way is None:
-            return False
-        self.lines[way].locked = False
         return True
 
     def randomize_policy_state(self) -> None:

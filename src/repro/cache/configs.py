@@ -75,6 +75,13 @@ class LevelParams:
     allocation_policy: str = AllocationPolicy.WRITE_ALLOCATE.value
 
     def __post_init__(self) -> None:
+        for field_name in ("name", "policy", "write_policy", "allocation_policy"):
+            value = getattr(self, field_name)
+            if not isinstance(value, str):
+                raise ConfigurationError(
+                    f"hierarchy level {field_name} must be a string, "
+                    f"got {value!r}"
+                )
         if not _is_int(self.size_bytes) or not _is_int(self.ways):
             raise ConfigurationError(
                 f"{self.name}: size_bytes and ways must be integers, "
@@ -332,7 +339,7 @@ class HierarchyParams:
         if not isinstance(levels, (list, tuple)):
             raise ConfigurationError("hierarchy 'levels' must be a list")
         return cls(
-            levels=tuple(LevelParams.from_dict(dict(entry)) for entry in levels),
+            levels=tuple(LevelParams.from_dict(entry) for entry in levels),
             line_size=data.get("line_size", 64),  # type: ignore[arg-type]
             cores=data.get("cores", 1),  # type: ignore[arg-type]
         )
@@ -344,17 +351,30 @@ def _is_int(value: object) -> bool:
 
 
 def _require_fields(cls, data: Dict[str, object], context: str) -> None:
-    """Reject unknown keys loudly — specs must not silently drop typos."""
+    """Reject unknown and missing keys loudly — specs must not silently
+    drop typos."""
     import dataclasses
 
     if not isinstance(data, dict):
         raise ConfigurationError(f"{context} must be a JSON object, got {type(data).__name__}")
-    valid = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    valid = {f.name for f in fields}
     unknown = set(data) - valid
     if unknown:
         raise ConfigurationError(
             f"unknown {context} field(s): {', '.join(sorted(unknown))}; "
             f"valid fields: {', '.join(sorted(valid))}"
+        )
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigurationError(
+            f"missing {context} field(s): {', '.join(missing)}"
         )
 
 

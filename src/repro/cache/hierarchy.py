@@ -38,7 +38,6 @@ _HIT = EventKind.HIT
 _MISS = EventKind.MISS
 _EVICT = EventKind.EVICT
 _WRITEBACK = EventKind.WRITEBACK
-_FLUSH = EventKind.FLUSH
 
 
 @runtime_checkable
@@ -139,7 +138,7 @@ class CacheHierarchy:
     ) -> AccessTrace:
         """Perform one demand access and return its trace.
 
-        Telemetry: with an enabled bus attached, the access advances the
+        Telemetry: with a bus attached, the access advances the
         logical clock once and every observable action along the walk,
         fill and write-back paths emits a :class:`CacheEvent` stamped
         with that tick.  Emission never touches the RNG, so traced and
@@ -148,7 +147,7 @@ class CacheHierarchy:
         evictions: List[Tuple[int, EvictedLine]] = []
         latency = self.latency.sample_jitter(self.rng)
         bus = self.telemetry
-        if bus is not None and bus.enabled:
+        if bus is not None:
             emit = bus.emit
             now = bus.tick()
         else:
@@ -190,52 +189,6 @@ class CacheHierarchy:
             l1_victim_dirty=l1_victim_dirty,
             evictions=tuple(evictions),
         )
-
-    def flush(self, address: int, owner: Optional[int] = None) -> int:
-        """clflush semantics: evict ``address`` everywhere, write back dirty.
-
-        The returned cycle cost is higher when the line was resident
-        (``flush_present_extra``), which is the signal Flush+Flush decodes,
-        plus write-back penalties for dirty copies.
-        """
-        cost = self.latency.flush_base + self.latency.sample_jitter(self.rng)
-        bus = self.telemetry
-        if bus is not None and bus.enabled:
-            emit = bus.emit
-            now = bus.tick()
-        else:
-            emit = None
-            now = 0
-        was_present = False
-        for index, level in enumerate(self.levels):
-            snapshot = level.invalidate(address)
-            if snapshot is None:
-                continue
-            was_present = True
-            if emit is not None:
-                emit(
-                    CacheEvent(
-                        now, _FLUSH, index + 1, level.set_index(address),
-                        owner, address, False, snapshot.dirty,
-                    )
-                )
-            if snapshot.dirty:
-                # clflush forces dirty data all the way to memory (it will
-                # be invalid at every cache level afterwards).
-                self.stats.record_writeback(index + 1, owner)
-                self.stats.memory_writes += 1
-                cost += self.latency.writeback_penalty(index + 1)
-                if emit is not None:
-                    emit(
-                        CacheEvent(
-                            now, _WRITEBACK, index + 1,
-                            level.set_index(address), owner, address,
-                            False, True,
-                        )
-                    )
-        if was_present:
-            cost += self.latency.flush_present_extra
-        return cost
 
     # ------------------------------------------------------------------
     # Introspection

@@ -46,11 +46,6 @@ class LatencyModel:
     #: Cost added to a store that must synchronously update the next level
     #: (write-through caches only).
     write_through_store_penalty: int = 7
-    #: Base cost of a ``clflush`` that finds nothing to evict.
-    flush_base: int = 10
-    #: Extra ``clflush`` cycles when the line is actually resident — the
-    #: timing difference Flush+Flush decodes with.
-    flush_present_extra: int = 14
     #: Cycles a store occupies its *issuing thread*.  Stores retire through
     #: the store buffer, so the thread does not wait for the cache fill —
     #: the paper's sender can dirty all eight lines of a set in a handful
@@ -77,8 +72,6 @@ class LatencyModel:
             "llc_writeback_penalty",
             "write_through_store_penalty",
             "posted_store_cost",
-            "flush_base",
-            "flush_present_extra",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")

@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "threshold": ("ThresholdDecoder",),
         "testbench": ("ChannelTestbench", "TestbenchConfig"),
         "results": ("TransmissionResult",),
-        "coding": ("BlockCode", "HammingCode", "RepetitionCode"),
+        "coding": ("HammingCode",),
         "lru_channel": ("LRUChannelConfig", "run_lru_channel"),
         "prime_probe": ("PrimeProbeConfig", "run_prime_probe_channel"),
         "taxonomy": (

@@ -3,31 +3,27 @@
 Section 5 of the paper closes with: "We note that more complex encoding
 mechanisms may achieve higher information transmission rates, but our
 goal is to illustrate a way for senders to achieve higher bandwidths."
-This module follows that thread with two classic codes an attacker would
-actually deploy:
+This module follows that thread with the classic code an attacker would
+actually deploy: :class:`HammingCode`, Hamming(7,4), four data bits per
+seven channel bits with single-error correction per block, the standard
+choice when the raw BER is a few percent (exactly the channel's
+high-rate regime).
 
-* :class:`RepetitionCode` — each bit sent ``n`` times, majority decode;
-  trivially robust, pays a factor-``n`` rate cost;
-* :class:`HammingCode` — Hamming(7,4): four data bits per seven channel
-  bits with single-error correction per block, the standard choice when
-  the raw BER is a few percent (exactly the channel's high-rate regime).
-
-Both operate on bit lists, composing with any symbol codec: encode the
+It operates on bit lists, composing with any symbol codec: encode the
 message, send the codeword bits through the channel, decode what arrives.
-Codes correct *flips*; insertions/losses (preemption bursts) defeat the
-block framing, which is why the experiments pair coding with the
+The code corrects *flips*; insertions/losses (preemption bursts) defeat
+the block framing, which is why the experiments pair coding with the
 preamble alignment already in place.
 
 For *detection* (rather than correction) the module also provides a
-bitwise CRC (:func:`crc_bits` / :func:`crc_check`): the self-healing
-frame format in :mod:`repro.channels.wb.framing` protects each frame
-with a CRC-8 over its sequence number and payload, so a frame corrupted
-beyond the FEC's correction radius is rejected instead of delivered.
+bitwise CRC (:func:`crc_bits`): the self-healing frame format in
+:mod:`repro.channels.wb.framing` protects each frame with a CRC-8 over
+its sequence number and payload, so a frame corrupted beyond the FEC's
+correction radius is rejected instead of delivered.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import List, Sequence
 
 from repro.common.errors import ConfigurationError, ProtocolError
@@ -61,45 +57,23 @@ def crc_bits(bits: Sequence[int], width: int = 8, poly: int = CRC8_POLY) -> List
     return [(register >> shift) & 1 for shift in range(width - 1, -1, -1)]
 
 
-def crc_check(
-    bits: Sequence[int],
-    checksum: Sequence[int],
-    width: int = 8,
-    poly: int = CRC8_POLY,
-) -> bool:
-    """True when ``checksum`` is the CRC of ``bits``."""
-    if len(checksum) != width:
-        raise ProtocolError(
-            f"checksum must be {width} bits, got {len(checksum)}"
-        )
-    return list(checksum) == crc_bits(bits, width=width, poly=poly)
+class HammingCode:
+    """Hamming(7,4): single-error correction per 7-bit block.
 
+    Bit layout (1-indexed positions): parity at 1, 2, 4; data at
+    3, 5, 6, 7 — the classic arrangement, so the syndrome *is* the error
+    position.
+    """
 
-class BlockCode(abc.ABC):
-    """A binary block code over the covert channel."""
+    _DATA_POSITIONS = (3, 5, 6, 7)
+    _PARITY_POSITIONS = (1, 2, 4)
 
-    @property
-    @abc.abstractmethod
-    def data_bits(self) -> int:
-        """Data bits per block."""
-
-    @property
-    @abc.abstractmethod
-    def code_bits(self) -> int:
-        """Channel bits per block."""
-
-    @abc.abstractmethod
-    def encode_block(self, block: Sequence[int]) -> List[int]:
-        """Encode ``data_bits`` bits into ``code_bits`` bits."""
-
-    @abc.abstractmethod
-    def decode_block(self, block: Sequence[int]) -> List[int]:
-        """Decode ``code_bits`` received bits into ``data_bits`` bits."""
-
-    @property
-    def rate(self) -> float:
-        """Code rate (data bits per channel bit)."""
-        return self.data_bits / self.code_bits
+    #: Data bits per block.
+    data_bits = 4
+    #: Channel bits per block.
+    code_bits = 7
+    #: Code rate (data bits per channel bit).
+    rate = data_bits / code_bits
 
     # ------------------------------------------------------------------
     # Whole-message helpers
@@ -124,52 +98,9 @@ class BlockCode(abc.ABC):
             out.extend(self.decode_block(bits[start : start + self.code_bits]))
         return out
 
-
-class RepetitionCode(BlockCode):
-    """Send every bit ``n`` times; decode by majority."""
-
-    def __init__(self, repetitions: int = 3) -> None:
-        if repetitions < 1 or repetitions % 2 == 0:
-            raise ConfigurationError(
-                f"repetitions must be odd and positive, got {repetitions}"
-            )
-        self.repetitions = repetitions
-
-    @property
-    def data_bits(self) -> int:
-        return 1
-
-    @property
-    def code_bits(self) -> int:
-        return self.repetitions
-
-    def encode_block(self, block: Sequence[int]) -> List[int]:
-        (bit,) = block
-        return [bit] * self.repetitions
-
-    def decode_block(self, block: Sequence[int]) -> List[int]:
-        return [1 if sum(block) * 2 > len(block) else 0]
-
-
-class HammingCode(BlockCode):
-    """Hamming(7,4): single-error correction per 7-bit block.
-
-    Bit layout (1-indexed positions): parity at 1, 2, 4; data at
-    3, 5, 6, 7 — the classic arrangement, so the syndrome *is* the error
-    position.
-    """
-
-    _DATA_POSITIONS = (3, 5, 6, 7)
-    _PARITY_POSITIONS = (1, 2, 4)
-
-    @property
-    def data_bits(self) -> int:
-        return 4
-
-    @property
-    def code_bits(self) -> int:
-        return 7
-
+    # ------------------------------------------------------------------
+    # One block
+    # ------------------------------------------------------------------
     def encode_block(self, block: Sequence[int]) -> List[int]:
         if len(block) != 4:
             raise ProtocolError(f"Hamming(7,4) block needs 4 bits, got {len(block)}")

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,3 @@ class AdaptiveThresholdDecoder:
             for level, median in zip(self.levels, self._medians)
         )
         return f"AdaptiveThresholdDecoder({pairs}, updates={self.updates})"
-
-
-def majority_vote(bits: Sequence[int]) -> int:
-    """Majority of a bit sequence (ties break to 1).
-
-    Used when the receiver oversamples a symbol window and has several
-    classifications for one symbol.
-    """
-    if not bits:
-        raise ProtocolError("cannot vote on an empty sample list")
-    ones = sum(bits)
-    return 1 if ones * 2 >= len(bits) else 0

@@ -255,7 +255,7 @@ def transmit_cross_core_schedule(
     bench.add_thread(RECEIVER_TID, receiver_space, receiver, name="xc-receiver")
 
     bus = hierarchy.telemetry
-    owned_bus = subscribers and (bus is None or not bus.enabled)
+    owned_bus = subscribers and bus is None
     if owned_bus:
         from repro.telemetry.bus import TelemetryBus
 

@@ -13,8 +13,8 @@ independently recoverable frames:
 * **seq** — the frame's sequence number, so frames identify themselves
   and retransmissions/duplications deduplicate;
 * **CRC-8** — rejects frames corrupted beyond the FEC's radius;
-* **FEC** — any :class:`repro.channels.coding.BlockCode` over the body
-  (Hamming(7,4) by default, correcting one flip per 7-bit block).
+* **FEC** — :data:`FRAME_CODE`, Hamming(7,4) over the body, correcting
+  one flip per 7-bit block.
 
 :func:`scan_frames` is the receiver half: it slides over the decoded
 bit stream, accepts CRC-valid frames wherever they are found, and on
@@ -24,16 +24,19 @@ costs the frames it touched, not the rest of the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.bits import bits_to_int, hamming_distance, int_to_bits
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.channels.coding import BlockCode, HammingCode, crc_bits
+from repro.channels.coding import HammingCode, crc_bits
 
 #: Barker-7 (+++--+-) zero-padded to a byte: the standard low-sidelobe
 #: sync choice, so a shifted copy of the word rarely mimics the word.
 DEFAULT_SYNC: Tuple[int, ...] = (1, 1, 1, 0, 0, 1, 0, 0)
+
+#: FEC over every frame body (seq + payload + CRC).
+FRAME_CODE = HammingCode()
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,6 @@ class FrameConfig:
     sync: Tuple[int, ...] = DEFAULT_SYNC
     #: Accept a sync match up to this Hamming distance from the word.
     sync_tolerance: int = 1
-    #: FEC over the frame body (seq + payload + CRC).
-    code: BlockCode = field(default_factory=HammingCode)
 
     def __post_init__(self) -> None:
         if self.payload_bits <= 0 or self.seq_bits <= 0 or self.crc_width <= 0:
@@ -61,10 +62,10 @@ class FrameConfig:
                 f"sync_tolerance must be in [0, {len(self.sync)}), "
                 f"got {self.sync_tolerance}"
             )
-        if self.body_data_bits % self.code.data_bits:
+        if self.body_data_bits % FRAME_CODE.data_bits:
             raise ConfigurationError(
                 f"frame body of {self.body_data_bits} bits is not a whole "
-                f"number of {self.code.data_bits}-bit FEC blocks"
+                f"number of {FRAME_CODE.data_bits}-bit FEC blocks"
             )
 
     @property
@@ -76,8 +77,8 @@ class FrameConfig:
     def body_code_bits(self) -> int:
         """Post-FEC body width on the channel."""
         return (
-            self.body_data_bits // self.code.data_bits
-        ) * self.code.code_bits
+            self.body_data_bits // FRAME_CODE.data_bits
+        ) * FRAME_CODE.code_bits
 
     @property
     def frame_bits(self) -> int:
@@ -112,7 +113,7 @@ def encode_frame(config: FrameConfig, seq: int, payload: Sequence[int]) -> List[
         )
     body = int_to_bits(seq, config.seq_bits) + list(payload)
     body = body + crc_bits(body, width=config.crc_width)
-    return list(config.sync) + config.code.encode(body)
+    return list(config.sync) + FRAME_CODE.encode(body)
 
 
 def encode_payload(
@@ -184,7 +185,7 @@ def scan_frames(config: FrameConfig, bits: Sequence[int]) -> FrameScanResult:
             position += 1
             resync_bits += 1
             continue
-        body = config.code.decode(
+        body = FRAME_CODE.decode(
             stream[position + sync_len : position + config.frame_bits]
         )
         seq = bits_to_int(body[: config.seq_bits])

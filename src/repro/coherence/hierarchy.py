@@ -2,7 +2,7 @@
 
 :class:`CoherentHierarchy` presents the same surface as
 :class:`~repro.cache.hierarchy.CacheHierarchy` — ``access``/``load``/
-``store``/``flush``, latency accounting, :class:`~repro.cache.stats.CacheStats`,
+``store``, latency accounting, :class:`~repro.cache.stats.CacheStats`,
 telemetry attachment — so programs, the SMT core and the channel testbench
 drive it unchanged.  Requests are routed to a core by the accessing
 *owner* (hardware thread id): ``core = owner % num_cores``.  The SMT
@@ -47,7 +47,6 @@ _HIT = EventKind.HIT
 _MISS = EventKind.MISS
 _EVICT = EventKind.EVICT
 _WRITEBACK = EventKind.WRITEBACK
-_FLUSH = EventKind.FLUSH
 
 
 def check_private_l1s(l1s: Sequence, shared: Sequence) -> None:
@@ -162,7 +161,7 @@ class CoherentHierarchy:
         evictions: List[Tuple[int, EvictedLine]] = []
         latency = self.latency.sample_jitter(self.rng)
         bus = self.telemetry
-        if bus is not None and bus.enabled:
+        if bus is not None:
             emit = bus.emit
             now = bus.tick()
         else:
@@ -247,70 +246,6 @@ class CoherentHierarchy:
             l1_victim_dirty=l1_victim_dirty,
             evictions=tuple(evictions),
         )
-
-    def flush(self, address: int, owner: Optional[int] = None) -> int:
-        """clflush semantics across every core and shared level."""
-        cost = self.latency.flush_base + self.latency.sample_jitter(self.rng)
-        bus = self.telemetry
-        if bus is not None and bus.enabled:
-            emit = bus.emit
-            now = bus.tick()
-        else:
-            emit = None
-            now = 0
-        was_present = False
-        for core, l1 in enumerate(self.l1s):
-            snapshot = l1.invalidate(address)
-            if snapshot is None:
-                continue
-            was_present = True
-            self.directory.clear(core, address)
-            if emit is not None:
-                emit(
-                    CacheEvent(
-                        now, _FLUSH, 1, l1.set_index(address), owner,
-                        address, False, snapshot.dirty,
-                    )
-                )
-            if snapshot.dirty:
-                self.stats.record_writeback(1, owner)
-                self.stats.memory_writes += 1
-                cost += self.latency.writeback_penalty(1)
-                if emit is not None:
-                    emit(
-                        CacheEvent(
-                            now, _WRITEBACK, 1, l1.set_index(address),
-                            owner, address, False, True,
-                        )
-                    )
-        for index, cache in enumerate(self.shared):
-            level_no = index + 2
-            snapshot = cache.invalidate(address)
-            if snapshot is None:
-                continue
-            was_present = True
-            if emit is not None:
-                emit(
-                    CacheEvent(
-                        now, _FLUSH, level_no, cache.set_index(address),
-                        owner, address, False, snapshot.dirty,
-                    )
-                )
-            if snapshot.dirty:
-                self.stats.record_writeback(level_no, owner)
-                self.stats.memory_writes += 1
-                cost += self.latency.writeback_penalty(level_no)
-                if emit is not None:
-                    emit(
-                        CacheEvent(
-                            now, _WRITEBACK, level_no,
-                            cache.set_index(address), owner, address,
-                            False, True,
-                        )
-                    )
-        if was_present:
-            cost += self.latency.flush_present_extra
-        return cost
 
     # ------------------------------------------------------------------
     # Introspection

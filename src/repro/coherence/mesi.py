@@ -112,16 +112,6 @@ class Directory:
             return []
         return sorted(core for core in entry if core != exclude)
 
-    def exclusive_holder(self, address: int) -> Optional[int]:
-        """The single M/E holder of the line, if any."""
-        entry = self._entries.get(self.line_address(address))
-        if not entry:
-            return None
-        for core, state in entry.items():
-            if state is not MESIState.SHARED:
-                return core
-        return None
-
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
@@ -147,10 +137,6 @@ class Directory:
         entry.pop(core, None)
         if not entry:
             del self._entries[line]
-
-    def drop_line(self, address: int) -> None:
-        """Forget the line entirely (flush / back-invalidation)."""
-        self._entries.pop(self.line_address(address), None)
 
     # ------------------------------------------------------------------
     # Introspection

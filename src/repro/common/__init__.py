@@ -10,7 +10,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "canonical": ("canonical_digest", "canonical_json", "canonical_loads"),
+        "canonical": ("canonical_digest", "canonical_json"),
         "errors": (
             "ConfigurationError",
             "ProtocolError",

@@ -31,7 +31,6 @@ interpreters built without that module; the digest is the same.
 from __future__ import annotations
 
 import json
-from typing import Dict
 
 from repro.common.errors import ConfigurationError
 
@@ -91,8 +90,3 @@ def canonical_digest(data: object, *, require_version: bool = False) -> str:
     """SHA-256 hex digest of :func:`canonical_json` — a content address."""
     text = canonical_json(data, require_version=require_version)
     return _sha256(text.encode("utf-8")).hexdigest()
-
-
-def canonical_loads(text: str) -> Dict[str, object]:
-    """Parse JSON produced by :func:`canonical_json` (plain ``json.loads``)."""
-    return json.loads(text)

@@ -71,13 +71,6 @@ def mix_label(word: int, label: str) -> int:
     return word ^ zlib.crc32(label.encode("utf-8"))
 
 
-def maybe_seeded(seed: Optional[int]) -> random.Random:
-    """Return a generator seeded with ``seed``, or entropy-seeded if None."""
-    if seed is None:
-        return random.Random()
-    return random.Random(seed)
-
-
 #: The methods a :class:`LazyRandom` takes from its generator once built:
 #: the draws the replacement policies and their fast states make.
 _DRAWS = ("random", "randrange", "shuffle")

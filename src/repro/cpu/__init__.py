@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "ops": ("Delay", "Flush", "Load", "Op", "RdTSC", "SpinUntil", "Store"),
+        "ops": ("Delay", "Load", "Op", "RdTSC", "SpinUntil", "Store"),
         "thread": ("HardwareThread", "Program"),
         "tsc": ("TimestampCounter", "TimestampCounterLike"),
         "noise": ("SchedulerNoise",),

@@ -9,11 +9,13 @@ Operation      Hardware analogue                        Result sent back
 =============  =======================================  ==================
 ``Load``       ``mov (%r8), %r8``                       latency in cycles
 ``Store``      ``mov %rax, (%r8)``                      latency in cycles
-``Flush``      ``clflush``                              latency in cycles
 ``RdTSC``      ``rdtscp``                               timestamp value
 ``SpinUntil``  ``while TSC < t: nothing``               timestamp at exit
 ``Delay``      a fixed stretch of non-memory work       None
 =============  =======================================  ==================
+
+There is no ``clflush``: the WB channel and the LRU-channel baseline both
+use loads and stores only, and neither needs shared memory.
 
 Addresses are *virtual* in the issuing thread's address space; the core
 translates through the thread's page table before touching the hierarchy.
@@ -45,17 +47,6 @@ class Store:
     This is the sender's whole encoding arsenal: a store puts the target
     line into the dirty state (write-back + write-allocate).
     """
-
-    address: int
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ConfigurationError(f"negative address {self.address:#x}")
-
-
-@dataclass(frozen=True)
-class Flush:
-    """``clflush``: evict the line from the whole hierarchy."""
 
     address: int
 
@@ -105,4 +96,4 @@ class ResetStats:
     """
 
 
-Op = Union[Load, Store, Flush, RdTSC, SpinUntil, Delay, ResetStats]
+Op = Union[Load, Store, RdTSC, SpinUntil, Delay, ResetStats]

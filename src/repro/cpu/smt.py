@@ -25,7 +25,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.noise import SchedulerNoise
-from repro.cpu.ops import Delay, Flush, Load, Op, RdTSC, ResetStats, SpinUntil, Store
+from repro.cpu.ops import Delay, Load, Op, RdTSC, ResetStats, SpinUntil, Store
 from repro.cpu.thread import HardwareThread
 from repro.cpu.tsc import TimestampCounter
 
@@ -139,12 +139,6 @@ class SMTCore:
             cost = self.hierarchy.latency.posted_store_cost
             thread.local_time += cost
             return cost
-        if isinstance(op, Flush):
-            cost = self.hierarchy.flush(
-                thread.space.translate(op.address), owner=thread.tid
-            )
-            thread.local_time += cost
-            return cost
         if isinstance(op, RdTSC):
             thread.local_time += self.tsc.read_overhead
             value = self.tsc.read(thread.local_time)
@@ -164,7 +158,7 @@ class SMTCore:
         if isinstance(op, ResetStats):
             self.hierarchy.stats.reset()
             bus = self.hierarchy.telemetry
-            if bus is not None and bus.enabled:
+            if bus is not None:
                 # Telemetry subscribers observe the same measurement
                 # epoch the counters do: windowing restarts here.
                 bus.mark("reset-stats")

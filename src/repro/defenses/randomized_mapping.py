@@ -8,7 +8,7 @@ its meaning.  Optional epoch-based re-keying models CEASER's remapping.
 The paper's caveats (Section 8), which the evaluation demonstrates:
 
 * with a *fixed* key the attacker can recover a conflicting set by
-  profiling (our :func:`find_conflicting_lines` does this with timing
+  profiling (our :func:`find_eviction_set` does this with timing
   only, the way real eviction-set construction works);
 * L1 randomization like this costs latency on the critical path in real
   designs — the model charges ``index_latency_extra`` per access.

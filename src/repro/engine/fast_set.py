@@ -244,11 +244,6 @@ class FastSet:
         """Copy of the tag -> way index (exposed for the staleness tests)."""
         return dict(self._index)
 
-    def resident_tags(self) -> List[int]:
-        """Tags of all valid lines (unordered semantics, way order)."""
-        valid = self.valid_mask
-        return [self.tags[way] for way in range(self.ways) if (valid >> way) & 1]
-
     def way_states(self) -> Tuple[WayState, ...]:
         """Normalised per-way snapshot for cross-engine comparisons."""
         states: List[WayState] = []
@@ -274,14 +269,6 @@ class FastSet:
         if way is None:
             return False
         self.locked_mask |= 1 << way
-        return True
-
-    def unlock(self, tag: int) -> bool:
-        """Unlock ``tag``; False if absent."""
-        way = self._index.get(tag)
-        if way is None:
-            return False
-        self.locked_mask &= ~(1 << way)
         return True
 
     def randomize_policy_state(self) -> None:

@@ -202,20 +202,9 @@ def make_activity(
     )
 
 
-def idle_spin_program(duration: int) -> Program:
-    """A process that merely exists for ``duration`` cycles (placeholders)."""
-
-    class _Idle(Program):
-        def run(self) -> OpGenerator:
-            yield SpinUntil(duration)
-
-    return _Idle()
-
-
 __all__: List[str] = [
     "InstrumentedBenignProcess",
     "InstrumentedLRUSender",
     "InstrumentedWBSender",
-    "idle_spin_program",
     "make_activity",
 ]

@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "desched_plan",
             "emit_fault_events",
         ),
-        "schedule": ("FaultSchedule", "build_fault_schedule", "schedules_equal"),
+        "schedule": ("FaultSchedule", "build_fault_schedule"),
         "spec": ("DEFAULT_FAULT_SPEC", "FaultSpec"),
     },
 )

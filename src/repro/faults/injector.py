@@ -119,9 +119,6 @@ def emit_fault_events(
     timeline (symbol window start for desched/probe faults, burst start
     for co-runner bursts); ``owner`` is the disturbed thread.
     """
-    if not bus.enabled:
-        return 0
-
     def at(symbol: int) -> int:
         return schedule.start_time + symbol * schedule.period
 

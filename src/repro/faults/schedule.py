@@ -13,7 +13,7 @@ and the same seed reproduces the same faults on both simulation engines.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -160,12 +160,4 @@ def build_fault_schedule(
         duplicated_slots=_bernoulli_slots(rng_duplicate, spec.duplicate_rate, slots),
         drift_offsets=drift,
         corunner_bursts=tuple(bursts),
-    )
-
-
-def schedules_equal(first: FaultSchedule, second: FaultSchedule) -> bool:
-    """Field-by-field equality (determinism assertions in tests)."""
-    return all(
-        getattr(first, f.name) == getattr(second, f.name)
-        for f in fields(FaultSchedule)
     )

@@ -124,16 +124,3 @@ class AddressSpace:
         base = (self._next_alloc_va + align - 1) & ~(align - 1)
         self._next_alloc_va = base + size
         return base
-
-    def touch_range(self, base: int, size: int) -> None:
-        """Eagerly map every page in ``[base, base + size)``.
-
-        The attack code does this to keep page faults out of the timed
-        region, mirroring the warm-up loops in the paper's PoC.
-        """
-        if size <= 0:
-            raise ConfigurationError(f"size must be positive, got {size}")
-        page = base >> 12
-        last_page = (base + size - 1) >> 12
-        for current in range(page, last_page + 1):
-            self.translate(current << 12)

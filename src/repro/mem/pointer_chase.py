@@ -61,18 +61,3 @@ class PointerChaseList:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.order)
-
-    @property
-    def head(self) -> int:
-        """Address of the first node (the value loaded into ``%rbx``)."""
-        return self.order[0]
-
-    def successor(self, address: int) -> Optional[int]:
-        """Address stored at node ``address`` (None at the tail)."""
-        try:
-            position = self.order.index(address)
-        except ValueError:
-            raise ConfigurationError(f"{address:#x} is not a node of this list")
-        if position + 1 == len(self.order):
-            return None
-        return self.order[position + 1]

@@ -17,10 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "models": ("NoiseConfig", "TargetSetNoiseProgram"),
-        "workloads": (
-            "CompilerLikeWorkload",
-            "PointerChaseWorkload",
-            "StreamingWorkload",
-        ),
+        "workloads": ("CompilerLikeWorkload",),
     },
 )

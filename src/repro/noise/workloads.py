@@ -5,81 +5,18 @@ g++ compile sharing the core.  A compiler's cache signature is a mix of
 phases: pointer-heavy walks over ASTs/symbol tables (working set larger
 than L2, scattered), streaming passes over token buffers, and hot-loop
 phases that fit in L1.  :class:`CompilerLikeWorkload` interleaves those
-three phases; the two simpler workloads are exposed for composing other
-scenarios and for tests.
+three phases in one generator.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
 from repro.cpu.ops import Delay, Load, Store
 from repro.cpu.thread import OpGenerator, Program
 from repro.mem.address_space import AddressSpace
-
-
-@dataclass
-class StreamingWorkload(Program):
-    """Sequential sweeps over a buffer (memcpy/tokeniser-like traffic)."""
-
-    space: AddressSpace
-    buffer_bytes: int = 1 << 20
-    accesses: int = 20000
-    line_size: int = 64
-    store_fraction: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.buffer_bytes < self.line_size:
-            raise ConfigurationError("buffer smaller than one line")
-        if self.accesses <= 0:
-            raise ConfigurationError("accesses must be positive")
-        self.base = self.space.allocate_buffer(self.buffer_bytes)
-
-    def run(self) -> OpGenerator:
-        rng = ensure_rng(self.seed)
-        lines = self.buffer_bytes // self.line_size
-        position = 0
-        for _ in range(self.accesses):
-            address = self.base + (position % lines) * self.line_size
-            if rng.random() < self.store_fraction:
-                yield Store(address)
-            else:
-                yield Load(address)
-            position += 1
-
-
-@dataclass
-class PointerChaseWorkload(Program):
-    """Random-order walks over a large buffer (AST/hash-table traffic)."""
-
-    space: AddressSpace
-    buffer_bytes: int = 4 << 20
-    accesses: int = 20000
-    line_size: int = 64
-    store_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.buffer_bytes < self.line_size:
-            raise ConfigurationError("buffer smaller than one line")
-        if self.accesses <= 0:
-            raise ConfigurationError("accesses must be positive")
-        self.base = self.space.allocate_buffer(self.buffer_bytes)
-
-    def run(self) -> OpGenerator:
-        rng = ensure_rng(self.seed)
-        lines = self.buffer_bytes // self.line_size
-        for _ in range(self.accesses):
-            address = self.base + rng.randrange(lines) * self.line_size
-            if rng.random() < self.store_fraction:
-                yield Store(address)
-            else:
-                yield Load(address)
 
 
 @dataclass
@@ -138,7 +75,3 @@ class CompilerLikeWorkload(Program):
             # Compute burst between phases (register-file work).
             yield Delay(rng.randrange(50, 300))
 
-
-def drain(program: Program) -> List[object]:
-    """Run a workload generator standalone (test helper, no core needed)."""
-    return list(program.run())

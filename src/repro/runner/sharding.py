@@ -15,7 +15,7 @@ queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
@@ -155,8 +155,3 @@ def dispatch_order(tasks: Sequence[TaskSpec]) -> List[TaskSpec]:
     return sorted(
         tasks, key=lambda task: (-task.weight, task.experiment_id, task.shard_index)
     )
-
-
-def with_timeout(task: TaskSpec, timeout: Optional[float]) -> TaskSpec:
-    """A copy of ``task`` with its timeout replaced."""
-    return replace(task, timeout=timeout)

@@ -104,12 +104,6 @@ class BerSweepMeasurement:
     bits_per_symbol: int
     curves: Tuple[BerCurve, ...]
 
-    def curve_for(self, d: Optional[int]) -> Dict[int, float]:
-        for entry in self.curves:
-            if entry.d == d:
-                return entry.curve
-        raise ConfigurationError(f"no curve measured for d={d!r}")
-
 
 @dataclass(frozen=True)
 class LevelPoint:

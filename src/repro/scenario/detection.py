@@ -132,7 +132,7 @@ def _run_corun(
     )
     hierarchy = bench.hierarchy
     bus = hierarchy.telemetry
-    owned_bus = bus is None or not bus.enabled
+    owned_bus = bus is None
     if owned_bus:
         bus = hierarchy.attach_telemetry(TelemetryBus())
     for subscriber in subscribers:

@@ -397,6 +397,11 @@ def _spec_from_payload(payload: Dict[str, object]) -> JobSpec:
     profile = payload.get("profile")
     if isinstance(profile, dict):
         profile = RunProfile.from_dict(profile)
+    elif profile is not None and not isinstance(profile, str):
+        raise ConfigurationError(
+            f"'profile' must be a profile name, an object or null, "
+            f"got {profile!r}"
+        )
     timeout = payload.get("timeout")
     if timeout is not None and (
         isinstance(timeout, bool) or not isinstance(timeout, (int, float))

@@ -47,7 +47,7 @@ class ServiceTelemetry:
     """The service's telemetry bus plus its two standing subscribers."""
 
     def __init__(self, window: int = 64) -> None:
-        self.bus = TelemetryBus(enabled=True)
+        self.bus = TelemetryBus()
         self.counters = WindowedCounters(window=window)
         self.profiler = BusProfiler()
         self.bus.subscribe(self.counters)

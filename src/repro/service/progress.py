@@ -1,4 +1,4 @@
-"""Per-job ambient stream binding and progress frames.
+"""Per-job ambient stream binding.
 
 The scheduler runs each computation on a worker thread; wrapping the
 computation in :func:`job_publisher_scope` binds a job-stamped view of
@@ -6,13 +6,12 @@ the service hub as that thread's ambient publisher
 (:func:`repro.telemetry.net.bind_publisher`).  Everything published
 through the ambient binding — a closed-loop run mirroring its
 ``cache_event`` / ``score`` / ``alarm`` / ``flip`` frames, a sweep
-calling :func:`publish_progress` between points — lands on the hub
+publishing a ``progress`` frame between points — lands on the hub
 stamped with ``job_id``, which is what the ``GET /jobs/{id}/events``
 filter selects on.
 
 Deep layers never import the service: they call
-:func:`publish_progress` (or mirror into
-:func:`~repro.telemetry.net.active_publisher`), which is a no-op when
+:func:`~repro.telemetry.net.publish_ambient`, which is a no-op when
 nothing is bound — zero cost outside the service, no effect on run
 determinism inside it (the hub assigns its own event ids; run-local id
 sequences are untouched).
@@ -23,11 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-from repro.telemetry.net import (
-    StreamPublisher,
-    bind_publisher,
-    publish_ambient,
-)
+from repro.telemetry.net import StreamPublisher, bind_publisher
 
 
 class JobStampedPublisher:
@@ -58,18 +53,4 @@ def job_publisher_scope(
         bind_publisher(previous)
 
 
-def publish_progress(stage: str, **fields: object) -> None:
-    """Publish one ``progress`` frame to the ambient publisher, if any.
-
-    Sprinkled through long-running measurement loops (one frame per
-    sweep point / suspect) so a streaming consumer can watch a job
-    advance.  Outside a bound scope this is a cheap no-op.  Deep layers
-    use :func:`repro.telemetry.net.publish_ambient` directly; this
-    wrapper just fixes the frame shape.
-    """
-    payload: Dict[str, object] = {"stage": stage}
-    payload.update(fields)
-    publish_ambient("progress", payload)
-
-
-__all__ = ["JobStampedPublisher", "job_publisher_scope", "publish_progress"]
+__all__ = ["JobStampedPublisher", "job_publisher_scope"]

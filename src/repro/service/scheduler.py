@@ -48,7 +48,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError, ManifestError, ReproError
@@ -1078,8 +1078,3 @@ class JobScheduler:
             data["retry_after_seconds"] = self.retry_after_seconds()
             data["fleet"] = self.fleet.snapshot()
             return data
-
-
-def spec_with_timeout(spec: JobSpec, timeout: Optional[float]) -> JobSpec:
-    """A copy of ``spec`` with its (non-key) timeout replaced."""
-    return replace(spec, timeout=timeout)

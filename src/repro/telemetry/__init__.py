@@ -1,7 +1,7 @@
 """Streaming cache-event telemetry: bus, subscribers, online detectors.
 
 The observability subsystem for the reproduction.  A zero-cost-when-
-disabled event bus (:mod:`repro.telemetry.bus`) receives structured
+absent event bus (:mod:`repro.telemetry.bus`) receives structured
 cache events (:mod:`repro.telemetry.events`) from the shared hierarchy
 walk, fans them out to composable subscribers
 (:mod:`repro.telemetry.subscribers`), and feeds the online
@@ -20,12 +20,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "bus": (
-            "OVERFLOW_POLICIES",
-            "BufferedSubscriber",
-            "Subscriber",
-            "TelemetryBus",
-        ),
+        "bus": ("Subscriber", "TelemetryBus"),
         "net": (
             "StreamClient",
             "StreamFrame",

@@ -2,10 +2,10 @@
 
 Design constraints, in order:
 
-1. **Zero cost when absent or disabled.**  A hierarchy holds either no
-   bus (``hierarchy.telemetry is None``) or a disabled one; the walk
-   tests ``bus is not None and bus.enabled`` once per access and, when
-   that is false, emits nothing and builds no event.
+1. **Zero cost when absent.**  Telemetry off means no bus:
+   ``hierarchy.telemetry is None``.  The walk tests ``bus is not None``
+   once per access and, when that is false, emits nothing and builds
+   no event.  A bus that is attached is always on.
 2. **Engine-independent streams.**  All emission sites live in
    :class:`~repro.cache.hierarchy.CacheHierarchy`, which both engines
    share, so reference and fast hierarchies produce bit-identical event
@@ -17,15 +17,9 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List
 
-from repro.common.errors import ConfigurationError
 from repro.telemetry.events import CacheEvent
-
-#: Overflow policies accepted by :class:`BufferedSubscriber`.
-OVERFLOW_POLICIES = ("drop_oldest", "drop_newest", "block")
 
 
 class Subscriber:
@@ -50,16 +44,15 @@ class TelemetryBus:
     """Dispatches :class:`CacheEvent` values to subscribers in order.
 
     ``time`` is the logical clock: the ordinal of the current demand
-    access, advanced by :meth:`tick` once per access (and per flush).
+    access, advanced by :meth:`tick` once per access.
     Emission is a plain loop over pre-bound ``on_event`` callables; the
     handler list is rebuilt on (un)subscribe so the hot loop never
     checks membership.
     """
 
-    __slots__ = ("enabled", "time", "_subscribers", "_handlers")
+    __slots__ = ("time", "_subscribers", "_handlers")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.time = 0
         self._subscribers: List[object] = []
         self._handlers: List[Callable[[CacheEvent], None]] = []
@@ -90,14 +83,6 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def enable(self) -> None:
-        """Turn event emission on."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn event emission off (subscribers stay attached)."""
-        self.enabled = False
-
     def tick(self) -> int:
         """Advance and return the logical clock (one demand access)."""
         self.time += 1
@@ -111,19 +96,13 @@ class TelemetryBus:
         already-running process — so windowed subscribers can restart
         their aggregation aligned with the measurement epoch.
         """
-        if not self.enabled:
-            return
         for subscriber in self._subscribers:
             on_mark = getattr(subscriber, "on_mark", None)
             if on_mark is not None:
                 on_mark(label)
 
     def emit(self, event: CacheEvent) -> None:
-        """Deliver ``event`` to every subscriber, in subscription order.
-
-        Callers are expected to have checked ``enabled`` already (the
-        hierarchy guards each emission site with one attribute test).
-        """
+        """Deliver ``event`` to every subscriber, in subscription order."""
         for handler in self._handlers:
             handler(event)
 
@@ -133,128 +112,3 @@ class TelemetryBus:
             finish = getattr(subscriber, "finish", None)
             if finish is not None:
                 finish()
-
-
-class BufferedSubscriber(Subscriber):
-    """Bounded asynchronous delivery shim around a slow subscriber.
-
-    The bus's ``emit`` loop calls every handler synchronously, so one
-    subscriber that blocks (network write, disk flush, a client that
-    stopped reading) would stall the simulation hot loop.  Wrapping it
-    in a ``BufferedSubscriber`` decouples the two: ``on_event`` only
-    appends to a bounded in-memory queue under a lock — O(1), never
-    blocking on the inner subscriber — while a daemon worker thread
-    drains the queue and performs the actual (possibly slow) delivery.
-
-    ``capacity`` bounds the queue; ``overflow`` picks what happens when
-    it is full:
-
-    * ``"drop_oldest"`` (default) — evict the oldest queued item to make
-      room; keeps the stream current at the cost of a gap.
-    * ``"drop_newest"`` — discard the incoming event; keeps history.
-    * ``"block"`` — make the producer wait for space (only for tools
-      that must not lose events and accept the stall).
-
-    Every dropped event increments :attr:`dropped_events` and, when a
-    ``profiler`` is attached, mirrors into
-    :attr:`BusProfiler.dropped_events
-    <repro.telemetry.subscribers.BusProfiler.dropped_events>` so run
-    summaries surface the loss.  ``finish()`` flushes the queue (waits
-    for the worker to drain what was not dropped), forwards ``finish``
-    to the inner subscriber, and retires the worker — the wrapper is
-    one-shot, matching the bus lifecycle.
-    """
-
-    def __init__(
-        self,
-        inner: object,
-        capacity: int = 4096,
-        overflow: str = "drop_oldest",
-        profiler: Optional[object] = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(
-                f"capacity must be positive, got {capacity}"
-            )
-        if overflow not in OVERFLOW_POLICIES:
-            raise ConfigurationError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
-            )
-        self.inner = inner
-        self.capacity = capacity
-        self.overflow = overflow
-        self.profiler = profiler
-        self.dropped_events = 0
-        self.error: Optional[BaseException] = None
-        self._queue: Deque[Tuple[str, object]] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._worker = threading.Thread(
-            target=self._drain, name="telemetry-buffered-subscriber", daemon=True
-        )
-        self._worker.start()
-
-    # -- producer side (the bus emit loop) -----------------------------
-    def on_event(self, event: CacheEvent) -> None:
-        self._put(("event", event))
-
-    def on_mark(self, label: str) -> None:
-        self._put(("mark", label))
-
-    def finish(self) -> None:
-        """Flush queued items, forward ``finish``, stop the worker."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        self._worker.join()
-        finish = getattr(self.inner, "finish", None)
-        if finish is not None:
-            finish()
-
-    # -- internals -----------------------------------------------------
-    def _put(self, item: Tuple[str, object]) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            if len(self._queue) >= self.capacity:
-                if self.overflow == "drop_oldest":
-                    self._queue.popleft()
-                    self._record_drop()
-                elif self.overflow == "drop_newest":
-                    self._record_drop()
-                    return
-                else:  # block
-                    while len(self._queue) >= self.capacity and not self._closed:
-                        self._cond.wait()
-                    if self._closed:
-                        return
-            self._queue.append(item)
-            self._cond.notify_all()
-
-    def _record_drop(self) -> None:
-        self.dropped_events += 1
-        record = getattr(self.profiler, "record_dropped", None)
-        if record is not None:
-            record(1)
-
-    def _drain(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue:
-                    return  # closed and drained
-                kind, payload = self._queue.popleft()
-                self._cond.notify_all()
-            try:
-                if kind == "event":
-                    self.inner.on_event(payload)
-                else:
-                    on_mark = getattr(self.inner, "on_mark", None)
-                    if on_mark is not None:
-                        on_mark(payload)
-            except BaseException as exc:  # keep the producer unharmed
-                self.error = exc
-                return

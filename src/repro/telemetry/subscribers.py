@@ -241,10 +241,9 @@ class BusProfiler(Subscriber):
 
     def __init__(self) -> None:
         self.total_events = 0
-        #: Events lost to bounded buffering anywhere on this bus —
-        #: :class:`~repro.telemetry.bus.BufferedSubscriber` wrappers and
-        #: stream publishers report their overflow here so one counter
-        #: in the run summary answers "did observability lose data?".
+        #: Events lost to bounded buffering on this bus: stream
+        #: publishers report their overflow here so one counter in the
+        #: run summary answers "did observability lose data?".
         self.dropped_events = 0
         self._first: Optional[float] = None
         self._last: Optional[float] = None

@@ -14,7 +14,6 @@ from repro.analysis import (
     histogram,
     summarize_latencies,
 )
-from repro.analysis.cdf import cdf_at
 from repro.common.errors import ConfigurationError, ProtocolError
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=32)
@@ -110,9 +109,6 @@ class TestCdf:
     def test_duplicates_collapse(self):
         points = empirical_cdf([1.0, 1.0, 2.0])
         assert points == [(1.0, pytest.approx(2 / 3)), (2.0, 1.0)]
-
-    def test_cdf_at(self):
-        assert cdf_at([1.0, 2.0, 3.0, 4.0], 2.5) == 0.5
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):

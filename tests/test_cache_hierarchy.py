@@ -133,25 +133,6 @@ class TestStoreSemantics:
         assert hierarchy.levels[1].is_dirty(0x1000)
 
 
-class TestFlush:
-    def test_flush_removes_from_all_levels(self, quiet_xeon):
-        quiet_xeon.load(0x3000)
-        quiet_xeon.flush(0x3000)
-        assert quiet_xeon.probe_level(0x3000) == MEMORY_LEVEL
-
-    def test_flush_latency_depends_on_residency(self, quiet_xeon):
-        absent = quiet_xeon.flush(0x4000)
-        quiet_xeon.load(0x4000)
-        present = quiet_xeon.flush(0x4000)
-        assert present > absent  # the Flush+Flush signal
-
-    def test_flush_of_dirty_line_writes_memory(self, quiet_xeon):
-        quiet_xeon.store(0x5000)
-        before = quiet_xeon.stats.memory_writes
-        quiet_xeon.flush(0x5000)
-        assert quiet_xeon.stats.memory_writes == before + 1
-
-
 class TestTraceContents:
     def test_trace_records_evictions(self, tiny, space):
         lines = conflict_lines(tiny, space, 2, 3)

@@ -21,7 +21,7 @@ LINES = [i * 64 for i in range(24)]
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["load", "store", "flush"]),
+        st.sampled_from(["load", "store"]),
         st.integers(min_value=0, max_value=len(LINES) - 1),
     ),
     max_size=80,
@@ -36,12 +36,9 @@ def run_ops(ops, seed=0):
         address = space.translate(LINES[index])
         if op == "load":
             hierarchy.load(address, owner=0)
-        elif op == "store":
+        else:
             hierarchy.store(address, owner=0)
             written.add(address)
-        else:
-            hierarchy.flush(address, owner=0)
-            written.discard(address)  # flushed data reached memory
     return hierarchy, space, written
 
 
@@ -100,16 +97,6 @@ class TestDirtyDataConservation:
                 assert hierarchy.stats.memory_writes > 0, (
                     f"dirty line {address:#x} vanished without a memory write"
                 )
-
-    @given(ops=operations, seed=st.integers(min_value=0, max_value=999))
-    @settings(max_examples=40, deadline=None)
-    def test_flush_leaves_nothing_behind(self, ops, seed):
-        hierarchy, space, _ = run_ops(ops, seed)
-        address = space.translate(LINES[3])
-        hierarchy.store(address, owner=0)
-        hierarchy.flush(address, owner=0)
-        for level in hierarchy.levels:
-            assert not level.probe(address)
 
 
 class TestLatencyInvariants:

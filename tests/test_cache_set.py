@@ -107,19 +107,9 @@ class TestLocking:
         with pytest.raises(SimulationError):
             cache_set.choose_victim()
 
-    def test_unlock_restores_evictability(self):
-        cache_set = make_set(ways=2)
-        cache_set.fill(0, False, None, 0, addr)
-        cache_set.fill(1, False, None, 0, addr)
-        cache_set.lock(0)
-        cache_set.lock(1)
-        cache_set.unlock(0)
-        assert cache_set.choose_victim() == cache_set.find(0)
-
     def test_lock_absent_returns_false(self):
         cache_set = make_set()
         assert not cache_set.lock(123)
-        assert not cache_set.unlock(123)
 
 
 class TestAllowedWays:
@@ -162,12 +152,6 @@ class TestAccounting:
         cache_set.fill(1, False, None, 0, addr)
         cache_set.fill(2, True, None, 0, addr)
         assert cache_set.dirty_count() == 2
-
-    def test_resident_tags(self):
-        cache_set = make_set()
-        cache_set.fill(4, False, None, 0, addr)
-        cache_set.fill(9, False, None, 0, addr)
-        assert sorted(cache_set.resident_tags()) == [4, 9]
 
 
 class TestConstruction:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError, ProtocolError
-from repro.channels.threshold import ThresholdDecoder, majority_vote
+from repro.common.errors import ConfigurationError
+from repro.channels.threshold import ThresholdDecoder
 
 
 def simple_decoder():
@@ -81,16 +81,3 @@ class TestValidation:
     def test_thresholds_must_ascend(self):
         with pytest.raises(ConfigurationError):
             ThresholdDecoder(levels=(0, 1, 2), thresholds=(20.0, 10.0), medians=(1, 2, 3))
-
-
-class TestMajorityVote:
-    def test_majority(self):
-        assert majority_vote([1, 1, 0]) == 1
-        assert majority_vote([0, 0, 1]) == 0
-
-    def test_tie_breaks_to_one(self):
-        assert majority_vote([0, 1]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            majority_vote([])

@@ -6,31 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.channels.coding import HammingCode, RepetitionCode
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.channels.coding import HammingCode
+from repro.common.errors import ProtocolError
 
 nibble = st.lists(st.integers(min_value=0, max_value=1), min_size=4, max_size=4)
-
-
-class TestRepetitionCode:
-    def test_encode(self):
-        assert RepetitionCode(3).encode([1, 0]) == [1, 1, 1, 0, 0, 0]
-
-    def test_majority_decode_corrects_single_flip(self):
-        code = RepetitionCode(3)
-        assert code.decode([1, 0, 1, 0, 0, 1]) == [1, 0]
-
-    def test_rate(self):
-        assert RepetitionCode(5).rate == pytest.approx(0.2)
-
-    def test_even_repetitions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RepetitionCode(2)
-
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=32))
-    def test_clean_roundtrip(self, bits):
-        code = RepetitionCode(3)
-        assert code.decode(code.encode(bits)) == bits
 
 
 class TestHammingCode:

@@ -165,16 +165,6 @@ class TestProtocolTransitions:
         assert h.coherence.coherence_writebacks == wb_before
         h.check_invariants()
 
-    def test_flush_drops_every_copy_and_the_directory_entry(self):
-        h = xeon_coherent()
-        h.load(0x4000, owner=0)
-        h.store(0x4000, owner=0)
-        h.flush(0x4000, owner=0)
-        assert h.directory.state(0, 0x4000) is None
-        assert not h.l1_of(0).probe(0x4000)
-        assert not h.shared[0].probe(0x4000)
-        h.check_invariants()
-
     def test_owner_maps_to_core_modulo(self):
         h = xeon_coherent(cores=2)
         assert h.core_of(None) == 0
@@ -277,15 +267,11 @@ class TestMESIInvariantFuzz:
 
     @pytest.mark.parametrize("cores", [2, 4])
     def test_xeon_hierarchy_fuzz(self, cores):
-        """Paper geometry: sharing-heavy stream, periodic flushes."""
+        """Paper geometry: sharing-heavy stream."""
         h = xeon_coherent(cores=cores)
         rng = random.Random(SEED * cores)
-        for step, (address, write, owner) in enumerate(
-            random_stream(rng, cores, 800, 48)
-        ):
+        for address, write, owner in random_stream(rng, cores, 800, 48):
             h.access(address, write=write, owner=owner)
-            if step % 97 == 0:
-                h.flush(address, owner=owner)
             h.check_invariants()
         assert h.coherence.downgrades_m_to_s > 0
         assert h.coherence.upgrades_s_to_m > 0

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import LazyRandom, derive_rng, ensure_rng, maybe_seeded
+from repro.common.rng import LazyRandom, derive_rng, ensure_rng
 
 #: One call on a generator: a method name and its arguments.
 CALLS = st.one_of(
@@ -58,14 +58,6 @@ class TestDeriveRng:
         derive_rng(parent, "y")
         after_two = parent.random()
         assert after_one != after_two
-
-
-class TestMaybeSeeded:
-    def test_seeded_reproducible(self):
-        assert maybe_seeded(5).random() == maybe_seeded(5).random()
-
-    def test_unseeded_returns_generator(self):
-        assert isinstance(maybe_seeded(None), random.Random)
 
 
 class TestLazyRandom:

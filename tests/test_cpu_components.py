@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.cache.stats import CacheStats
 from repro.cpu.noise import SchedulerNoise
-from repro.cpu.ops import Delay, Flush, Load, SpinUntil, Store
+from repro.cpu.ops import Delay, Load, SpinUntil, Store
 from repro.cpu.perf_counters import PerfReport, loads_per_millisecond
 from repro.cpu.tsc import TimestampCounter
 
@@ -67,7 +67,7 @@ class TestSchedulerNoise:
 
 class TestOps:
     def test_negative_addresses_rejected(self):
-        for op in (Load, Store, Flush):
+        for op in (Load, Store):
             with pytest.raises(ConfigurationError):
                 op(-1)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.configs import make_tiny_hierarchy, make_xeon_hierarchy
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.cpu.noise import SchedulerNoise
-from repro.cpu.ops import Delay, Flush, Load, RdTSC, ResetStats, SpinUntil, Store
+from repro.cpu.ops import Delay, Load, RdTSC, ResetStats, SpinUntil, Store
 from repro.cpu.smt import SPIN_QUANTUM, SMTCore
 from repro.cpu.thread import HardwareThread, Program, as_program
 from repro.cpu.tsc import TimestampCounter
@@ -57,16 +57,6 @@ class TestOperations:
         assert core.hierarchy.l1.is_dirty(
             core.threads[0].space.translate(0x1000)
         )
-
-    def test_flush_returns_cost(self):
-        results = []
-
-        def program():
-            yield Load(0x1000)
-            results.append((yield Flush(0x1000)))
-
-        _, core = run_program(program)
-        assert results[0] >= core.hierarchy.latency.flush_base
 
     def test_rdtsc_advances_clock(self):
         def program():

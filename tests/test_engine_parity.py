@@ -97,19 +97,6 @@ def test_randomize_policy_state_parity(policy):
     assert reference.stats.snapshot() == fast.stats.snapshot()
 
 
-def test_flush_parity():
-    """clflush costs and after-states agree across engines."""
-    trace = random_trace(num_accesses=2_000, seed=11)
-    reference, fast = build_pair("tree-plru")
-    replay(reference, trace, owner=0)
-    replay(fast, trace, owner=0)
-    addresses = sorted({address for address, _ in trace})[:200]
-    costs_ref = [reference.flush(address, owner=0) for address in addresses]
-    costs_fast = [fast.flush(address, owner=0) for address in addresses]
-    assert costs_ref == costs_fast
-    assert_state_identical(reference, fast)
-
-
 def test_wb_channel_transmission_parity():
     """A real WB-protocol transmission decodes identically on both engines."""
     from repro.channels.encoding import BinaryDirtyCodec
@@ -156,10 +143,6 @@ def test_telemetry_event_stream_parity(policy):
         recorders[name] = recorder
     replay(reference, trace, owner=0)
     replay(fast, trace, owner=0)
-    flushed = sorted({address for address, _ in trace})[:64]
-    for address in flushed:
-        reference.flush(address, owner=0)
-        fast.flush(address, owner=0)
 
     events_ref = recorders["reference"].events
     events_fast = recorders["fast"].events

@@ -1,11 +1,9 @@
 """Paging and the no-shared-memory property of the threat model."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.mem.address_space import PAGE_SIZE, AddressSpace, FrameAllocator
+from repro.mem.address_space import PAGE_SIZE, FrameAllocator
 
 
 class TestFrameAllocator:
@@ -85,17 +83,3 @@ class TestBufferAllocation:
     def test_rejects_zero_size(self, space):
         with pytest.raises(ConfigurationError):
             space.allocate_buffer(0)
-
-    def test_touch_range_maps_all_pages(self, space):
-        base = space.allocate_buffer(3 * PAGE_SIZE)
-        space.touch_range(base, 3 * PAGE_SIZE)
-        for page in range(3):
-            assert space.is_mapped(base + page * PAGE_SIZE)
-
-    @given(size=st.integers(min_value=1, max_value=10 * PAGE_SIZE))
-    def test_touch_range_any_size(self, size):
-        space = AddressSpace(pid=1, allocator=FrameAllocator())
-        base = space.allocate_buffer(size)
-        space.touch_range(base, size)
-        assert space.is_mapped(base)
-        assert space.is_mapped(base + size - 1)

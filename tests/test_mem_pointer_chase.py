@@ -36,21 +36,6 @@ class TestConstruction:
 
 
 class TestTraversal:
-    def test_head_is_first(self):
-        chase = PointerChaseList(order=[0x100, 0x200, 0x300])
-        assert chase.head == 0x100
-
-    def test_successor_chain(self):
-        chase = PointerChaseList(order=[0x100, 0x200, 0x300])
-        assert chase.successor(0x100) == 0x200
-        assert chase.successor(0x200) == 0x300
-        assert chase.successor(0x300) is None
-
-    def test_successor_rejects_foreign_address(self):
-        chase = PointerChaseList(order=[0x100])
-        with pytest.raises(ConfigurationError):
-            chase.successor(0x999)
-
     def test_len_and_iter(self):
         chase = PointerChaseList(order=[0x100, 0x200])
         assert len(chase) == 2

@@ -3,9 +3,6 @@
 import pytest
 
 from repro.experiments.base import _format_cell
-from repro.experiments.process_models import idle_spin_program
-from repro.cpu.ops import SpinUntil
-from repro.noise.workloads import drain
 from repro.cache.line import CacheLine, EvictedLine
 
 
@@ -18,19 +15,6 @@ class TestFormatCell:
 
     def test_strings_verbatim(self):
         assert _format_cell("68.8%") == "68.8%"
-
-
-class TestIdleProgram:
-    def test_spins_once(self):
-        program = idle_spin_program(5000)
-        ops = list(program.run())
-        assert ops == [SpinUntil(5000)]
-
-
-class TestDrainHelper:
-    def test_returns_all_ops(self):
-        program = idle_spin_program(100)
-        assert len(drain(program)) == 1
 
 
 class TestCacheLine:

@@ -8,11 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.cpu.ops import Delay, Load, SpinUntil, Store
 from repro.mem.address_space import AddressSpace, FrameAllocator
 from repro.noise.models import NoiseConfig, TargetSetNoiseProgram
-from repro.noise.workloads import (
-    CompilerLikeWorkload,
-    PointerChaseWorkload,
-    StreamingWorkload,
-)
+from repro.noise.workloads import CompilerLikeWorkload
 
 
 @pytest.fixture
@@ -93,26 +89,6 @@ class TestTargetSetNoise:
 
 
 class TestWorkloads:
-    def test_streaming_sequential(self, space):
-        workload = StreamingWorkload(space=space, accesses=100, seed=0)
-        ops = drain_ops(workload)
-        loads = [op.address for op in ops if isinstance(op, Load)]
-        assert loads == sorted(loads)  # sweeps forward
-
-    def test_streaming_store_mix(self, space):
-        workload = StreamingWorkload(
-            space=space, accesses=400, store_fraction=0.5, seed=0
-        )
-        ops = drain_ops(workload)
-        stores = sum(isinstance(op, Store) for op in ops)
-        assert 120 < stores < 280
-
-    def test_pointer_chase_scatters(self, space):
-        workload = PointerChaseWorkload(space=space, accesses=200, seed=0)
-        ops = drain_ops(workload)
-        addresses = [op.address for op in ops if isinstance(op, (Load, Store))]
-        assert len(set(addresses)) > 150  # mostly distinct lines
-
     def test_compiler_like_phases(self, space):
         workload = CompilerLikeWorkload(space=space, total_accesses=2000, seed=0)
         ops = drain_ops(workload)
@@ -135,9 +111,5 @@ class TestWorkloads:
         assert tiers_touched == 3
 
     def test_validation(self, space):
-        with pytest.raises(ConfigurationError):
-            StreamingWorkload(space=space, accesses=0)
-        with pytest.raises(ConfigurationError):
-            PointerChaseWorkload(space=space, accesses=0)
         with pytest.raises(ConfigurationError):
             CompilerLikeWorkload(space=space, total_accesses=0)

@@ -252,21 +252,35 @@ class TestErrorEnvelope:
             ("random-l1-trace", ("profile",), {"name": "quick", "engine": "fast"}),
             ("random-l1-trace", ("wait",), "soon"),
             ("random-l1-trace", ("timeout",), True),
+            ("cross-core-quad", ("scenario", "hierarchy", "levels", 0), None),
+            ("cross-core-quad", ("scenario", "hierarchy", "levels", 0), {}),
+            ("cross-core-quad", ("scenario", "hierarchy", "levels", 0), "x"),
+            (
+                "cross-core-quad",
+                ("scenario", "hierarchy", "levels", 0, "policy"),
+                [],
+            ),
+            # No scenario: an experiment_id job.
+            (None, ("profile",), True),
         ],
         ids=[
             "string-target-set", "fractional-target-set",
             "string-schema-version", "string-period", "list-d-on",
             "non-numeric-level-map-symbol", "string-ensure-resident",
             "string-fault-rate", "profile-without-reduced", "string-wait",
-            "boolean-timeout",
+            "boolean-timeout", "null-level", "empty-level", "string-level",
+            "list-policy", "boolean-profile",
         ],
     )
     def test_malformed_field_is_400_before_queueing(
         self, service, scenario, path, value
     ):
-        spec_file = RANDOM_L1_TRACE.parent / f"{scenario}.json"
-        spec = json.loads(spec_file.read_text(encoding="utf-8"))
-        body = {"scenario": spec, "profile": "quick", "wait": True}
+        if scenario is None:
+            body = {"experiment_id": "table4", "profile": "quick", "wait": True}
+        else:
+            spec_file = RANDOM_L1_TRACE.parent / f"{scenario}.json"
+            spec = json.loads(spec_file.read_text(encoding="utf-8"))
+            body = {"scenario": spec, "profile": "quick", "wait": True}
         parent = body
         for name in path[:-1]:
             parent = parent[name]
