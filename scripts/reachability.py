@@ -15,9 +15,9 @@ thread started here (``sys.setprofile`` and ``threading.setprofile``):
 It then prints every function defined under ``src/repro`` that was never
 called, with its size in lines, in three groups:
 
-1. those whose name a file under ``src/`` (package tables excluded),
-   ``examples/`` or ``scripts/`` uses: a path the sweep did not take may
-   still reach them;
+1. those whose name a file under ``src/`` (the ``lazy_exports(...)``
+   export tables of package ``__init__`` files excluded), ``examples/`` or
+   ``scripts/`` uses: a path the sweep did not take may still reach them;
 2. those whose name only files under ``tests/`` use, or none, and that
    nobody has decided on yet: candidates for deletion;
 3. those :data:`KEPT` keeps on purpose, each with its reason (public API,
@@ -25,8 +25,8 @@ called, with its size in lines, in three groups:
    key that names no function is reported as stale.
 
 A function counts as named where code uses its name and, for a method,
-its class's name too; definitions, annotations, ``__all__`` lists and
-docstrings do not count.  Dunder methods always count as named (the
+its class's name too; definitions, annotations, ``__all__`` lists,
+export tables and docstrings do not count.  Dunder methods always count as named (the
 interpreter calls them).  Fleet workers run in subprocesses, so
 ``service/worker.py`` and ``service/fleet.py`` are listed as not swept
 instead of as dead.
@@ -125,9 +125,8 @@ KEPT: Dict[str, str] = {
     "defenses/randomized_mapping.py:find_eviction_set":
         "ROADMAP item 3 wires it into the defenses verdict it backs",
     "_lazy.py:lazy_exports.__dir__": "dir() of a package calls it (PEP 562)",
-    "runner/__init__.py:_CheckpointProgress.task_retried":
-        "the runner calls it on a worker-crash retry; its class lives in "
-        "a package __init__, which the name check skips",
+    "orchestration/counters.py:reset_counters":
+        "isolates tests from the process-global fleet counters",
 }
 
 
@@ -178,6 +177,16 @@ def defined_functions() -> List[Function]:
     return functions
 
 
+def _is_export_table(node: ast.AST) -> bool:
+    """Whether ``node`` is a package's ``lazy_exports(...)`` call, whose
+    strings name what the package exports without using it."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "lazy_exports"
+    )
+
+
 def _is_all(node: ast.AST) -> bool:
     """Whether ``node`` assigns to ``__all__``."""
     if isinstance(node, ast.Assign):
@@ -193,12 +202,12 @@ def _is_all(node: ast.AST) -> bool:
 
 
 def _walk_code(tree: ast.AST):
-    """``ast.walk`` minus type annotations and ``__all__`` lists, which
-    name without using."""
+    """``ast.walk`` minus type annotations, ``__all__`` lists and export
+    tables, which name without using."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if _is_all(node):
+        if _is_all(node) or _is_export_table(node):
             continue
         yield node
         for field, value in ast.iter_fields(node):
@@ -213,8 +222,8 @@ def _walk_code(tree: ast.AST):
 def names_used(files: List[pathlib.Path]) -> Set[str]:
     """Identifiers ``files`` read, call, import or spell as a name string.
 
-    Definitions, annotations and ``__all__`` do not count, nor do
-    docstrings and other prose strings.
+    Definitions, annotations, ``__all__`` and export tables do not count,
+    nor do docstrings and other prose strings.
     """
     names: Set[str] = set()
     for file in files:
@@ -362,10 +371,7 @@ def build_report(
     """Counts, the three never-called groups, stale ``KEPT`` keys, and
     every function called."""
     functions = defined_functions()
-    # Package ``__init__`` files hold only the export tables.
-    product_files = [
-        file for file in PACKAGE.rglob("*.py") if file.name != "__init__.py"
-    ]
+    product_files = list(PACKAGE.rglob("*.py"))
     for folder in ("examples", "scripts"):
         product_files.extend((REPO_ROOT / folder).rglob("*.py"))
     product_names = names_used(product_files)

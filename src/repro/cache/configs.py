@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.records import OMIT_AT_DEFAULT, Record
 from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import AllocationPolicy, Cache, WritePolicy, cache_layout
 from repro.cache.hierarchy import CacheHierarchy, check_level_order
@@ -59,7 +60,7 @@ class XeonE5_2650Config:
 
 
 @dataclass(frozen=True)
-class LevelParams:
+class LevelParams(Record):
     """Geometry and policies of one cache level, as plain data.
 
     Policies are stored as their string values (``"write-back"``,
@@ -75,18 +76,6 @@ class LevelParams:
     allocation_policy: str = AllocationPolicy.WRITE_ALLOCATE.value
 
     def __post_init__(self) -> None:
-        for field_name in ("name", "policy", "write_policy", "allocation_policy"):
-            value = getattr(self, field_name)
-            if not isinstance(value, str):
-                raise ConfigurationError(
-                    f"hierarchy level {field_name} must be a string, "
-                    f"got {value!r}"
-                )
-        if not _is_int(self.size_bytes) or not _is_int(self.ways):
-            raise ConfigurationError(
-                f"{self.name}: size_bytes and ways must be integers, "
-                f"got {self.size_bytes!r} and {self.ways!r}"
-            )
         try:
             WritePolicy(self.write_policy)
         except ValueError:
@@ -103,21 +92,6 @@ class LevelParams:
                 f"valid: {', '.join(p.value for p in AllocationPolicy)}"
             ) from None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "size_bytes": self.size_bytes,
-            "ways": self.ways,
-            "policy": self.policy,
-            "write_policy": self.write_policy,
-            "allocation_policy": self.allocation_policy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LevelParams":
-        _require_fields(cls, data, context="hierarchy level")
-        return cls(**data)  # type: ignore[arg-type]
-
 
 #: RNG derivation labels by level index; fixed so that params-built
 #: hierarchies consume exactly the streams the historic factories did.
@@ -132,7 +106,7 @@ _MAX_CORES = 64
 
 
 @dataclass(frozen=True)
-class HierarchyParams:
+class HierarchyParams(Record):
     """The single source of truth for hierarchy geometry.
 
     ``make_xeon_hierarchy`` / ``make_tiny_hierarchy`` and
@@ -149,14 +123,11 @@ class HierarchyParams:
     #: hierarchy; >= 2 builds a :class:`~repro.coherence.hierarchy.
     #: CoherentHierarchy` with one private copy of ``levels[0]`` per core
     #: over the shared deeper levels, kept coherent by a MESI directory.
-    cores: int = 1
+    #: Left out of ``to_dict`` at 1, so every single-core spec keeps the
+    #: canonical form that ``scenarios/KEYS.json`` pins.
+    cores: int = field(default=1, metadata=OMIT_AT_DEFAULT)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.line_size) or not _is_int(self.cores):
-            raise ConfigurationError(
-                f"line_size and cores must be integers, "
-                f"got {self.line_size!r} and {self.cores!r}"
-            )
         if not self.levels:
             raise ConfigurationError("HierarchyParams needs at least one level")
         if len(self.levels) > len(_LEVEL_RNG_KEYS):
@@ -319,63 +290,6 @@ class HierarchyParams:
             check_private_l1s(self.levels[:1], self.levels[1:])
         else:
             check_level_order(self.levels)
-
-    def to_dict(self) -> Dict[str, object]:
-        # ``cores`` is serialised only when it departs from the default:
-        # every cores=1 spec keeps its historic canonical form, so the
-        # scenario keys pinned in scenarios/KEYS.json are unchanged.
-        data: Dict[str, object] = {
-            "line_size": self.line_size,
-            "levels": [level.to_dict() for level in self.levels],
-        }
-        if self.cores != 1:
-            data["cores"] = self.cores
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HierarchyParams":
-        _require_fields(cls, data, context="hierarchy")
-        levels = data.get("levels")
-        if not isinstance(levels, (list, tuple)):
-            raise ConfigurationError("hierarchy 'levels' must be a list")
-        return cls(
-            levels=tuple(LevelParams.from_dict(entry) for entry in levels),
-            line_size=data.get("line_size", 64),  # type: ignore[arg-type]
-            cores=data.get("cores", 1),  # type: ignore[arg-type]
-        )
-
-
-def _is_int(value: object) -> bool:
-    """Whether ``value`` is an int; ``bool`` is not, though it subclasses it."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_fields(cls, data: Dict[str, object], context: str) -> None:
-    """Reject unknown and missing keys loudly — specs must not silently
-    drop typos."""
-    import dataclasses
-
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{context} must be a JSON object, got {type(data).__name__}")
-    fields = dataclasses.fields(cls)
-    valid = {f.name for f in fields}
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {context} field(s): {', '.join(sorted(unknown))}; "
-            f"valid fields: {', '.join(sorted(valid))}"
-        )
-    missing = [
-        f.name
-        for f in fields
-        if f.name not in data
-        and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    if missing:
-        raise ConfigurationError(
-            f"missing {context} field(s): {', '.join(missing)}"
-        )
 
 
 def _cache_class(engine: Optional[str]):

@@ -21,9 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "CPU_FREQUENCY_HZ",
             "cycles_to_kbps",
             "cycles_to_seconds",
-            "cycles_to_us",
             "kbps_to_period_cycles",
-            "seconds_to_cycles",
         ),
         "bits": (
             "bits_to_int",
@@ -32,7 +30,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "hamming_distance",
             "int_to_bits",
             "random_bits",
-            "string_to_bits",
         ),
         "rng": ("derive_rng", "derive_seed", "ensure_rng"),
     },

@@ -33,16 +33,6 @@ def bits_to_string(bits: Sequence[int]) -> str:
     return "".join(str(bit) for bit in bits)
 
 
-def string_to_bits(text: str) -> List[int]:
-    """Parse a ``'0101...'`` string into a bit list."""
-    bits: List[int] = []
-    for index, char in enumerate(text):
-        if char not in "01":
-            raise ProtocolError(f"character {index} is {char!r}, expected '0' or '1'")
-        bits.append(int(char))
-    return bits
-
-
 def bits_to_int(bits: Sequence[int]) -> int:
     """Interpret a bit sequence as a big-endian unsigned integer.
 

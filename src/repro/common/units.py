@@ -21,18 +21,6 @@ def cycles_to_seconds(cycles: float, frequency_hz: float = CPU_FREQUENCY_HZ) -> 
     return cycles / frequency_hz
 
 
-def cycles_to_us(cycles: float, frequency_hz: float = CPU_FREQUENCY_HZ) -> float:
-    """Convert a cycle count to microseconds at the given clock frequency."""
-    return cycles_to_seconds(cycles, frequency_hz) * 1e6
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float = CPU_FREQUENCY_HZ) -> int:
-    """Convert seconds to an integer cycle count (rounded to nearest)."""
-    if frequency_hz <= 0:
-        raise ConfigurationError(f"frequency must be positive, got {frequency_hz}")
-    return round(seconds * frequency_hz)
-
-
 def cycles_to_kbps(
     period_cycles: float,
     bits_per_symbol: int = 1,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import CPU_FREQUENCY_HZ
+from repro.common.units import CPU_FREQUENCY_HZ, cycles_to_seconds
 from repro.cache.stats import CacheStats
 
 
@@ -22,7 +22,7 @@ def loads_per_millisecond(
     """Accesses per wall-clock millisecond for a run of ``cycles`` cycles."""
     if cycles <= 0:
         raise ConfigurationError(f"cycles must be positive, got {cycles}")
-    milliseconds = cycles / frequency_hz * 1e3
+    milliseconds = cycles_to_seconds(cycles, frequency_hz) * 1e3
     return accesses / milliseconds
 
 

@@ -1,15 +1,14 @@
 """Hardware threads and the program protocol.
 
 A *program* is any object with a ``run()`` method returning a generator of
-:mod:`operations <repro.cpu.ops>`; plain generator functions wrapped in
-:func:`as_program` work too.  A :class:`HardwareThread` binds a program to a
-hardware-thread id and an address space and holds its scheduling state
+:mod:`operations <repro.cpu.ops>`.  A :class:`HardwareThread` binds a program
+to a hardware-thread id and an address space and holds its scheduling state
 (local clock, pending preemption) for the SMT core.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.ops import Op
@@ -31,16 +30,6 @@ class Program:
     def run(self) -> OpGenerator:
         """Return the operation generator for one execution."""
         raise NotImplementedError
-
-
-def as_program(generator_fn: Callable[[], OpGenerator]) -> Program:
-    """Wrap a bare generator function into a :class:`Program`."""
-
-    class _FunctionProgram(Program):
-        def run(self) -> OpGenerator:
-            return generator_fn()
-
-    return _FunctionProgram()
 
 
 class HardwareThread:

@@ -20,25 +20,36 @@ landed) has been removed; passing it raises a :class:`TypeError` naming
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.common.errors import ConfigurationError
+from repro.common.records import REQUIRED_KEY, Record
+
+#: Cap on :attr:`RunProfile.scale` from a request: above every profile
+#: in the repo (1.0 in ``src/``, 60 in the fleet smoke), and it stops a
+#: scale such as 1e12 from holding a worker until its job's timeout.
+_MAX_SCALE = 100.0
 
 
 @dataclass(frozen=True)
-class RunProfile:
+class RunProfile(Record):
     """A named repetition-count policy for experiment runs.
 
     ``reduced`` selects the experiments' CI-speed budgets (what
     ``quick=True`` used to mean); ``scale`` multiplies whichever budget is
     selected, so ``RunProfile("smoke", reduced=True, scale=0.5)`` runs at
     half the quick counts.
+
+    ``from_dict`` requires ``reduced``: a profile that names a budget
+    without saying which must not run the full one.  Manifests written
+    before a knob existed load with its default (``engine=None``,
+    ``telemetry=False``).
     """
 
     name: str
     #: True → experiments use their reduced (CI-speed) repetition counts.
-    reduced: bool = False
+    reduced: bool = field(default=False, metadata=REQUIRED_KEY)
     #: Multiplier applied to every resolved repetition count (min 1).
     scale: float = 1.0
     #: Simulation engine ("reference" or "fast", see
@@ -55,9 +66,9 @@ class RunProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("profile name must be non-empty")
-        if self.scale <= 0:
+        if not 0 < self.scale <= _MAX_SCALE:
             raise ConfigurationError(
-                f"profile scale must be positive, got {self.scale}"
+                f"profile scale must be in (0, {_MAX_SCALE:g}], got {self.scale}"
             )
         if self.engine is not None:
             from repro.engine.selection import resolve_engine
@@ -89,37 +100,6 @@ class RunProfile:
         import dataclasses
 
         return dataclasses.replace(self, telemetry=telemetry)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (used by run manifests)."""
-        return {
-            "name": self.name,
-            "reduced": self.reduced,
-            "scale": self.scale,
-            "engine": self.engine,
-            "telemetry": self.telemetry,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunProfile":
-        """Inverse of :meth:`to_dict`.
-
-        Manifests written before a knob existed load with its default
-        (``engine=None``, ``telemetry=False``).
-        """
-        missing = [name for name in ("name", "reduced") if name not in data]
-        if missing:
-            raise ConfigurationError(
-                f"profile is missing required field(s): {', '.join(missing)}"
-            )
-        engine = data.get("engine")
-        return cls(
-            name=str(data["name"]),
-            reduced=bool(data["reduced"]),
-            scale=float(data.get("scale", 1.0)),
-            engine=None if engine is None else str(engine),
-            telemetry=bool(data.get("telemetry", False)),
-        )
 
 
 #: The two canonical profiles (the old ``quick=False`` / ``quick=True``).

@@ -50,9 +50,10 @@ Fault classes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
+from repro.common.records import OMIT_AT_DEFAULT, Number, Record
 
 #: Rates are probabilities and must stay in [0, 1] after scaling.
 _RATE_FIELDS = (
@@ -67,58 +68,54 @@ _RATE_FIELDS = (
     "store_slow_rate",
 )
 
-#: Fields added for the service fleet (PR 9).  They default to "off" and
-#: are omitted from :meth:`FaultSpec.to_dict` at their defaults so every
-#: canonical form hashed before they existed — scenario KEYS.json pins,
-#: golden results, cache keys — stays byte-identical.
-_FLEET_FIELDS = (
-    "heartbeat_stale_rate",
-    "upload_drop_rate",
-    "store_slow_rate",
-    "store_slow_seconds",
-)
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """Per-class fault rates and magnitudes (all deterministic knobs).
 
     The defaults describe intensity 1.0 of the ``fault_tolerance``
     sweep: every class present but none overwhelming, so scaling up
     degrades the raw channel smoothly instead of cliff-dropping.
+
+    Every rate and magnitude but the ``corunner_accesses`` count is a
+    :data:`~repro.common.records.Number`, kept as given (an int stays an
+    int): scenario keys hash it.  The fleet fields are left out of
+    ``to_dict`` at their defaults ("off"), so every canonical form hashed
+    before they existed — scenario ``KEYS.json`` pins, golden results,
+    cache keys — stays byte-identical.
     """
 
     #: Probability per symbol per party of a descheduling window.
-    desched_rate: float = 0.01
+    desched_rate: Number = 0.01
     #: Descheduling window length, uniform in periods.
-    desched_min_periods: float = 0.6
-    desched_max_periods: float = 2.4
+    desched_min_periods: Number = 0.6
+    desched_max_periods: Number = 2.4
     #: Probability per probe window of the measurement being lost.
-    drop_rate: float = 0.01
+    drop_rate: Number = 0.01
     #: Probability per probe window of the measurement firing twice.
-    duplicate_rate: float = 0.01
+    duplicate_rate: Number = 0.01
     #: Monotone latency drift added per symbol slot (cycles).
-    drift_cycles_per_symbol: float = 0.12
+    drift_cycles_per_symbol: Number = 0.12
     #: Drift saturates here (the machine settles at a new operating point).
-    drift_limit_cycles: float = 15.0
+    drift_limit_cycles: Number = 15.0
     #: Probability per symbol of a co-runner burst landing in its window.
-    corunner_rate: float = 0.02
+    corunner_rate: Number = 0.02
     #: Accesses per co-runner burst (every fourth one a store).
     corunner_accesses: int = 16
     #: Runner chaos: probability a worker crashes / hangs on first attempt.
-    worker_crash_rate: float = 0.0
-    worker_hang_rate: float = 0.0
+    worker_crash_rate: Number = 0.0
+    worker_hang_rate: Number = 0.0
     #: Fleet chaos: probability per lease attempt that the worker keeps
     #: computing but its heartbeats stop (partition; lease expires).
-    heartbeat_stale_rate: float = 0.0
+    heartbeat_stale_rate: Number = field(default=0.0, metadata=OMIT_AT_DEFAULT)
     #: Fleet chaos: probability per lease attempt that the computed
     #: result's upload never arrives.
-    upload_drop_rate: float = 0.0
+    upload_drop_rate: Number = field(default=0.0, metadata=OMIT_AT_DEFAULT)
     #: Fleet chaos: probability per lease attempt that store interaction
     #: stalls for ``store_slow_seconds`` before completing normally.
-    store_slow_rate: float = 0.0
+    store_slow_rate: Number = field(default=0.0, metadata=OMIT_AT_DEFAULT)
     #: Magnitude of a ``store_slow`` stall, in wall-clock seconds.
-    store_slow_seconds: float = 0.5
+    store_slow_seconds: Number = field(default=0.5, metadata=OMIT_AT_DEFAULT)
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -167,42 +164,6 @@ class FaultSpec:
             self.drift_cycles_per_symbol * intensity
         )
         return replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (stored in fault summaries and manifests).
-
-        Fleet-era fields are omitted while at their defaults: the dict
-        feeds canonical JSON that is hashed into scenario keys and
-        pinned in ``scenarios/KEYS.json``, so pre-existing specs must
-        keep producing byte-identical canonical forms.
-        """
-        defaults = {f.name: f.default for f in fields(self)}
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in _FLEET_FIELDS:
-            if data[name] == defaults[name]:
-                del data[name]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown fields loudly."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault spec must be a JSON object, got {type(data).__name__}"
-            )
-        valid = {f.name for f in fields(cls)}
-        unknown = set(data) - valid
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault spec field(s): {', '.join(sorted(unknown))}"
-            )
-        for name, value in data.items():
-            # Kept as given (an int stays an int): scenario keys hash it.
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"fault spec field {name!r} must be a number, got {value!r}"
-                )
-        return cls(**data)
 
 
 #: The reference fault regime used by the ``fault_tolerance`` experiment.

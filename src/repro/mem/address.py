@@ -52,10 +52,6 @@ class AddressLayout:
         """Number of bits selecting the cache set."""
         return self.num_sets.bit_length() - 1
 
-    def line_offset(self, address: int) -> int:
-        """Byte offset of ``address`` within its cache line."""
-        return address & (self.line_size - 1)
-
     def set_index(self, address: int) -> int:
         """Cache-set index of ``address``."""
         return (address >> self.offset_bits) & (self.num_sets - 1)
@@ -73,7 +69,7 @@ class AddressLayout:
 
         >>> layout = AddressLayout(line_size=64, num_sets=64)
         >>> addr = layout.compose(tag=3, set_index=17, offset=8)
-        >>> layout.tag(addr), layout.set_index(addr), layout.line_offset(addr)
+        >>> layout.tag(addr), layout.set_index(addr), addr - layout.line_address(addr)
         (3, 17, 8)
         """
         if not 0 <= set_index < self.num_sets:

@@ -59,12 +59,10 @@ from repro.mem.pointer_chase import PointerChaseList
 from repro.mem.sets import build_replacement_set, build_set_conflicting_lines
 from repro.orchestration.aggregator import FleetAggregator
 from repro.orchestration.responder import DefenseResponder
-from repro.scenario.spec import ClosedLoopParams, DetectorSpec, ScenarioSpec
+from repro.scenario.spec import ClosedLoopParams, ScenarioSpec
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.detectors import (
     Baseline,
-    MissRateMonitor,
-    WritebackBurstDetector,
     suggest_threshold,
 )
 from repro.telemetry.net import (
@@ -179,36 +177,6 @@ class ClosedLoopMeasurement:
     series: Dict[str, List[float]]
     #: None when the suspect set lacks the wb/lru pair to compare.
     asymmetry_holds: Optional[bool]
-
-
-def _build_detector(spec: DetectorSpec, baseline: Optional[Baseline] = None):
-    if spec.kind == "miss_rate":
-        return MissRateMonitor(
-            window=spec.window,
-            owner=SUSPECT_TID,
-            clock_owner=RECEIVER_TID,
-            baseline=baseline,
-        )
-    return WritebackBurstDetector(
-        window=spec.window,
-        segment=spec.segment,
-        max_lag=spec.max_lag,
-        owner=SUSPECT_TID,
-        clock_owner=RECEIVER_TID,
-        baseline=baseline,
-    )
-
-
-def _make_detectors(
-    params: ClosedLoopParams,
-    baselines: Optional[Dict[str, Baseline]] = None,
-) -> Dict[str, object]:
-    return {
-        spec.name: _build_detector(
-            spec, None if baselines is None else baselines.get(spec.name)
-        )
-        for spec in params.detectors
-    }
 
 
 @dataclass
@@ -434,7 +402,10 @@ def measure_closed_loop(
     decoder = ThresholdDecoder.calibrate(samples_by_level)
 
     # Phase 1 — calibrate the detectors on a benign co-run (disjoint seed).
-    calibration = _make_detectors(params)
+    calibration = {
+        spec.name: spec.build(SUSPECT_TID, RECEIVER_TID)
+        for spec in params.detectors
+    }
     _run_corun(
         scenario,
         "benign",
@@ -466,7 +437,10 @@ def measure_closed_loop(
         publish_ambient(
             "progress", {"stage": "closed_loop_suspect", "suspect": suspect}
         )
-        detectors = _make_detectors(params, baselines)
+        detectors = {
+            spec.name: spec.build(SUSPECT_TID, RECEIVER_TID, baselines[spec.name])
+            for spec in params.detectors
+        }
         result = _run_corun(
             scenario,
             suspect,

@@ -27,8 +27,6 @@ from repro.scenario.spec import CrossCoreParams, DetectorSpec, ScenarioSpec
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.detectors import (
     Baseline,
-    MissRateMonitor,
-    WritebackBurstDetector,
     detection_rate,
     suggest_threshold,
 )
@@ -60,38 +58,24 @@ class CrossCoreMeasurement:
     series: Dict[str, List[float]]
 
 
-def _build_detector(spec: DetectorSpec, core: int, baseline: Optional[Baseline] = None):
-    """One detector instance watching ``core``'s cache events.
+def _detector_grid(
+    params: CrossCoreParams, cores: int
+) -> List[Tuple[str, DetectorSpec, int, int]]:
+    """The (name, spec, core, clock owner) product: one instance per
+    detector per core, each watching ``core``'s cache events.
 
     The receiver's paced probes anchor the logical clock, like the
     prober does in the single-core scenarios; the receiver core's own
     detector is clocked by the sender instead (a detector cannot clock
     itself off the thread it watches).
     """
-    clock_owner = RECEIVER_TID if core != RECEIVER_TID else SENDER_TID
-    if spec.kind == "miss_rate":
-        return MissRateMonitor(
-            window=spec.window,
-            owner=core,
-            clock_owner=clock_owner,
-            baseline=baseline,
-        )
-    return WritebackBurstDetector(
-        window=spec.window,
-        segment=spec.segment,
-        max_lag=spec.max_lag,
-        owner=core,
-        clock_owner=clock_owner,
-        baseline=baseline,
-    )
-
-
-def _detector_grid(
-    params: CrossCoreParams, cores: int
-) -> List[Tuple[str, DetectorSpec, int]]:
-    """The (name, spec, core) product: one instance per detector per core."""
     return [
-        (f"{spec.name}_core{core}", spec, core)
+        (
+            f"{spec.name}_core{core}",
+            spec,
+            core,
+            RECEIVER_TID if core != RECEIVER_TID else SENDER_TID,
+        )
         for spec in params.detectors
         for core in range(cores)
     ]
@@ -167,11 +151,12 @@ def measure_cross_core(
     messages = params.messages.resolve(profile)
     calibration_reps = params.calibration_repetitions.resolve(profile)
     grid = _detector_grid(params, cores)
-    names = tuple(name for name, _, _ in grid)
+    names = tuple(name for name, *_ in grid)
 
     # Phase 1 — fit baselines on a two-core benign co-run (disjoint seed).
     calibration = {
-        name: _build_detector(spec, core) for name, spec, core in grid
+        name: spec.build(core, clock_owner)
+        for name, spec, core, clock_owner in grid
     }
     _run_benign_corun(
         scenario,
@@ -212,8 +197,8 @@ def measure_cross_core(
             calibration_repetitions=calibration_reps,
         )
         detectors = {
-            name: _build_detector(spec, core, baselines[name])
-            for name, spec, core in grid
+            name: spec.build(core, clock_owner, baselines[name])
+            for name, spec, core, clock_owner in grid
         }
         coherence: Dict[str, int] = {}
         result = run_cross_core_wb_channel(
@@ -233,11 +218,11 @@ def measure_cross_core(
 
     alarm_rates = {name: alarm_sums[name] / messages for name in names}
     miss_rates = [
-        alarm_rates[name] for name, spec, _ in grid if spec.kind == "miss_rate"
+        alarm_rates[name] for name, spec, *_ in grid if spec.kind == "miss_rate"
     ]
     burst_rates = [
         alarm_rates[name]
-        for name, spec, _ in grid
+        for name, spec, *_ in grid
         if spec.kind == "writeback_burst"
     ]
     stealth_holds: Optional[bool] = None

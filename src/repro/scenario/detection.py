@@ -29,12 +29,10 @@ from repro.experiments.process_models import (
     make_activity,
 )
 from repro.mem.sets import build_set_conflicting_lines
-from repro.scenario.spec import DetectorSpec, OnlineDetectionParams, ScenarioSpec
+from repro.scenario.spec import OnlineDetectionParams, ScenarioSpec
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.detectors import (
     Baseline,
-    MissRateMonitor,
-    WritebackBurstDetector,
     detection_rate,
     suggest_threshold,
     threshold_sweep,
@@ -78,38 +76,6 @@ class OnlineDetectionMeasurement:
     series: Dict[str, List[float]]
     #: None when the suspect set lacks the wb/lru pair to compare.
     stealth_holds: Optional[bool]
-
-
-def _build_detector(
-    spec: DetectorSpec, baseline: Optional[Baseline] = None
-):
-    if spec.kind == "miss_rate":
-        return MissRateMonitor(
-            window=spec.window,
-            owner=SUSPECT_TID,
-            clock_owner=PROBER_TID,
-            baseline=baseline,
-        )
-    return WritebackBurstDetector(
-        window=spec.window,
-        segment=spec.segment,
-        max_lag=spec.max_lag,
-        owner=SUSPECT_TID,
-        clock_owner=PROBER_TID,
-        baseline=baseline,
-    )
-
-
-def _make_detectors(
-    params: OnlineDetectionParams,
-    baselines: Optional[Dict[str, Baseline]] = None,
-) -> Dict[str, object]:
-    return {
-        spec.name: _build_detector(
-            spec, None if baselines is None else baselines.get(spec.name)
-        )
-        for spec in params.detectors
-    }
 
 
 def _run_corun(
@@ -208,7 +174,10 @@ def measure_online_detection(
     names = tuple(spec.name for spec in params.detectors)
 
     # Phase 1 — calibrate the detectors on a benign run (disjoint seed).
-    calibration = _make_detectors(params)
+    calibration = {
+        spec.name: spec.build(SUSPECT_TID, PROBER_TID)
+        for spec in params.detectors
+    }
     _run_corun(
         scenario,
         "benign",
@@ -231,7 +200,10 @@ def measure_online_detection(
     # Phase 2 — score every suspect at the measurement seed.
     scores: Dict[str, Dict[str, List[float]]] = {name: {} for name in names}
     for suspect in params.suspects:
-        detectors = _make_detectors(params, baselines)
+        detectors = {
+            spec.name: spec.build(SUSPECT_TID, PROBER_TID, baselines[spec.name])
+            for spec in params.detectors
+        }
         _run_corun(scenario, suspect, num_symbols, seed, list(detectors.values()))
         for name, detector in detectors.items():
             scores[name][suspect] = detector.scores

@@ -12,10 +12,18 @@ rebased experiments are bit-identical to their pre-spec output.
 
 Design rules:
 
-* every node is a frozen dataclass with plain-data fields only;
-* ``from_dict`` is strict — unknown fields and stale ``schema_version``
-  values raise :class:`~repro.common.errors.ConfigurationError` instead
-  of being silently dropped (a typo must never silently change what a
+* every node is a frozen dataclass of plain data and a
+  :class:`~repro.common.records.Record`: a field's declaration is its
+  schema.  Its type says what JSON it takes (an ``int`` takes no
+  ``bool``, a ``float`` takes an int, a
+  :data:`~repro.common.records.Number` keeps an int or a float as given,
+  ``Optional`` takes ``null``), its default is what a missing key reads
+  as, and :data:`~repro.common.records.OMIT_AT_DEFAULT` leaves it out of
+  ``to_dict`` at that default;
+* ``from_dict`` is strict — unknown fields, wrong types and stale
+  ``schema_version`` values raise
+  :class:`~repro.common.errors.ConfigurationError` instead of being
+  silently dropped or coerced (a typo must never silently change what a
   key hashes);
 * profile-dependent quantities are explicit :class:`Counts` /
   :class:`Axis` pairs, resolved against a
@@ -25,7 +33,6 @@ Design rules:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Type
@@ -33,6 +40,7 @@ from typing import Dict, Optional, Tuple, Type
 from repro.cache.configs import HierarchyParams
 from repro.common.canonical import canonical_digest, canonical_json
 from repro.common.errors import ConfigurationError
+from repro.common.records import Number, Record
 from repro.experiments.profiles import RunProfile
 from repro.faults.spec import FaultSpec
 
@@ -52,86 +60,19 @@ SCENARIO_KINDS = (
 )
 
 
-#: Marks a :func:`_read` field that has no default.
-_REQUIRED = object()
-
-_KIND_NAMES = {
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    bool: "a boolean",
-    list: "a list",
-    dict: "a JSON object",
-}
-
-
-def _checked(value, kind: type, name: str):
-    """``value`` if it is a ``kind``, else a loud ConfigurationError.
-
-    An ``int`` field takes no ``bool`` (though ``bool`` subclasses
-    ``int``); a ``float`` field takes an ``int`` or a ``float`` and gives
-    ``float(value)``; every other kind takes only its own type.
-    """
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise ConfigurationError(
-        f"{name!r} must be {_KIND_NAMES[kind]}, got {value!r}"
-    )
-
-
-def _read(data, name: str, kind: type, default=_REQUIRED):
-    """Field ``name`` of ``data``, checked by :func:`_checked`.
-
-    A missing field takes ``default``; a missing field without one is an
-    error.  A field whose default is ``None`` also takes ``null``.
-    """
-    if name not in data:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"missing required field {name!r}")
-        return default
-    value = data[name]
-    if value is None and default is None:
-        return None
-    return _checked(value, kind, name)
-
-
-def _read_tuple(data, name: str, kind: Optional[type], default=_REQUIRED):
-    """A list field as a tuple, each item checked as ``kind``.
-
-    ``kind=None`` keeps the items as given (an :class:`Axis` point may be
-    an ``int`` or a ``float``, and its key hashes which).
-    """
-    items = _read(data, name, list, default)
-    if items is None:
-        return None
-    if kind is not None:
-        items = [_checked(item, kind, name) for item in items]
-    return tuple(items)
-
-
-def _check_fields(cls, data, context: str) -> None:
-    """Reject non-dicts and unknown keys loudly."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{context} must be a JSON object, got {type(data).__name__}"
-        )
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {context} field(s): {', '.join(sorted(unknown))}; "
-            f"valid fields: {', '.join(sorted(valid))}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Profile-dependent quantities
 # ----------------------------------------------------------------------
 
+#: Cap on a :class:`Counts` budget from a request: far above every
+#: committed spec (256 message bits at most), and it stops a count such
+#: as 10**12 from holding a worker until its job's timeout, or for good
+#: when the job has none.
+_MAX_COUNT = 10_000
+
+
 @dataclass(frozen=True)
-class Counts:
+class Counts(Record):
     """A repetition count with explicit quick and full budgets.
 
     Resolved through :meth:`RunProfile.count`, so custom-scaled profiles
@@ -141,42 +82,30 @@ class Counts:
     quick: int
     full: int
 
+    def __post_init__(self) -> None:
+        if max(self.quick, self.full) > _MAX_COUNT:
+            raise ConfigurationError(
+                f"counts must be <= {_MAX_COUNT}, got {self.quick} quick "
+                f"and {self.full} full"
+            )
+
     def resolve(self, profile: RunProfile) -> int:
         return profile.count(quick=self.quick, full=self.full)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"quick": self.quick, "full": self.full}
-
-    @classmethod
-    def from_dict(cls, data) -> "Counts":
-        _check_fields(cls, data, "counts")
-        return cls(quick=_read(data, "quick", int), full=_read(data, "full", int))
-
 
 @dataclass(frozen=True)
-class Axis:
+class Axis(Record):
     """A sweep axis with explicit quick and full point sets."""
 
-    quick: Tuple[float, ...]
-    full: Tuple[float, ...]
+    quick: Tuple[Number, ...]
+    full: Tuple[Number, ...]
 
     def __post_init__(self) -> None:
         if not self.quick or not self.full:
             raise ConfigurationError("axis needs at least one point per budget")
 
-    def resolve(self, profile: RunProfile) -> Tuple[float, ...]:
+    def resolve(self, profile: RunProfile) -> Tuple[Number, ...]:
         return self.quick if profile.is_reduced else self.full
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"quick": list(self.quick), "full": list(self.full)}
-
-    @classmethod
-    def from_dict(cls, data) -> "Axis":
-        _check_fields(cls, data, "axis")
-        return cls(
-            quick=_read_tuple(data, "quick", None),
-            full=_read_tuple(data, "full", None),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +113,7 @@ class Axis:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CodecSpec:
+class CodecSpec(Record):
     """Symbol encoding: which dirty-line counts mean which bits."""
 
     kind: str = "binary"  # "binary" | "multibit"
@@ -193,6 +122,17 @@ class CodecSpec:
     #: Multi-bit encoding: symbol value -> dirty-line count; ``None``
     #: selects the paper's 2-bit scheme {0, 3, 5, 8}.
     level_map: Optional[Dict[str, int]] = None
+
+    def __post_init__(self) -> None:
+        # Keys name symbols: build() parses them back to ints.
+        if self.level_map is not None and not all(
+            isinstance(symbol, str) and symbol.isdecimal()
+            for symbol in self.level_map
+        ):
+            raise ConfigurationError(
+                f"'level_map' keys must be symbol numbers, "
+                f"got {list(self.level_map)}"
+            )
 
     def build(self):
         """Construct the live codec this spec describes."""
@@ -210,55 +150,18 @@ class CodecSpec:
             f"unknown codec kind {self.kind!r}; valid: binary, multibit"
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "d_on": self.d_on, "level_map": self.level_map}
-
-    @classmethod
-    def from_dict(cls, data) -> "CodecSpec":
-        _check_fields(cls, data, "codec")
-        level_map = _read(data, "level_map", dict, None)
-        if level_map is not None:
-            # Keys name symbols: build() parses them back to ints.
-            level_map = {
-                _checked(symbol, str, "level_map"): _checked(
-                    count, int, "level_map"
-                )
-                for symbol, count in level_map.items()
-            }
-            if not all(symbol.isdecimal() for symbol in level_map):
-                raise ConfigurationError(
-                    f"'level_map' keys must be symbol numbers, "
-                    f"got {sorted(level_map)}"
-                )
-        return cls(
-            kind=_read(data, "kind", str, "binary"),
-            d_on=_read(data, "d_on", int, 1),
-            level_map=level_map,
-        )
-
 
 @dataclass(frozen=True)
-class SenderSpec:
+class SenderSpec(Record):
     """The transmitting program (paper's Algorithm 1 sender)."""
 
     kind: str = "wb_paced_store"
     #: Re-load evicted lines before storing (slower, more reliable).
     ensure_resident: bool = False
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "ensure_resident": self.ensure_resident}
-
-    @classmethod
-    def from_dict(cls, data) -> "SenderSpec":
-        _check_fields(cls, data, "sender")
-        return cls(
-            kind=_read(data, "kind", str, "wb_paced_store"),
-            ensure_resident=_read(data, "ensure_resident", bool, False),
-        )
-
 
 @dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(Record):
     """The probing program (paper's Algorithm 2/3 receiver)."""
 
     kind: str = "wb_probe"
@@ -266,50 +169,18 @@ class ReceiverSpec:
     phase: Optional[float] = None
     alignment_slack_symbols: int = 4
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "phase": self.phase,
-            "alignment_slack_symbols": self.alignment_slack_symbols,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "ReceiverSpec":
-        _check_fields(cls, data, "receiver")
-        return cls(
-            kind=_read(data, "kind", str, "wb_probe"),
-            phase=_read(data, "phase", float, None),
-            alignment_slack_symbols=_read(data, "alignment_slack_symbols", int, 4),
-        )
-
 
 @dataclass(frozen=True)
-class CoRunnerSpec:
+class CoRunnerSpec(Record):
     """A third-party program sharing the machine (e.g. a set prober)."""
 
     kind: str = "periodic_prober"
     lines: int = 10
     sweeps_per_period: int = 10
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "lines": self.lines,
-            "sweeps_per_period": self.sweeps_per_period,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "CoRunnerSpec":
-        _check_fields(cls, data, "co-runner")
-        return cls(
-            kind=_read(data, "kind", str, "periodic_prober"),
-            lines=_read(data, "lines", int, 10),
-            sweeps_per_period=_read(data, "sweeps_per_period", int, 10),
-        )
-
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Record):
     """Structural channel parameters shared by every run of a scenario.
 
     Defaults mirror :class:`~repro.channels.wb.WBChannelConfig`; the L2
@@ -332,33 +203,9 @@ class ChannelSpec:
                 f"channel level must be 'l1' or 'l2', got {self.level!r}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "level": self.level,
-            "codec": self.codec.to_dict(),
-            "target_set": self.target_set,
-            "replacement_set_size": self.replacement_set_size,
-            "start_time": self.start_time,
-            "sender": self.sender.to_dict(),
-            "receiver": self.receiver.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "ChannelSpec":
-        _check_fields(cls, data, "channel")
-        return cls(
-            level=_read(data, "level", str, "l1"),
-            codec=CodecSpec.from_dict(data.get("codec", {})),
-            target_set=_read(data, "target_set", int, 21),
-            replacement_set_size=_read(data, "replacement_set_size", int, 10),
-            start_time=_read(data, "start_time", int, 30000),
-            sender=SenderSpec.from_dict(data.get("sender", {})),
-            receiver=ReceiverSpec.from_dict(data.get("receiver", {})),
-        )
-
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Record):
     """One online detector attachment (see repro.telemetry.detectors)."""
 
     kind: str  # "miss_rate" | "writeback_burst"
@@ -374,24 +221,28 @@ class DetectorSpec:
                 f"valid: miss_rate, writeback_burst"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "window": self.window,
-            "segment": self.segment,
-            "max_lag": self.max_lag,
-        }
+    def build(self, owner: int, clock_owner: int, baseline=None):
+        """The live detector this spec describes, watching thread
+        ``owner``'s cache events on ``clock_owner``'s access clock."""
+        from repro.telemetry.detectors import (
+            MissRateMonitor,
+            WritebackBurstDetector,
+        )
 
-    @classmethod
-    def from_dict(cls, data) -> "DetectorSpec":
-        _check_fields(cls, data, "detector")
-        return cls(
-            kind=_read(data, "kind", str),
-            name=_read(data, "name", str),
-            window=_read(data, "window", int),
-            segment=_read(data, "segment", int, 0),
-            max_lag=_read(data, "max_lag", int, 0),
+        if self.kind == "miss_rate":
+            return MissRateMonitor(
+                window=self.window,
+                owner=owner,
+                clock_owner=clock_owner,
+                baseline=baseline,
+            )
+        return WritebackBurstDetector(
+            window=self.window,
+            segment=self.segment,
+            max_lag=self.max_lag,
+            owner=owner,
+            clock_owner=clock_owner,
+            baseline=baseline,
         )
 
 
@@ -400,7 +251,7 @@ class DetectorSpec:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BerSweepParams:
+class BerSweepParams(Record):
     """BER vs transmission-rate sweep (Figures 6 and 8).
 
     When ``d_values`` is set the sweep runs one *binary* codec per ``d``
@@ -419,65 +270,18 @@ class BerSweepParams:
         if not self.periods:
             raise ConfigurationError("ber sweep needs at least one period")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "periods": list(self.periods),
-            "d_values": None if self.d_values is None else self.d_values.to_dict(),
-            "messages": self.messages.to_dict(),
-            "message_bits": self.message_bits.to_dict(),
-            "calibration_repetitions": self.calibration_repetitions.to_dict(),
-            "seed_stride": self.seed_stride,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "BerSweepParams":
-        _check_fields(cls, data, "wb_ber_sweep params")
-        d_values = data.get("d_values")
-        return cls(
-            periods=_read_tuple(data, "periods", int),
-            d_values=None if d_values is None else Axis.from_dict(d_values),
-            messages=Counts.from_dict(data.get("messages", {"quick": 6, "full": 90})),
-            message_bits=Counts.from_dict(
-                data.get("message_bits", {"quick": 64, "full": 128})
-            ),
-            calibration_repetitions=Counts.from_dict(
-                data.get("calibration_repetitions", {"quick": 20, "full": 60})
-            ),
-            seed_stride=_read(data, "seed_stride", int, 10007),
-        )
-
 
 @dataclass(frozen=True)
-class TraceParams:
+class TraceParams(Record):
     """Single instrumented run capturing the receiver trace (Figure 7)."""
 
     period: int = 4000
     message_bits: Counts = field(default_factory=lambda: Counts(64, 256))
     calibration_repetitions: Counts = field(default_factory=lambda: Counts(20, 60))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "period": self.period,
-            "message_bits": self.message_bits.to_dict(),
-            "calibration_repetitions": self.calibration_repetitions.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "TraceParams":
-        _check_fields(cls, data, "wb_trace params")
-        return cls(
-            period=_read(data, "period", int, 4000),
-            message_bits=Counts.from_dict(
-                data.get("message_bits", {"quick": 64, "full": 256})
-            ),
-            calibration_repetitions=Counts.from_dict(
-                data.get("calibration_repetitions", {"quick": 20, "full": 60})
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class LevelCompareParams:
+class LevelCompareParams(Record):
     """L1 vs L2 deployment comparison (Section 3 extension)."""
 
     l1_periods: Tuple[int, ...] = (5500, 11000)
@@ -487,33 +291,9 @@ class LevelCompareParams:
     l1_calibration_repetitions: int = 40
     seed_stride: int = 41
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "l1_periods": list(self.l1_periods),
-            "l2_periods": list(self.l2_periods),
-            "messages": self.messages.to_dict(),
-            "message_bits": self.message_bits.to_dict(),
-            "l1_calibration_repetitions": self.l1_calibration_repetitions,
-            "seed_stride": self.seed_stride,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "LevelCompareParams":
-        _check_fields(cls, data, "wb_level_compare params")
-        return cls(
-            l1_periods=_read_tuple(data, "l1_periods", int, (5500, 11000)),
-            l2_periods=_read_tuple(data, "l2_periods", int, (22000, 44000)),
-            messages=Counts.from_dict(data.get("messages", {"quick": 4, "full": 20})),
-            message_bits=Counts.from_dict(
-                data.get("message_bits", {"quick": 48, "full": 128})
-            ),
-            l1_calibration_repetitions=_read(data, "l1_calibration_repetitions", int, 40),
-            seed_stride=_read(data, "seed_stride", int, 41),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSweepParams:
+class FaultSweepParams(Record):
     """Raw vs hardened protocol under a fault-intensity sweep."""
 
     period: int = 5500
@@ -527,42 +307,9 @@ class FaultSweepParams:
     collapse_threshold: float = 0.10
     seed_stride: int = 991
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "period": self.period,
-            "raw_message_bits": self.raw_message_bits,
-            "payload_bits": self.payload_bits,
-            "intensities": self.intensities.to_dict(),
-            "runs_per_point": self.runs_per_point.to_dict(),
-            "fault": self.fault.to_dict(),
-            "collapse_threshold": self.collapse_threshold,
-            "seed_stride": self.seed_stride,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "FaultSweepParams":
-        _check_fields(cls, data, "wb_fault_sweep params")
-        return cls(
-            period=_read(data, "period", int, 5500),
-            raw_message_bits=_read(data, "raw_message_bits", int, 80),
-            payload_bits=_read(data, "payload_bits", int, 64),
-            intensities=Axis.from_dict(
-                data.get(
-                    "intensities",
-                    {"quick": [0.0, 1.0], "full": [0.0, 0.5, 1.0, 2.0, 3.0]},
-                )
-            ),
-            runs_per_point=Counts.from_dict(
-                data.get("runs_per_point", {"quick": 1, "full": 3})
-            ),
-            fault=FaultSpec.from_dict(data.get("fault", FaultSpec().to_dict())),
-            collapse_threshold=_read(data, "collapse_threshold", float, 0.10),
-            seed_stride=_read(data, "seed_stride", int, 991),
-        )
-
 
 @dataclass(frozen=True)
-class OnlineDetectionParams:
+class OnlineDetectionParams(Record):
     """WB vs LRU vs benign suspects under live detectors (Section 7)."""
 
     period: int = 11000
@@ -592,70 +339,18 @@ class OnlineDetectionParams:
                     f"unknown suspect {suspect!r}; valid: benign, wb, lru"
                 )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "period": self.period,
-            "target_set": self.target_set,
-            "start_time": self.start_time,
-            "num_symbols": self.num_symbols.to_dict(),
-            "prober": self.prober.to_dict(),
-            "detectors": [d.to_dict() for d in self.detectors],
-            "suspects": list(self.suspects),
-            "threshold_sigmas": self.threshold_sigmas,
-            "calibration_seed_offset": self.calibration_seed_offset,
-            "roc_points": self.roc_points,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "OnlineDetectionParams":
-        _check_fields(cls, data, "online_detection params")
-        defaults = cls()
-        detectors = _read_tuple(data, "detectors", None, None)
-        return cls(
-            period=_read(data, "period", int, 11000),
-            target_set=_read(data, "target_set", int, 21),
-            start_time=_read(data, "start_time", int, 2_000_000),
-            num_symbols=Counts.from_dict(
-                data.get("num_symbols", {"quick": 48, "full": 192})
-            ),
-            prober=CoRunnerSpec.from_dict(data.get("prober", defaults.prober.to_dict())),
-            detectors=(
-                defaults.detectors
-                if detectors is None
-                else tuple(DetectorSpec.from_dict(d) for d in detectors)
-            ),
-            suspects=_read_tuple(data, "suspects", str, ("benign", "wb", "lru")),
-            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
-            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
-            roc_points=_read(data, "roc_points", int, 13),
-        )
-
 
 @dataclass(frozen=True)
-class DefenseEvalParams:
+class DefenseEvalParams(Record):
     """Section 8 defense evaluation over a seed range."""
 
     num_seeds: Counts = field(default_factory=lambda: Counts(2, 6))
     #: ``None`` = every registered defense; else a subset by name.
     defenses: Optional[Tuple[str, ...]] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "num_seeds": self.num_seeds.to_dict(),
-            "defenses": None if self.defenses is None else list(self.defenses),
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "DefenseEvalParams":
-        _check_fields(cls, data, "defense_eval params")
-        return cls(
-            num_seeds=Counts.from_dict(data.get("num_seeds", {"quick": 2, "full": 6})),
-            defenses=_read_tuple(data, "defenses", str, None),
-        )
-
 
 @dataclass(frozen=True)
-class CrossCoreParams:
+class CrossCoreParams(Record):
     """Cross-core WB channel over MESI downgrade write-backs.
 
     Requires a multi-core hierarchy (``cores >= 2`` in the spec's
@@ -698,49 +393,9 @@ class CrossCoreParams:
                 "cross_core_wb needs at least one detector for the stealth check"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "period": self.period,
-            "messages": self.messages.to_dict(),
-            "message_bits": self.message_bits.to_dict(),
-            "calibration_repetitions": self.calibration_repetitions.to_dict(),
-            "seed_stride": self.seed_stride,
-            "detectors": [d.to_dict() for d in self.detectors],
-            "threshold_sigmas": self.threshold_sigmas,
-            "calibration_seed_offset": self.calibration_seed_offset,
-            "benign_periods": self.benign_periods.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "CrossCoreParams":
-        _check_fields(cls, data, "cross_core_wb params")
-        defaults = cls()
-        detectors = _read_tuple(data, "detectors", None, None)
-        return cls(
-            period=_read(data, "period", int, 9000),
-            messages=Counts.from_dict(data.get("messages", {"quick": 1, "full": 3})),
-            message_bits=Counts.from_dict(
-                data.get("message_bits", {"quick": 24, "full": 64})
-            ),
-            calibration_repetitions=Counts.from_dict(
-                data.get("calibration_repetitions", {"quick": 12, "full": 30})
-            ),
-            seed_stride=_read(data, "seed_stride", int, 101),
-            detectors=(
-                defaults.detectors
-                if detectors is None
-                else tuple(DetectorSpec.from_dict(d) for d in detectors)
-            ),
-            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
-            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
-            benign_periods=Counts.from_dict(
-                data.get("benign_periods", {"quick": 48, "full": 160})
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ClosedLoopParams:
+class ClosedLoopParams(Record):
     """Live detect→fuse→respond loop around one suspect (Section 7, closed).
 
     One co-run per suspect: the suspect modulates the dirty-state
@@ -831,57 +486,6 @@ class ClosedLoopParams:
                 f"got {self.replacement_set_size}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "period": self.period,
-            "target_set": self.target_set,
-            "start_time": self.start_time,
-            "num_symbols": self.num_symbols.to_dict(),
-            "replacement_set_size": self.replacement_set_size,
-            "receiver_phase": self.receiver_phase,
-            "detectors": [d.to_dict() for d in self.detectors],
-            "suspects": list(self.suspects),
-            "threshold_sigmas": self.threshold_sigmas,
-            "calibration_seed_offset": self.calibration_seed_offset,
-            "decoder_repetitions": self.decoder_repetitions.to_dict(),
-            "fusion_k": self.fusion_k,
-            "fusion_window": self.fusion_window,
-            "fusion_min_hits": self.fusion_min_hits,
-            "fusion_warmup": self.fusion_warmup,
-            "defense": self.defense,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "ClosedLoopParams":
-        _check_fields(cls, data, "closed_loop_defense params")
-        defaults = cls()
-        detectors = _read_tuple(data, "detectors", None, None)
-        return cls(
-            period=_read(data, "period", int, 11000),
-            target_set=_read(data, "target_set", int, 21),
-            start_time=_read(data, "start_time", int, 2_000_000),
-            num_symbols=Counts.from_dict(
-                data.get("num_symbols", {"quick": 48, "full": 192})
-            ),
-            replacement_set_size=_read(data, "replacement_set_size", int, 10),
-            receiver_phase=_read(data, "receiver_phase", float, 0.5),
-            detectors=(
-                defaults.detectors
-                if detectors is None
-                else tuple(DetectorSpec.from_dict(d) for d in detectors)
-            ),
-            suspects=_read_tuple(data, "suspects", str, ("wb", "lru")),
-            threshold_sigmas=_read(data, "threshold_sigmas", float, 3.0),
-            calibration_seed_offset=_read(data, "calibration_seed_offset", int, 7919),
-            decoder_repetitions=Counts.from_dict(
-                data.get("decoder_repetitions", {"quick": 12, "full": 30})
-            ),
-            fusion_k=_read(data, "fusion_k", int, 2),
-            fusion_window=_read(data, "fusion_window", int, 300),
-            fusion_min_hits=_read(data, "fusion_min_hits", int, 1),
-            fusion_warmup=_read(data, "fusion_warmup", int, 40),
-            defense=_read(data, "defense", str, "write_through"),
-        )
 
 
 _PARAMS_TYPES: Dict[str, Type] = {
@@ -901,7 +505,7 @@ _PARAMS_TYPES: Dict[str, Type] = {
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """One complete scenario, as canonicalisable data."""
 
     name: str
@@ -944,46 +548,23 @@ class ScenarioSpec:
 
     # -- serialisation --------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "kind": self.kind,
-            "title": self.title,
-            "paper_reference": self.paper_reference,
-            "description": self.description,
-            "hierarchy": None if self.hierarchy is None else self.hierarchy.to_dict(),
-            "channel": self.channel.to_dict(),
-            "params": self.params.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data) -> "ScenarioSpec":
-        _check_fields(cls, data, "scenario")
-        if "schema_version" not in data:
+        """Read ``params`` as the type ``kind`` names (an absent
+        ``params`` at that type's defaults), every other field as
+        declared; a spec without ``schema_version`` is refused."""
+        if not isinstance(data, dict) or "schema_version" not in data:
             raise ConfigurationError(
-                "scenario spec is missing schema_version; refusing to guess"
+                "scenario spec must be a JSON object with a schema_version; "
+                "refusing to guess"
             )
-        kind = _read(data, "kind", str, "")
-        params_type = _PARAMS_TYPES.get(kind)
-        if params_type is None:
+        kind = data.get("kind")
+        if kind not in SCENARIO_KINDS:
             raise ConfigurationError(
                 f"unknown scenario kind {kind!r}; valid: {', '.join(SCENARIO_KINDS)}"
             )
-        hierarchy = data.get("hierarchy")
-        return cls(
-            name=_read(data, "name", str, ""),
-            kind=kind,
-            params=params_type.from_dict(data.get("params", {})),
-            channel=ChannelSpec.from_dict(data.get("channel", {})),
-            hierarchy=(
-                None if hierarchy is None else HierarchyParams.from_dict(hierarchy)
-            ),
-            title=_read(data, "title", str, ""),
-            paper_reference=_read(data, "paper_reference", str, ""),
-            description=_read(data, "description", str, ""),
-            schema_version=_read(data, "schema_version", int),
-        )
+        params = _PARAMS_TYPES[kind].from_dict(data.get("params", {}))
+        return super().from_dict({**data, "params": params})
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialise; ``indent=None`` gives the canonical compact form."""

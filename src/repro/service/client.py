@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ReproError
 from repro.experiments.base import ExperimentResult
+from repro.service.stream import parse_frame_line
 
 #: Job states a poll loop can stop on (mirrors ``JobState.TERMINAL``).
 TERMINAL_STATES = ("done", "failed", "cancelled", "dead_letter")
@@ -324,10 +325,9 @@ class ServiceClient:
                             response.status, "event stream refused"
                         )
                     for raw in response:
-                        line = raw.decode("utf-8").strip()
-                        if not line or line.startswith(":"):
+                        frame = parse_frame_line(raw.decode("utf-8"))
+                        if frame is None:
                             continue
-                        frame = json.loads(raw.decode("utf-8"))
                         cursor = frame.get("id", cursor)
                         attempts = 0  # progress resets the retry budget
                         delivered += 1

