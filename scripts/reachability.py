@@ -104,7 +104,6 @@ KEPT: Dict[str, str] = {
     "engine/fast_set.py:FastSet.scan_counts": _STATE_VIEW,
     "replacement/tree_plru.py:TreePLRU.tree_bits": _STATE_VIEW,
     "replacement/srrip.py:SRRIP.rrpv_values": _STATE_VIEW,
-    "replacement/bit_plru.py:BitPLRU.mru_bits": _STATE_VIEW,
     "cache/hierarchy.py:CacheHierarchy.probe_level": _ACCESSOR,
     "cache/hierarchy.py:CacheHierarchy.dirty_in_l1_set": _ACCESSOR,
     "coherence/hierarchy.py:CoherentHierarchy.probe_level": _ACCESSOR,

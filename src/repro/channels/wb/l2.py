@@ -42,8 +42,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_rng, ensure_rng
 from repro.common.units import cycles_to_kbps
 from repro.analysis.ber import DEFAULT_PREAMBLE, evaluate_transmission
-from repro.cache.cache import Cache
-from repro.cache.configs import XeonE5_2650Config
+from repro.cache.configs import make_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.channels.encoding import BinaryDirtyCodec, SymbolCodec
 from repro.channels.testbench import ChannelTestbench, TestbenchConfig
@@ -52,7 +51,6 @@ from repro.cpu.noise import SchedulerNoise
 from repro.cpu.ops import Load, RdTSC, SpinUntil, Store
 from repro.cpu.thread import OpGenerator, Program
 from repro.mem.address_space import AddressSpace
-from repro.replacement.registry import make_policy_factory
 
 SENDER_TID = 0
 RECEIVER_TID = 1
@@ -61,44 +59,13 @@ RECEIVER_TID = 1
 def make_l2_channel_hierarchy(rng: Optional[random.Random] = None) -> CacheHierarchy:
     """Xeon-like hierarchy that charges L2 write-back penalties.
 
-    Identical to :func:`make_xeon_hierarchy` except
+    :func:`make_xeon_hierarchy` on the selected engine, with
     ``charge_deep_writebacks=True``: an L2 fill over a dirty victim stalls
     on the drain to the LLC, which is the latency the L2 channel measures.
     """
-    config = XeonE5_2650Config()
-    master = ensure_rng(rng)
-    levels = [
-        Cache(
-            "L1D",
-            config.l1_size,
-            config.l1_ways,
-            config.line_size,
-            make_policy_factory(config.l1_policy),
-            rng=derive_rng(master, "l1"),
-        ),
-        Cache(
-            "L2",
-            config.l2_size,
-            config.l2_ways,
-            config.line_size,
-            make_policy_factory(config.l2_policy),
-            rng=derive_rng(master, "l2"),
-        ),
-        Cache(
-            "LLC",
-            config.llc_size,
-            config.llc_ways,
-            config.line_size,
-            make_policy_factory(config.llc_policy),
-            rng=derive_rng(master, "llc"),
-        ),
-    ]
-    return CacheHierarchy(
-        levels=levels,
-        latency=config.latency,
-        rng=derive_rng(master, "hierarchy"),
-        charge_deep_writebacks=True,
-    )
+    hierarchy = make_xeon_hierarchy(rng=rng)
+    hierarchy.charge_deep_writebacks = True
+    return hierarchy
 
 
 def build_l2_conflict_lines(

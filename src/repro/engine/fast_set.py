@@ -270,10 +270,3 @@ class FastSet:
             return False
         self.locked_mask |= 1 << way
         return True
-
-    def randomize_policy_state(self) -> None:
-        """Scramble replacement metadata (Table 2 initial conditions).
-
-        The set's own policy generator is the only source of randomness.
-        """
-        self.pol.randomize()

@@ -14,9 +14,9 @@ N     LRU    Tree-PLRU   E5-2650
 10    100%   100%        100%
 ====  =====  ==========  =========
 
-The E5-2650 column is reproduced by the :class:`NoisyTreePLRU` behavioural
-surrogate (see DESIGN.md); the LRU and Tree-PLRU columns are pure policy
-properties and match structurally.
+The E5-2650 column is reproduced by the :class:`DirtyProtectingLRU`
+behavioural surrogate (see DESIGN.md); the LRU and Tree-PLRU columns are
+pure policy properties and match structurally.
 """
 
 from __future__ import annotations

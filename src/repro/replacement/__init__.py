@@ -14,12 +14,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "base": ("ReplacementPolicy", "PolicyFactory"),
         "true_lru": ("TrueLRU",),
-        "fifo": ("FIFO",),
         "tree_plru": ("TreePLRU",),
-        "noisy_plru": ("NoisyTreePLRU",),
-        "dirty_protect": ("DirtyProtectingLRU", "DirtyProtectingPLRU"),
-        "bit_plru": ("BitPLRU",),
-        "nru": ("NRU",),
+        "dirty_protect": ("DirtyProtectingLRU",),
         "srrip": ("SRRIP",),
         "random_policy": ("LFSRPseudoRandom", "UniformRandom"),
         "registry": ("available_policies", "make_policy_factory"),

@@ -74,7 +74,7 @@ class ReplacementPolicy(abc.ABC):
         that declare ``wants_dirty_hint = True`` — building the mask tuple
         on every miss is measurable overhead, so consumers must opt in.
         The E5-2650 behavioural surrogate
-        (:class:`~repro.replacement.dirty_protect.DirtyProtectingPLRU`)
+        (:class:`~repro.replacement.dirty_protect.DirtyProtectingLRU`)
         uses it to model the measured reluctance to evict dirty victims.
         """
 

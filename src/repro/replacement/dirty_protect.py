@@ -93,9 +93,3 @@ class DirtyProtectingLRU(TrueLRU):
         # Every way protected this round (possible when all are dirty):
         # fall back to plain LRU.
         return super().victim()
-
-
-#: Backwards-compatible alias used before the surrogate moved to an
-#: LRU base (the PLRU-based variant could not re-designate a protected
-#: line quickly enough to reproduce the paper's N = 9 column).
-DirtyProtectingPLRU = DirtyProtectingLRU

@@ -24,16 +24,11 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from typing import Callable, Dict, List, Tuple, Type
 
 from repro.common.errors import ConfigurationError
 from repro.replacement.base import PolicyFactory, ReplacementPolicy
-from repro.replacement.bit_plru import BitPLRU
 from repro.replacement.dirty_protect import DirtyProtectingLRU, check_protect_probs
-from repro.replacement.fifo import FIFO
-from repro.replacement.noisy_plru import NoisyTreePLRU, check_update_prob
-from repro.replacement.nru import NRU
 from repro.replacement.random_policy import LFSRPseudoRandom, UniformRandom
 from repro.replacement.srrip import SRRIP, check_rrpv_bits
 from repro.replacement.tree_plru import TreePLRU
@@ -42,8 +37,8 @@ from repro.replacement.true_lru import TrueLRU
 
 class FastPolicyState:
     """Base of the fast policy states (duck-typed, no abc overhead): the
-    hooks of the ``reference`` policy class (``randomize`` for its
-    ``randomize_state``) without argument checks on in-range ways."""
+    hooks of the ``reference`` policy class without argument checks on
+    in-range ways."""
 
     __slots__ = ("ways", "rng")
 
@@ -149,159 +144,6 @@ class TreePLRUState(FastPolicyState):
     def victim(self) -> int:
         return self._victims[self.state]
 
-    def randomize(self) -> None:
-        # Reference: self._bits = [rng.randrange(2) for each node].
-        rng = self.rng
-        state = 0
-        for node in range(self.ways - 1):
-            if rng.randrange(2):
-                state |= 1 << node
-        self.state = state
-
-
-class NoisyTreePLRUState(TreePLRUState):
-    """Tree-PLRU whose fills update each path node only probabilistically."""
-
-    __slots__ = ("update_prob", "_levels")
-
-    reference = NoisyTreePLRU
-
-    def __init__(
-        self,
-        ways: int,
-        rng: random.Random,
-        update_prob: float = NoisyTreePLRU.DEFAULT_UPDATE_PROB,
-    ) -> None:
-        super().__init__(ways, rng)
-        check_update_prob(update_prob)
-        self.update_prob = update_prob
-        self._levels = ways.bit_length() - 1
-
-    def on_fill(self, way: int) -> None:
-        # Mirrors NoisyTreePLRU._touch_noisy: one rng.random() per level.
-        rng_random = self.rng.random
-        prob = self.update_prob
-        node = 0
-        state = self.state
-        for level in range(self._levels - 1, -1, -1):
-            went_right = (way >> level) & 1
-            if rng_random() < prob:
-                if went_right:
-                    state &= ~(1 << node)
-                else:
-                    state |= 1 << node
-            node = 2 * node + 1 + went_right
-        self.state = state
-
-    # on_hit stays the exact touch: TreePLRUState's on_fill.
-
-
-# ----------------------------------------------------------------------
-# Bit-PLRU / NRU: one reference bit per way, packed.
-# ----------------------------------------------------------------------
-
-
-class BitPLRUState(FastPolicyState):
-    """MRU-bit pseudo-LRU on a packed bit mask."""
-
-    __slots__ = ("mru", "count", "_full")
-
-    reference = BitPLRU
-
-    def __init__(self, ways: int, rng: random.Random) -> None:
-        super().__init__(ways, rng)
-        self.mru = 0
-        self.count = 0
-        self._full = (1 << ways) - 1
-
-    def _touch(self, way: int) -> None:
-        bit = 1 << way
-        if not self.mru & bit:
-            if self.count == self.ways - 1:
-                self.mru = 0
-                self.count = 0
-            self.mru |= bit
-            self.count += 1
-
-    on_fill = _touch
-    on_hit = _touch
-
-    def victim(self) -> int:
-        clear = ~self.mru & self._full
-        if not clear:
-            return 0  # reference fallback, unreachable via the touch rule
-        return (clear & -clear).bit_length() - 1
-
-    def on_invalidate(self, way: int) -> None:
-        bit = 1 << way
-        if self.mru & bit:
-            self.mru &= ~bit
-            self.count -= 1
-
-    def randomize(self) -> None:
-        rng = self.rng
-        mru = 0
-        count = 0
-        for way in range(self.ways):
-            if rng.random() < 0.5:
-                mru |= 1 << way
-                count += 1
-        if count == self.ways:
-            mru &= ~(1 << rng.randrange(self.ways))
-            count -= 1
-        self.mru = mru
-        self.count = count
-
-
-class NRUState(FastPolicyState):
-    """NRU reference bits packed into an int, plus the rotating pointer."""
-
-    __slots__ = ("ref", "scan", "_full")
-
-    reference = NRU
-
-    def __init__(self, ways: int, rng: random.Random) -> None:
-        super().__init__(ways, rng)
-        self.ref = 0
-        self.scan = 0
-        self._full = (1 << ways) - 1
-
-    def _touch(self, way: int) -> None:
-        self.ref |= 1 << way
-        if self.ref == self._full:
-            self.ref = 1 << way
-
-    on_fill = _touch
-    on_hit = _touch
-
-    def victim(self) -> int:
-        ways = self.ways
-        ref = self.ref
-        scan = self.scan
-        for offset in range(ways):
-            way = scan + offset
-            if way >= ways:
-                way -= ways
-            if not (ref >> way) & 1:
-                self.scan = (way + 1) % ways
-                return way
-        self.ref = 0
-        way = scan
-        self.scan = (way + 1) % ways
-        return way
-
-    def on_invalidate(self, way: int) -> None:
-        self.ref &= ~(1 << way)
-
-    def randomize(self) -> None:
-        rng = self.rng
-        ref = 0
-        for way in range(self.ways):
-            if rng.random() < 0.5:
-                ref |= 1 << way
-        self.ref = ref
-        self.scan = rng.randrange(self.ways)
-
 
 # ----------------------------------------------------------------------
 # Random policies.
@@ -322,9 +164,6 @@ class UniformRandomState(FastPolicyState):
 
     def victim(self) -> int:
         return self.rng.randrange(self.ways)
-
-    def randomize(self) -> None:
-        pass
 
 
 class LFSRState(FastPolicyState):
@@ -355,12 +194,9 @@ class LFSRState(FastPolicyState):
         self.state = state
         return state & self._mask
 
-    def randomize(self) -> None:
-        self.state = self.rng.randrange(1, 256)
-
 
 # ----------------------------------------------------------------------
-# Ordered policies: LRU family, FIFO, SRRIP.
+# Ordered policies: LRU, its E5-2650 surrogate, SRRIP.
 # ----------------------------------------------------------------------
 
 
@@ -390,9 +226,6 @@ class TrueLRUState(FastPolicyState):
         order = self.order
         order.remove(way)
         order.insert(0, way)
-
-    def randomize(self) -> None:
-        self.rng.shuffle(self.order)
 
 
 class DirtyProtectState(TrueLRUState):
@@ -442,41 +275,6 @@ class DirtyProtectState(TrueLRUState):
         return self.order[0]
 
 
-class FIFOState(FastPolicyState):
-    """Round-robin insertion order; hits do not refresh."""
-
-    __slots__ = ("queue",)
-
-    reference = FIFO
-
-    def __init__(self, ways: int, rng: random.Random) -> None:
-        super().__init__(ways, rng)
-        self.queue = deque(range(ways))
-
-    def on_fill(self, way: int) -> None:
-        queue = self.queue
-        if way in queue:
-            queue.remove(way)
-        queue.append(way)
-
-    def on_hit(self, way: int) -> None:
-        pass
-
-    def victim(self) -> int:
-        return self.queue[0]
-
-    def on_invalidate(self, way: int) -> None:
-        queue = self.queue
-        if way in queue:
-            queue.remove(way)
-            queue.appendleft(way)
-
-    def randomize(self) -> None:
-        order = list(self.queue)
-        self.rng.shuffle(order)
-        self.queue = deque(order)
-
-
 class SRRIPState(FastPolicyState):
     """SRRIP with every way's RRPV packed into one int.
 
@@ -523,13 +321,6 @@ class SRRIPState(FastPolicyState):
         self.state = state
         return ((at_max & -at_max).bit_length() - 1) // self._stride
 
-    def randomize(self) -> None:
-        randrange = self.rng.randrange
-        state = 0
-        for way in range(self.ways):
-            state |= randrange(self.max_rrpv + 1) << (way * self._stride)
-        self.state = state
-
 
 @functools.lru_cache(maxsize=None)
 def _field_ones(ways: int, stride: int) -> int:
@@ -543,14 +334,13 @@ def _field_ones(ways: int, stride: int) -> int:
 
 
 #: Exact-type dispatch: subclasses must NOT inherit a parent's fast path
-#: (NoisyTreePLRU subclasses TreePLRU but consumes extra rng draws), so
-#: lookups match the factory's class exactly.
+#: (DirtyProtectingLRU subclasses TrueLRU but protects dirty victims with
+#: extra rng draws), so lookups match the factory's class exactly.
 _FAST_STATES: Dict[Type[ReplacementPolicy], Type[FastPolicyState]] = {
     state.reference: state
     for state in (
-        TreePLRUState, NoisyTreePLRUState, BitPLRUState, NRUState,
-        UniformRandomState, LFSRState, TrueLRUState, DirtyProtectState,
-        FIFOState, SRRIPState,
+        TreePLRUState, UniformRandomState, LFSRState, TrueLRUState,
+        DirtyProtectState, SRRIPState,
     )
 }
 

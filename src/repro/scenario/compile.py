@@ -21,7 +21,6 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
 from repro.common.units import cycles_to_kbps
 from repro.experiments.profiles import ProfileLike, RunProfile, resolve_profile
 from repro.telemetry.net import publish_ambient
@@ -418,21 +417,15 @@ def _measure_closed_loop_defense(spec: ScenarioSpec, profile: RunProfile, seed: 
 def _measure_defense_eval(
     spec: ScenarioSpec, profile: RunProfile, seed: int
 ) -> DefenseEvalMeasurement:
-    from repro.defenses.evaluation import evaluate_all
+    from repro.defenses.evaluation import evaluate_all, evaluate_defense
 
     params: DefenseEvalParams = spec.params
     seeds = range(seed, seed + params.num_seeds.resolve(profile))
-    reports = evaluate_all(seeds=seeds)
-    if params.defenses is not None:
-        wanted = set(params.defenses)
-        known = {report.name for report in reports}
-        missing = wanted - known
-        if missing:
-            raise ConfigurationError(
-                f"unknown defense(s) in scenario: {', '.join(sorted(missing))}; "
-                f"available: {', '.join(sorted(known))}"
-            )
-        reports = [report for report in reports if report.name in wanted]
+    if params.defenses is None:
+        reports = evaluate_all(seeds=seeds)
+    else:
+        names = sorted(set(params.defenses))
+        reports = [evaluate_defense(name, seeds) for name in names]
     return DefenseEvalMeasurement(seeds=tuple(seeds), reports=tuple(reports))
 
 

@@ -71,6 +71,26 @@ SCENARIO_KINDS = (
 _MAX_COUNT = 10_000
 
 
+def _check_at_least(minimum: int, name: str, *values: int) -> None:
+    """Raise :class:`ConfigurationError` if any of ``values`` is below
+    ``minimum``."""
+    for value in values:
+        if value < minimum:
+            raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_choice(what: str, value: str, valid: Tuple[str, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is in ``valid``."""
+    if value not in valid:
+        raise ConfigurationError(
+            f"unknown {what} {value!r}; valid: {', '.join(valid)}"
+        )
+
+
+#: The suspects a detection scenario can run beside its detectors.
+_SUSPECTS = ("benign", "wb", "lru")
+
+
 @dataclass(frozen=True)
 class Counts(Record):
     """A repetition count with explicit quick and full budgets.
@@ -83,6 +103,7 @@ class Counts(Record):
     full: int
 
     def __post_init__(self) -> None:
+        _check_at_least(1, "counts", self.quick, self.full)
         if max(self.quick, self.full) > _MAX_COUNT:
             raise ConfigurationError(
                 f"counts must be <= {_MAX_COUNT}, got {self.quick} quick "
@@ -159,6 +180,9 @@ class SenderSpec(Record):
     #: Re-load evicted lines before storing (slower, more reliable).
     ensure_resident: bool = False
 
+    def __post_init__(self) -> None:
+        _check_choice("sender kind", self.kind, ("wb_paced_store",))
+
 
 @dataclass(frozen=True)
 class ReceiverSpec(Record):
@@ -169,6 +193,9 @@ class ReceiverSpec(Record):
     phase: Optional[float] = None
     alignment_slack_symbols: int = 4
 
+    def __post_init__(self) -> None:
+        _check_choice("receiver kind", self.kind, ("wb_probe",))
+
 
 @dataclass(frozen=True)
 class CoRunnerSpec(Record):
@@ -177,6 +204,11 @@ class CoRunnerSpec(Record):
     kind: str = "periodic_prober"
     lines: int = 10
     sweeps_per_period: int = 10
+
+    def __post_init__(self) -> None:
+        _check_choice("co-runner kind", self.kind, ("periodic_prober",))
+        _check_at_least(1, "lines", self.lines)
+        _check_at_least(1, "sweeps_per_period", self.sweeps_per_period)
 
 
 @dataclass(frozen=True)
@@ -198,10 +230,9 @@ class ChannelSpec(Record):
     receiver: ReceiverSpec = field(default_factory=ReceiverSpec)
 
     def __post_init__(self) -> None:
-        if self.level not in ("l1", "l2"):
-            raise ConfigurationError(
-                f"channel level must be 'l1' or 'l2', got {self.level!r}"
-            )
+        _check_choice("channel level", self.level, ("l1", "l2"))
+        _check_at_least(0, "target_set", self.target_set)
+        _check_at_least(1, "replacement_set_size", self.replacement_set_size)
 
 
 @dataclass(frozen=True)
@@ -215,11 +246,7 @@ class DetectorSpec(Record):
     max_lag: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("miss_rate", "writeback_burst"):
-            raise ConfigurationError(
-                f"unknown detector kind {self.kind!r}; "
-                f"valid: miss_rate, writeback_burst"
-            )
+        _check_choice("detector kind", self.kind, ("miss_rate", "writeback_burst"))
 
     def build(self, owner: int, clock_owner: int, baseline=None):
         """The live detector this spec describes, watching thread
@@ -269,6 +296,7 @@ class BerSweepParams(Record):
     def __post_init__(self) -> None:
         if not self.periods:
             raise ConfigurationError("ber sweep needs at least one period")
+        _check_at_least(1, "period", *self.periods)
 
 
 @dataclass(frozen=True)
@@ -278,6 +306,9 @@ class TraceParams(Record):
     period: int = 4000
     message_bits: Counts = field(default_factory=lambda: Counts(64, 256))
     calibration_repetitions: Counts = field(default_factory=lambda: Counts(20, 60))
+
+    def __post_init__(self) -> None:
+        _check_at_least(1, "period", self.period)
 
 
 @dataclass(frozen=True)
@@ -290,6 +321,9 @@ class LevelCompareParams(Record):
     message_bits: Counts = field(default_factory=lambda: Counts(48, 128))
     l1_calibration_repetitions: int = 40
     seed_stride: int = 41
+
+    def __post_init__(self) -> None:
+        _check_at_least(1, "period", *self.l1_periods, *self.l2_periods)
 
 
 @dataclass(frozen=True)
@@ -306,6 +340,9 @@ class FaultSweepParams(Record):
     fault: FaultSpec = field(default_factory=FaultSpec)
     collapse_threshold: float = 0.10
     seed_stride: int = 991
+
+    def __post_init__(self) -> None:
+        _check_at_least(1, "period", self.period)
 
 
 @dataclass(frozen=True)
@@ -331,13 +368,12 @@ class OnlineDetectionParams(Record):
     roc_points: int = 13
 
     def __post_init__(self) -> None:
+        _check_at_least(1, "period", self.period)
+        _check_at_least(0, "target_set", self.target_set)
         if not self.detectors:
             raise ConfigurationError("online detection needs at least one detector")
         for suspect in self.suspects:
-            if suspect not in ("benign", "wb", "lru"):
-                raise ConfigurationError(
-                    f"unknown suspect {suspect!r}; valid: benign, wb, lru"
-                )
+            _check_choice("suspect", suspect, _SUSPECTS)
 
 
 @dataclass(frozen=True)
@@ -386,8 +422,7 @@ class CrossCoreParams(Record):
     benign_periods: Counts = field(default_factory=lambda: Counts(48, 160))
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.period}")
+        _check_at_least(1, "period", self.period)
         if not self.detectors:
             raise ConfigurationError(
                 "cross_core_wb needs at least one detector for the stealth check"
@@ -444,17 +479,15 @@ class ClosedLoopParams(Record):
     defense: str = "write_through"
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.period}")
+        _check_at_least(1, "period", self.period)
+        _check_at_least(0, "target_set", self.target_set)
+        _check_at_least(1, "replacement_set_size", self.replacement_set_size)
         if not self.detectors:
             raise ConfigurationError(
                 "closed_loop_defense needs at least one detector"
             )
         for suspect in self.suspects:
-            if suspect not in ("benign", "wb", "lru"):
-                raise ConfigurationError(
-                    f"unknown suspect {suspect!r}; valid: benign, wb, lru"
-                )
+            _check_choice("suspect", suspect, _SUSPECTS)
         if self.fusion_k <= 0 or self.fusion_k > len(self.detectors):
             raise ConfigurationError(
                 f"fusion_k must be in 1..{len(self.detectors)} "
@@ -479,11 +512,6 @@ class ClosedLoopParams(Record):
         if not 0.0 <= self.receiver_phase < 1.0:
             raise ConfigurationError(
                 f"receiver_phase must be in [0, 1), got {self.receiver_phase}"
-            )
-        if self.replacement_set_size <= 0:
-            raise ConfigurationError(
-                f"replacement_set_size must be positive, "
-                f"got {self.replacement_set_size}"
             )
 
 
@@ -541,10 +569,34 @@ class ScenarioSpec(Record):
             )
 
     def validate(self) -> None:
-        """Check parts that only fail on construction of live objects."""
+        """Check parts that only fail on construction of live objects or
+        against other fields: the codec, the hierarchy, every target set
+        against the first level's set count, and a defense subset's
+        names."""
         self.channel.codec.build()
-        if self.hierarchy is not None:
-            self.hierarchy.validate()
+        hierarchy = self.hierarchy
+        if hierarchy is None:
+            hierarchy = HierarchyParams.xeon()
+        else:
+            hierarchy.validate()
+        l1 = hierarchy.levels[0]
+        num_sets = l1.size_bytes // (l1.ways * hierarchy.line_size)
+        for target_set in (
+            self.channel.target_set,
+            getattr(self.params, "target_set", 0),
+        ):
+            if target_set >= num_sets:
+                raise ConfigurationError(
+                    f"target_set {target_set} out of range [0, {num_sets}) "
+                    f"of {l1.name}"
+                )
+        if isinstance(self.params, DefenseEvalParams) and self.params.defenses:
+            # Imported only here: the defense harness is heavy.
+            from repro.defenses.evaluation import available_defenses
+
+            valid = tuple(available_defenses())
+            for name in self.params.defenses:
+                _check_choice("defense", name, valid)
 
     # -- serialisation --------------------------------------------------
 

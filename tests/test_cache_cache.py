@@ -243,14 +243,19 @@ class TestLazySets:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_a_set_builds_its_generator_on_its_first_draw(self, engine):
-        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
-        addresses = [0x12340 + 64 * i for i in range(4)]
+        hierarchy = make_xeon_hierarchy(
+            rng=random.Random(0), engine=engine, l1_policy="random"
+        )
+        l1 = hierarchy.levels[0]
+        # Fill one L1 set's ways, then miss once more: a random-policy
+        # set draws only when it has to choose a victim.
+        stride = l1.num_sets * 64
+        addresses = [0x12340 + stride * i for i in range(l1.associativity + 1)]
         with counting_generators() as generators:
-            for address in addresses:
+            for address in addresses[:-1]:
                 hierarchy.load(address, owner=0)
             assert generators == []
-            l1 = hierarchy.levels[0]
-            l1.sets[l1.set_index(addresses[0])].randomize_policy_state()
+            hierarchy.load(addresses[-1], owner=0)
         assert len(generators) == 1
         assert not hasattr(CacheLine(), "__dict__")
 

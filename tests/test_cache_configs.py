@@ -54,5 +54,5 @@ class TestTinyHierarchy:
         assert hierarchy.l1.associativity == 2
 
     def test_policy_selectable(self):
-        hierarchy = make_tiny_hierarchy(l1_policy="fifo", rng=random.Random(0))
-        assert type(hierarchy.l1.sets[0].policy).__name__ == "FIFO"
+        hierarchy = make_tiny_hierarchy(l1_policy="random", rng=random.Random(0))
+        assert type(hierarchy.l1.sets[0].policy).__name__ == "UniformRandom"

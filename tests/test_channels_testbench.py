@@ -69,9 +69,9 @@ class TestHierarchySelection:
 
     def test_overrides_applied(self):
         bench = ChannelTestbench(
-            BenchConfig(hierarchy_overrides={"l1_policy": "fifo"})
+            BenchConfig(hierarchy_overrides={"l1_policy": "random"})
         )
-        assert type(bench.hierarchy.l1.sets[0].policy).__name__ == "FIFO"
+        assert type(bench.hierarchy.l1.sets[0].policy).__name__ == "UniformRandom"
 
 
 class TestRun:

@@ -77,26 +77,6 @@ def test_fig6_trace_parity(policy):
     assert reference.stats.snapshot() == fast.stats.snapshot()
 
 
-@pytest.mark.parametrize("policy", available_policies())
-def test_randomize_policy_state_parity(policy):
-    """Table 2's scramble draws each cache-built set's generator alike."""
-    trace = random_trace(
-        num_accesses=4_000, working_set_lines=1024, write_ratio=0.3, seed=SEED
-    )
-    warmup, rest = trace[:1_000], trace[1_000:]
-    reference, fast = build_pair(policy)
-    for hierarchy in (reference, fast):
-        event_stream(hierarchy, warmup, owner=0)
-        # Every level missed on each address's first access, so these
-        # sets were all touched by the warm-up.
-        for level in hierarchy.levels:
-            for address, _ in warmup[::50]:
-                level.sets[level.set_index(address)].randomize_policy_state()
-    assert event_stream(reference, rest, owner=0) == event_stream(fast, rest, owner=0)
-    assert_state_identical(reference, fast)
-    assert reference.stats.snapshot() == fast.stats.snapshot()
-
-
 def test_wb_channel_transmission_parity():
     """A real WB-protocol transmission decodes identically on both engines."""
     from repro.channels.encoding import BinaryDirtyCodec

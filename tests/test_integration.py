@@ -30,7 +30,7 @@ class TestChannelAcrossTargetSets:
 
 class TestChannelAcrossPolicies:
     @pytest.mark.parametrize(
-        "policy", ["lru", "tree-plru", "e5-2650", "bit-plru", "nru", "srrip"]
+        "policy", ["lru", "tree-plru", "e5-2650", "srrip"]
     )
     def test_wb_channel_survives_policy_change(self, policy):
         # The channel keys on line *state*, not replacement metadata, so

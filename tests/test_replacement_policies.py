@@ -6,13 +6,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.replacement import (
-    FIFO,
-    NRU,
     SRRIP,
-    BitPLRU,
     DirtyProtectingLRU,
     LFSRPseudoRandom,
-    NoisyTreePLRU,
     TreePLRU,
     TrueLRU,
     UniformRandom,
@@ -37,8 +33,8 @@ class TestRegistry:
             make_policy_factory("clairvoyant")
 
     def test_factory_kwargs_forwarded(self):
-        policy = make("noisy-plru", update_prob=0.25)
-        assert policy.update_prob == 0.25
+        policy = make("srrip", rrpv_bits=3)
+        assert policy.max_rrpv == 7
 
     @pytest.mark.parametrize("name", ALL_POLICY_NAMES)
     def test_every_policy_constructs(self, name):
@@ -74,22 +70,6 @@ class TestTrueLRU:
         assert policy.recency_order() == [2, 0, 1]
 
 
-class TestFIFO:
-    def test_ignores_hits(self):
-        policy = make("fifo", ways=4)
-        for way in range(4):
-            policy.on_fill(way)
-        policy.on_hit(0)
-        assert policy.victim() == 0
-
-    def test_refill_moves_to_back(self):
-        policy = make("fifo", ways=4)
-        for way in range(4):
-            policy.on_fill(way)
-        policy.on_fill(0)
-        assert policy.victim() == 1
-
-
 class TestTreePLRU:
     def test_requires_power_of_two(self):
         with pytest.raises(ConfigurationError):
@@ -117,26 +97,6 @@ class TestTreePLRU:
     def test_tree_bits_exposed(self):
         policy = make("tree-plru", ways=8)
         assert len(policy.tree_bits()) == 7
-
-
-class TestNoisyTreePLRU:
-    def test_prob_one_is_exact_plru(self):
-        noisy = NoisyTreePLRU(8, random.Random(1), update_prob=1.0)
-        exact = TreePLRU(8, random.Random(2))
-        for way in (3, 1, 7, 0, 5):
-            noisy.on_fill(way)
-            exact.on_fill(way)
-        assert noisy.tree_bits() == exact.tree_bits()
-
-    def test_rejects_bad_prob(self):
-        with pytest.raises(ConfigurationError):
-            NoisyTreePLRU(8, random.Random(0), update_prob=1.5)
-
-    def test_fills_sometimes_skip_updates(self):
-        noisy = NoisyTreePLRU(8, random.Random(3), update_prob=0.0)
-        before = noisy.tree_bits()
-        noisy.on_fill(5)
-        assert noisy.tree_bits() == before
 
 
 class TestDirtyProtectingLRU:
@@ -178,32 +138,6 @@ class TestDirtyProtectingLRU:
         policy = DirtyProtectingLRU(8, random.Random(0))
         with pytest.raises(ConfigurationError):
             policy.notify_dirty_ways((True,))
-
-
-class TestBitPLRU:
-    def test_victim_is_not_mru(self):
-        policy = BitPLRU(4, random.Random(0))
-        policy.on_fill(2)
-        assert policy.victim() != 2
-
-    def test_saturation_resets_epoch(self):
-        policy = BitPLRU(2, random.Random(0))
-        policy.on_fill(0)
-        policy.on_fill(1)  # would saturate -> epoch reset, then way1 MRU
-        assert policy.mru_bits() == [False, True]
-
-
-class TestNRU:
-    def test_victim_not_recently_used(self):
-        policy = NRU(4, random.Random(0))
-        policy.on_fill(1)
-        assert policy.victim() != 1
-
-    def test_scan_pointer_rotates(self):
-        policy = NRU(4, random.Random(0))
-        first = policy.victim()
-        second = policy.victim()
-        assert first != second
 
 
 class TestSRRIP:

@@ -71,7 +71,7 @@ class TestUniversalInvariants:
         assert victims == set(range(WAYS))
 
 
-@pytest.mark.parametrize("name", ["lru", "tree-plru", "bit-plru", "nru"])
+@pytest.mark.parametrize("name", ["lru", "tree-plru"])
 class TestRecencyRespectingPolicies:
     @given(
         protected=st.integers(min_value=0, max_value=WAYS - 1),

@@ -17,7 +17,13 @@ from repro.scenario import (
     zoo_keys,
     zoo_specs,
 )
-from repro.scenario.spec import BerSweepParams, ChannelSpec, CodecSpec
+from repro.scenario.compile import compile_scenario
+from repro.scenario.spec import (
+    BerSweepParams,
+    ChannelSpec,
+    CodecSpec,
+    DefenseEvalParams,
+)
 from repro.scenario.zoo import campaign_ts_sweep_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -130,6 +136,26 @@ class TestStrictness:
         )
         with pytest.raises(ConfigurationError):
             spec.validate()
+
+
+class TestDefenseSubset:
+    def test_a_subset_evaluates_only_its_defenses(self, monkeypatch):
+        from repro.defenses import evaluation
+
+        evaluated = []
+
+        def stub(name, seeds):
+            evaluated.append(name)
+            return name
+
+        monkeypatch.setattr(evaluation, "evaluate_defense", stub)
+        spec = dataclasses.replace(
+            library_spec("defenses"),
+            params=DefenseEvalParams(defenses=("plcache", "partitioned")),
+        )
+        measurement = compile_scenario(spec, "quick", 0).measure()
+        assert evaluated == ["partitioned", "plcache"]
+        assert measurement.reports == ("partitioned", "plcache")
 
 
 class TestCampaignExpansion:

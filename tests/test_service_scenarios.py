@@ -185,8 +185,12 @@ class TestErrorEnvelope:
             {"size_bytes": 1000},  # not sets * ways * line_size
             {"ways": 0},
             {"size_bytes": "32768"},
+            {"policy": "fifo"},
         ],
-        ids=["six-way-tree-plru", "size-1000", "zero-ways", "string-size"],
+        ids=[
+            "six-way-tree-plru", "size-1000", "zero-ways", "string-size",
+            "unregistered-policy",
+        ],
     )
     def test_unbuildable_hierarchy_is_400_before_queueing(self, service, l1):
         payload = json.loads(RANDOM_L1_TRACE.read_text(encoding="utf-8"))
@@ -262,6 +266,26 @@ class TestErrorEnvelope:
             ),
             ("fig6", ("scenario", "params", "messages", "quick"), 10**12),
             ("fig6", ("scenario", "params", "message_bits", "quick"), 10**12),
+            ("fig6", ("scenario", "params", "messages", "quick"), 0),
+            ("fig6", ("scenario", "params", "messages", "quick"), -1),
+            ("fig7", ("scenario", "params", "period"), 0),
+            ("fig7", ("scenario", "params", "period"), -1),
+            ("fig7", ("scenario", "channel", "target_set"), -1),
+            ("fig7", ("scenario", "channel", "target_set"), 64),
+            ("fig7", ("scenario", "channel", "replacement_set_size"), 0),
+            ("fig7", ("scenario", "channel", "sender", "kind"), "no-such-sender"),
+            (
+                "fig7",
+                ("scenario", "channel", "receiver", "kind"),
+                "no-such-receiver",
+            ),
+            ("online_detection", ("scenario", "params", "prober", "kind"), "x"),
+            (
+                "online_detection",
+                ("scenario", "params", "prober", "sweeps_per_period"),
+                0,
+            ),
+            ("defenses", ("scenario", "params", "defenses"), ["bogus"]),
             # No scenario: an experiment_id job.
             (None, ("profile",), True),
             (None, ("profile",), {"name": "quick", "reduced": "false"}),
@@ -278,6 +302,11 @@ class TestErrorEnvelope:
             "string-fault-rate", "profile-without-reduced", "string-wait",
             "boolean-timeout", "null-level", "empty-level", "string-level",
             "list-policy", "over-cap-messages", "over-cap-message-bits",
+            "zero-messages", "negative-messages", "zero-period",
+            "negative-period", "negative-target-set", "target-set-past-l1",
+            "zero-replacement-set", "unknown-sender-kind",
+            "unknown-receiver-kind", "unknown-prober-kind",
+            "zero-prober-sweeps", "unknown-defense",
             "boolean-profile", "string-reduced", "list-scale", "string-scale",
             "unknown-profile-field", "integer-profile-name", "over-cap-scale",
         ],
