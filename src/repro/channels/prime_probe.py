@@ -16,16 +16,11 @@ Reproduced properties the experiments rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.bits import random_bits
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_rng, ensure_rng
-from repro.common.units import cycles_to_kbps
-from repro.analysis.ber import DEFAULT_PREAMBLE, evaluate_transmission
-from repro.channels.results import TransmissionResult
+from repro.channels.results import ChannelFraming, ChannelRunResult, score_run
 from repro.channels.testbench import ChannelTestbench, TestbenchConfig
-from repro.cpu.noise import SchedulerNoise
 from repro.cpu.ops import Load, RdTSC, SpinUntil
 from repro.cpu.perf_counters import PerfReport
 from repro.cpu.thread import OpGenerator, Program
@@ -103,40 +98,23 @@ class PrimeProbeReceiverProgram(Program):
 
 
 @dataclass
-class PrimeProbeConfig:
+class PrimeProbeConfig(ChannelFraming):
     """One Prime+Probe covert-channel run."""
 
-    period_cycles: int = 5500
-    message_bits: int = 128
-    message: Optional[Sequence[int]] = None
-    preamble: Sequence[int] = field(default_factory=lambda: list(DEFAULT_PREAMBLE))
     target_set: Optional[int] = 21
-    seed: int = 0
-    scheduler_noise: Optional[SchedulerNoise] = None
     hierarchy_overrides: Dict[str, object] = field(default_factory=dict)
-    alignment_slack_symbols: int = 4
-    start_time: int = 30000
     sender_evict_lines: int = 2
 
-    def resolve_message(self) -> List[int]:
-        """Preamble plus payload."""
-        preamble = list(self.preamble)
-        if self.message is not None:
-            return list(self.message)
-        payload = self.message_bits - len(preamble)
-        if payload < 0:
-            raise ConfigurationError("message_bits shorter than preamble")
-        rng = derive_rng(ensure_rng(self.seed), "message")
-        return preamble + random_bits(payload, rng)
 
-    @property
-    def rate_kbps(self) -> float:
-        """Nominal rate of this configuration."""
-        return cycles_to_kbps(self.period_cycles)
+def run_prime_probe_channel(
+    config: PrimeProbeConfig,
+    extra_threads: Optional[Callable[[ChannelTestbench], None]] = None,
+) -> ChannelRunResult:
+    """Run one Prime+Probe transmission and score it.
 
-
-def run_prime_probe_channel(config: PrimeProbeConfig) -> TransmissionResult:
-    """Run one Prime+Probe transmission and score it."""
+    ``extra_threads``, when given, registers more threads on the bench
+    after the sender and the receiver (a noise process, say).
+    """
     message = config.resolve_message()
     bench = ChannelTestbench(
         TestbenchConfig(
@@ -173,27 +151,17 @@ def run_prime_probe_channel(config: PrimeProbeConfig) -> TransmissionResult:
     )
     bench.add_thread(SENDER_TID, sender_space, sender, name="pp-sender")
     bench.add_thread(RECEIVER_TID, receiver_space, receiver, name="pp-receiver")
-    core = bench.run()
+    if extra_threads is not None:
+        extra_threads(bench)
+    elapsed = bench.run().elapsed_cycles()
 
-    received_raw = [1 if misses > 0 else 0 for misses in receiver.miss_counts()]
-    report = evaluate_transmission(
-        sent=message,
-        received_raw=received_raw,
-        preamble_length=len(config.preamble),
-        alignment_slack=config.alignment_slack_symbols,
-    )
-    elapsed = core.elapsed_cycles()
-    return TransmissionResult(
+    stats = bench.hierarchy.stats
+    return score_run(
+        config,
+        message,
+        [1 if misses > 0 else 0 for misses in receiver.miss_counts()],
         channel="Prime+Probe",
-        sent_bits=tuple(message),
-        received_bits=tuple(report.received),
-        bit_error_rate=report.ber,
-        errors=report.errors,
-        rate_kbps=config.rate_kbps,
-        period_cycles=config.period_cycles,
-        sender_perf=PerfReport.from_stats(bench.hierarchy.stats, SENDER_TID, elapsed),
-        receiver_perf=PerfReport.from_stats(
-            bench.hierarchy.stats, RECEIVER_TID, elapsed
-        ),
+        sender_perf=PerfReport.from_stats(stats, SENDER_TID, elapsed),
+        receiver_perf=PerfReport.from_stats(stats, RECEIVER_TID, elapsed),
         elapsed_cycles=elapsed,
     )

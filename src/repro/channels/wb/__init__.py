@@ -8,15 +8,20 @@
 * :mod:`~repro.channels.wb.calibration` — offline latency probing used for
   Figure 4 and for threshold calibration.
 * :mod:`~repro.channels.wb.protocol` — Algorithm 3: the paced covert
-  channel protocol, returning a :class:`ChannelRunResult`.
+  channel protocol, returning a :class:`ChannelRunResult`.  Its config,
+  like the L2 and cross-core ones, inherits the shared message framing
+  and scoring of :mod:`repro.channels.results`.
 * :mod:`~repro.channels.wb.framing` — self-identifying frames (sync word,
   sequence number, CRC over FEC) with a resynchronising scanner.
 * :mod:`~repro.channels.wb.robust` — the self-healing stack: framing +
   online threshold recalibration + ACK/retransmission, built for the
   :mod:`repro.faults` regime.
+* :mod:`~repro.channels.wb.l2` — the channel one level down, on the L2,
+  with the same receiver program.
 * :mod:`~repro.channels.wb.cross_core` — the channel across cores of a
   :class:`~repro.coherence.CoherentHierarchy`, signalling through MESI
-  downgrade write-backs instead of replacement evictions.
+  downgrade write-backs instead of replacement evictions, with the same
+  sender program.
 """
 
 from repro._lazy import lazy_exports
@@ -43,7 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "transmit_cross_core_schedule",
         ),
         "l2": (
-            "L2ChannelRunResult",
             "L2WBChannelConfig",
             "make_l2_channel_hierarchy",
             "run_l2_wb_channel",

@@ -16,10 +16,12 @@ multi-core model (:mod:`repro.coherence`) the same dirty state leaks
 
 The probe itself re-acquires the lines Shared, resetting the state for
 the next symbol: no eviction sets, no pointer chases — the coherence
-protocol does both the delivery and the cleanup.  Latency grows
-monotonically with ``d``, so the existing
-:class:`~repro.channels.threshold.ThresholdDecoder`, symbol codecs and
-framing stack are reused unchanged.
+protocol does both the delivery and the cleanup.  The sender is the
+single-core :class:`~repro.channels.wb.sender.WBSenderProgram`, run on
+the shared lines.  Latency grows monotonically with ``d``, so the
+existing :class:`~repro.channels.threshold.ThresholdDecoder`, symbol
+codecs, message framing and scoring (:mod:`repro.channels.results`)
+are reused unchanged.
 
 Sharing is modelled as page-table aliasing
 (:func:`~repro.channels.testbench.share_buffer`) — the read-write shared
@@ -32,21 +34,19 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.bits import random_bits
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng, ensure_rng
-from repro.common.units import cycles_to_kbps
-from repro.analysis.ber import DEFAULT_PREAMBLE, evaluate_transmission
 from repro.cache.configs import HierarchyParams
 from repro.channels.encoding import BinaryDirtyCodec, SymbolCodec
+from repro.channels.results import ChannelFraming, ChannelRunResult, score_run
 from repro.channels.testbench import ChannelTestbench, TestbenchConfig, share_buffer
 from repro.channels.threshold import ThresholdDecoder
-from repro.channels.wb.protocol import ChannelRunResult
-from repro.cpu.noise import SchedulerNoise
-from repro.cpu.ops import Load, RdTSC, SpinUntil, Store
+from repro.channels.wb.sender import WBSenderProgram
+from repro.cpu.ops import Load, RdTSC, SpinUntil
 from repro.cpu.perf_counters import PerfReport
 from repro.cpu.thread import OpGenerator, Program
 from repro.mem.sets import build_set_conflicting_lines
+from repro.telemetry.bus import subscribed
 
 #: Hardware thread ids; the coherent hierarchy maps tid -> core by
 #: ``tid % cores``, so these also name the cores.
@@ -55,32 +55,6 @@ RECEIVER_TID = 1
 
 #: Phase used for calibration probes (mid-period, clear of the stores).
 CALIBRATION_PHASE = 0.6
-
-
-@dataclass
-class CrossCoreSenderProgram(Program):
-    """Encode by storing to shared lines: RFO → Modified on core 0."""
-
-    lines: Sequence[int]
-    schedule: Sequence[int]
-    period: int
-    start_time: int
-
-    def __post_init__(self) -> None:
-        needed = max(self.schedule, default=0)
-        if needed > len(self.lines):
-            raise ConfigurationError(
-                f"schedule needs {needed} shared lines, got {len(self.lines)}"
-            )
-
-    def run(self) -> OpGenerator:
-        for line in self.lines:
-            yield Load(line)
-        t_last = yield SpinUntil(self.start_time)
-        for dirty_count in self.schedule:
-            for line in self.lines[:dirty_count]:
-                yield Store(line)
-            t_last = yield SpinUntil(t_last + self.period)
 
 
 @dataclass
@@ -120,7 +94,7 @@ class CrossCoreReceiverProgram(Program):
 
 
 @dataclass
-class CrossCoreWBChannelConfig:
+class CrossCoreWBChannelConfig(ChannelFraming):
     """One cross-core WB covert-channel run.
 
     The period sits between the L1 channel's (both endpoints pay only a
@@ -129,35 +103,32 @@ class CrossCoreWBChannelConfig:
     round-trips.
     """
 
-    codec: SymbolCodec = field(default_factory=lambda: BinaryDirtyCodec(d_on=4))
     period_cycles: int = 9000
     message_bits: int = 64
-    preamble: Sequence[int] = field(default_factory=lambda: list(DEFAULT_PREAMBLE))
+    codec: SymbolCodec = field(default_factory=lambda: BinaryDirtyCodec(d_on=4))
     #: Cores in the default topology when ``hierarchy`` is None.
     cores: int = 2
     #: L1 set the shared lines collide in (keeps detector geometry
     #: aligned with the single-core scenarios).
     target_set: int = 21
     receiver_phase: Optional[float] = None
-    alignment_slack_symbols: int = 4
-    start_time: int = 30000
-    seed: int = 0
-    scheduler_noise: Optional[SchedulerNoise] = None
     #: Multi-core topology; ``None`` = Xeon E5-2650 with ``cores`` cores.
     hierarchy: Optional[HierarchyParams] = None
     calibration_repetitions: int = 30
     decoder: Optional[ThresholdDecoder] = None
 
     def __post_init__(self) -> None:
-        if self.period_cycles <= 0:
-            raise ConfigurationError(
-                f"period_cycles must be positive, got {self.period_cycles}"
-            )
+        super().__post_init__()
         if self.calibration_repetitions <= 0:
             raise ConfigurationError(
                 "calibration_repetitions must be positive, "
                 f"got {self.calibration_repetitions}"
             )
+
+    @property
+    def bits_per_symbol(self) -> int:
+        """Message bits per symbol: the codec's."""
+        return self.codec.bits_per_symbol
 
     def resolve_hierarchy(self) -> HierarchyParams:
         """The multi-core topology this run simulates (cores >= 2)."""
@@ -169,20 +140,6 @@ class CrossCoreWBChannelConfig:
                 f"cross-core channel needs cores >= 2, got {params.cores}"
             )
         return params
-
-    def resolve_message(self) -> List[int]:
-        """Preamble plus random payload."""
-        preamble = list(self.preamble)
-        payload = self.message_bits - len(preamble)
-        if payload < 0:
-            raise ConfigurationError("message_bits shorter than preamble")
-        rng = derive_rng(ensure_rng(self.seed), "message")
-        return preamble + random_bits(payload, rng)
-
-    @property
-    def rate_kbps(self) -> float:
-        """Nominal transmission rate."""
-        return cycles_to_kbps(self.period_cycles, self.codec.bits_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -238,7 +195,7 @@ def transmit_cross_core_schedule(
     for line in lines:
         share_buffer(sender_space, receiver_space, line, line_size)
 
-    sender = CrossCoreSenderProgram(
+    sender = WBSenderProgram(
         lines=lines,
         schedule=schedule,
         period=config.period_cycles,
@@ -254,24 +211,8 @@ def transmit_cross_core_schedule(
     bench.add_thread(SENDER_TID, sender_space, sender, name="xc-sender")
     bench.add_thread(RECEIVER_TID, receiver_space, receiver, name="xc-receiver")
 
-    bus = hierarchy.telemetry
-    owned_bus = subscribers and bus is None
-    if owned_bus:
-        from repro.telemetry.bus import TelemetryBus
-
-        bus = hierarchy.attach_telemetry(TelemetryBus())
-    for subscriber in subscribers:
-        bus.subscribe(subscriber)
-    try:
+    with subscribed(hierarchy, subscribers):
         core = bench.run()
-    finally:
-        for subscriber in subscribers:
-            finish = getattr(subscriber, "finish", None)
-            if finish is not None:
-                finish()
-            bus.unsubscribe(subscriber)
-        if owned_bus:
-            hierarchy.detach_telemetry()
 
     elapsed = core.elapsed_cycles()
     stats = hierarchy.stats
@@ -335,27 +276,14 @@ def run_cross_core_wb_channel(
     if coherence_out is not None:
         coherence_out.update(transmission.coherence)
     levels = decoder.classify_many(transmission.latencies())
-    received_raw = config.codec.decode_message(levels)
-    report = evaluate_transmission(
-        sent=message,
-        received_raw=received_raw,
-        preamble_length=len(config.preamble),
-        alignment_slack=(
-            config.alignment_slack_symbols * config.codec.bits_per_symbol
-        ),
-    )
-    return ChannelRunResult(
-        sent_bits=tuple(message),
-        received_bits=tuple(report.received),
-        bit_error_rate=report.ber,
-        errors=report.errors,
-        alignment_offset=report.offset,
-        rate_kbps=config.rate_kbps,
-        period_cycles=config.period_cycles,
-        samples=transmission.samples,
-        decoder=decoder,
+    return score_run(
+        config,
+        message,
+        config.codec.decode_message(levels),
+        channel="WB channel",
         sender_perf=transmission.sender_perf,
         receiver_perf=transmission.receiver_perf,
         elapsed_cycles=transmission.elapsed_cycles,
-        fault_summary=None,
+        samples=transmission.samples,
+        decoder=decoder,
     )

@@ -16,7 +16,10 @@ What changes relative to the L1 channel
   the LLC and fills L2, and every dirty L2 victim adds the L2 write-back
   penalty.  The hierarchy must charge deep write-backs for this to be
   measurable (``charge_deep_writebacks=True`` — an L2 with a single fill
-  port stalls on the victim drain exactly like the L1 does).
+  port stalls on the victim drain exactly like the L1 does).  The
+  receiver program itself is the L1 channel's
+  :class:`~repro.channels.wb.receiver.WBReceiverProgram`, handed the two
+  L2 line lists in allocation order.
 * **Set agreement** is harder: the L2 is physically indexed, so the
   parties cannot aim at a set from virtual addresses alone.  Real
   attackers solve this with eviction-set profiling (see
@@ -29,28 +32,32 @@ Lines that share an L2 set also share their L1 set (the L1 index bits
 are a subset of the L2 index bits), so the sender's L1 self-eviction set
 doubles as extra L2-set pressure; the implementation keeps them separate
 for clarity.
+
+What does not change: the message framing, the preamble alignment and
+the scoring (:mod:`repro.channels.results`), and the run result.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.common.bits import random_bits
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.rng import derive_rng, ensure_rng
-from repro.common.units import cycles_to_kbps
-from repro.analysis.ber import DEFAULT_PREAMBLE, evaluate_transmission
+from repro.common.rng import derive_rng
 from repro.cache.configs import make_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.channels.encoding import BinaryDirtyCodec, SymbolCodec
+from repro.channels.results import ChannelFraming, ChannelRunResult, score_run
 from repro.channels.testbench import ChannelTestbench, TestbenchConfig
 from repro.channels.threshold import ThresholdDecoder
+from repro.channels.wb.receiver import WBReceiverProgram
 from repro.cpu.noise import SchedulerNoise
 from repro.cpu.ops import Load, RdTSC, SpinUntil, Store
+from repro.cpu.perf_counters import PerfReport
 from repro.cpu.thread import OpGenerator, Program
 from repro.mem.address_space import AddressSpace
+from repro.mem.sets import build_set_conflicting_lines
 
 SENDER_TID = 0
 RECEIVER_TID = 1
@@ -140,43 +147,7 @@ class L2WBSenderProgram(Program):
 
 
 @dataclass
-class L2WBReceiverProgram(Program):
-    """Time traversals of an L2 replacement set (alternating A/B)."""
-
-    chase_a: Sequence[int]
-    chase_b: Sequence[int]
-    period: int
-    start_time: int
-    num_samples: int
-    phase: float = 0.6
-
-    def __post_init__(self) -> None:
-        if set(self.chase_a) & set(self.chase_b):
-            raise ConfigurationError("L2 replacement sets must be disjoint")
-        if self.num_samples <= 0:
-            raise ConfigurationError("num_samples must be positive")
-        self.samples: List[Tuple[int, int]] = []
-
-    def run(self) -> OpGenerator:
-        for line in list(self.chase_a) + list(self.chase_b):
-            yield Load(line)
-        t_last = yield SpinUntil(self.start_time + int(self.phase * self.period))
-        for index in range(self.num_samples):
-            chase = self.chase_a if index % 2 == 0 else self.chase_b
-            start = yield RdTSC()
-            for line in chase:
-                yield Load(line)
-            end = yield RdTSC()
-            self.samples.append((start, end - start))
-            t_last = yield SpinUntil(t_last + self.period)
-
-    def latencies(self) -> List[int]:
-        """Latency series in sample order."""
-        return [latency for _, latency in self.samples]
-
-
-@dataclass
-class L2WBChannelConfig:
+class L2WBChannelConfig(ChannelFraming):
     """One L2 WB covert-channel run.
 
     The default period is longer than the L1 channel's because both the
@@ -184,33 +155,20 @@ class L2WBChannelConfig:
     cost more — the paper's predicted bandwidth penalty for deeper levels.
     """
 
-    codec: SymbolCodec = field(default_factory=lambda: BinaryDirtyCodec(d_on=4))
     period_cycles: int = 22000
     message_bits: int = 64
-    preamble: Sequence[int] = field(default_factory=lambda: list(DEFAULT_PREAMBLE))
+    start_time: int = 60000
+    codec: SymbolCodec = field(default_factory=lambda: BinaryDirtyCodec(d_on=4))
     target_l2_set: int = 137
     replacement_set_size: int = 12
     receiver_phase: Optional[float] = None
-    alignment_slack_symbols: int = 4
-    start_time: int = 60000
-    seed: int = 0
-    scheduler_noise: Optional[SchedulerNoise] = None
     calibration_repetitions: int = 40
     decoder: Optional[ThresholdDecoder] = None
 
     @property
-    def rate_kbps(self) -> float:
-        """Nominal transmission rate."""
-        return cycles_to_kbps(self.period_cycles, self.codec.bits_per_symbol)
-
-    def resolve_message(self) -> List[int]:
-        """Preamble plus random payload."""
-        preamble = list(self.preamble)
-        payload = self.message_bits - len(preamble)
-        if payload < 0:
-            raise ConfigurationError("message_bits shorter than preamble")
-        rng = derive_rng(ensure_rng(self.seed), "message")
-        return preamble + random_bits(payload, rng)
+    def bits_per_symbol(self) -> int:
+        """Message bits per symbol: the codec's."""
+        return self.codec.bits_per_symbol
 
 
 def _calibrate(config: L2WBChannelConfig) -> ThresholdDecoder:
@@ -259,26 +217,7 @@ def _calibrate(config: L2WBChannelConfig) -> ThresholdDecoder:
     return ThresholdDecoder.calibrate(samples)
 
 
-@dataclass(frozen=True)
-class L2ChannelRunResult:
-    """Outcome of one L2 WB channel transmission."""
-
-    sent_bits: Tuple[int, ...]
-    received_bits: Tuple[int, ...]
-    bit_error_rate: float
-    errors: int
-    rate_kbps: float
-    decoder: ThresholdDecoder
-    elapsed_cycles: float
-
-    def __str__(self) -> str:
-        return (
-            f"L2 WB channel @ {self.rate_kbps:.0f} Kbps: BER "
-            f"{self.bit_error_rate:.2%} over {len(self.sent_bits)} bits"
-        )
-
-
-def run_l2_wb_channel(config: L2WBChannelConfig) -> L2ChannelRunResult:
+def run_l2_wb_channel(config: L2WBChannelConfig) -> ChannelRunResult:
     """Run one L2 WB covert-channel transmission."""
     message = config.resolve_message()
     schedule = config.codec.encode_message(message)
@@ -303,8 +242,6 @@ def run_l2_wb_channel(config: L2WBChannelConfig) -> L2ChannelRunResult:
     # sweep needs >= 10 lines in that set from anywhere in its own space.
     l1_layout = hierarchy.l1.layout
     l1_set = l1_layout.set_index(sender_lines[0])
-    from repro.mem.sets import build_set_conflicting_lines
-
     sweep_lines = build_set_conflicting_lines(sender_space, l1_layout, l1_set, 10)
     chase_a = build_l2_conflict_lines(
         receiver_space, hierarchy, config.target_l2_set, config.replacement_set_size
@@ -323,7 +260,7 @@ def run_l2_wb_channel(config: L2WBChannelConfig) -> L2ChannelRunResult:
         period=config.period_cycles,
         start_time=config.start_time,
     )
-    receiver = L2WBReceiverProgram(
+    receiver = WBReceiverProgram(
         chase_a=chase_a,
         chase_b=chase_b,
         period=config.period_cycles,
@@ -333,22 +270,17 @@ def run_l2_wb_channel(config: L2WBChannelConfig) -> L2ChannelRunResult:
     )
     bench.add_thread(SENDER_TID, sender_space, sender, name="l2-sender")
     bench.add_thread(RECEIVER_TID, receiver_space, receiver, name="l2-receiver")
-    core = bench.run()
+    elapsed = bench.run().elapsed_cycles()
 
     levels = decoder.classify_many(receiver.latencies())
-    received_raw = config.codec.decode_message(levels)
-    report = evaluate_transmission(
-        sent=message,
-        received_raw=received_raw,
-        preamble_length=len(config.preamble),
-        alignment_slack=config.alignment_slack_symbols * config.codec.bits_per_symbol,
-    )
-    return L2ChannelRunResult(
-        sent_bits=tuple(message),
-        received_bits=tuple(report.received),
-        bit_error_rate=report.ber,
-        errors=report.errors,
-        rate_kbps=config.rate_kbps,
+    return score_run(
+        config,
+        message,
+        config.codec.decode_message(levels),
+        channel="L2 WB channel",
+        sender_perf=PerfReport.from_stats(hierarchy.stats, SENDER_TID, elapsed),
+        receiver_perf=PerfReport.from_stats(hierarchy.stats, RECEIVER_TID, elapsed),
+        elapsed_cycles=elapsed,
+        samples=tuple(receiver.samples),
         decoder=decoder,
-        elapsed_cycles=core.elapsed_cycles(),
     )

@@ -11,20 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.bits import random_bits
-from repro.common.errors import ConfigurationError, ProtocolError
-from repro.common.rng import derive_rng, ensure_rng
-from repro.common.units import cycles_to_kbps
-from repro.analysis.ber import DEFAULT_PREAMBLE, evaluate_transmission
+from repro.common.errors import ConfigurationError
 from repro.channels.encoding import BinaryDirtyCodec, SymbolCodec
+from repro.channels.results import ChannelFraming, ChannelRunResult, score_run
 from repro.channels.testbench import ChannelTestbench, TestbenchConfig
 from repro.channels.threshold import ThresholdDecoder
 from repro.cache.hierarchy import HierarchyFactory
 from repro.channels.wb.calibration import calibrate_decoder
 from repro.channels.wb.receiver import WBReceiverProgram
 from repro.channels.wb.sender import WBSenderProgram
-from repro.common.rng import derive_seed
-from repro.cpu.noise import SchedulerNoise
+from repro.common.rng import derive_rng, derive_seed
 from repro.cpu.perf_counters import PerfReport
 from repro.cpu.tsc import TimestampCounterLike
 from repro.faults.injector import (
@@ -45,19 +41,16 @@ RECEIVER_TID = 1
 
 
 @dataclass
-class WBChannelConfig:
+class WBChannelConfig(ChannelFraming):
     """Everything that defines one WB covert-channel run.
 
-    The defaults mirror the paper's baseline experiment: 128-bit messages
-    with a fixed 16-bit preamble, binary encoding with ``d = 1``, a
-    replacement set of ten lines, and ``Ts = Tr``.
+    The framing defaults (:class:`~repro.channels.results.ChannelFraming`)
+    mirror the paper's baseline experiment; on top of them come binary
+    encoding with ``d = 1``, a replacement set of ten lines, and
+    ``Ts = Tr``.
     """
 
     codec: SymbolCodec = field(default_factory=BinaryDirtyCodec)
-    period_cycles: int = 5500
-    message_bits: int = 128
-    message: Optional[Sequence[int]] = None
-    preamble: Sequence[int] = field(default_factory=lambda: list(DEFAULT_PREAMBLE))
     target_set: Optional[int] = 21
     replacement_set_size: int = 10
     #: Fraction of the first period the receiver waits before its first
@@ -67,14 +60,6 @@ class WBChannelConfig:
     #: straddle the sender's encode are the channel's dominant error source
     #: at high rates (Figure 6).
     receiver_phase: Optional[float] = None
-    #: Extra receiver samples beyond the symbol count, absorbed by the
-    #: preamble alignment search (bit insertions push data rightward).
-    alignment_slack_symbols: int = 4
-    #: Protocol epoch: late enough that both parties finish their warm-up
-    #: (cold DRAM fills of the replacement sets) before symbol 0 opens.
-    start_time: int = 30000
-    seed: int = 0
-    scheduler_noise: Optional[SchedulerNoise] = None
     #: TSC model override (ablations disable read jitter through this).
     tsc: Optional[TimestampCounterLike] = None
     hierarchy_overrides: Dict[str, object] = field(default_factory=dict)
@@ -106,10 +91,7 @@ class WBChannelConfig:
                 f"hierarchy_factory must be callable (rng -> CacheHierarchy); "
                 f"got {type(self.hierarchy_factory).__name__}"
             )
-        if self.period_cycles <= 0:
-            raise ConfigurationError(
-                f"period_cycles must be positive, got {self.period_cycles}"
-            )
+        super().__post_init__()
         if self.calibration_repetitions <= 0:
             raise ConfigurationError(
                 f"calibration_repetitions must be positive, "
@@ -121,68 +103,10 @@ class WBChannelConfig:
                 f"got {self.replacement_set_size}"
             )
 
-    def resolve_message(self) -> List[int]:
-        """The full bit message: preamble followed by payload."""
-        preamble = list(self.preamble)
-        if self.message is not None:
-            message = list(self.message)
-            if message[: len(preamble)] != preamble:
-                raise ProtocolError(
-                    "explicit message must start with the configured preamble"
-                )
-        else:
-            payload_len = self.message_bits - len(preamble)
-            if payload_len < 0:
-                raise ConfigurationError(
-                    f"message_bits {self.message_bits} shorter than the "
-                    f"{len(preamble)}-bit preamble"
-                )
-            rng = derive_rng(ensure_rng(self.seed), "message")
-            message = preamble + random_bits(payload_len, rng)
-        if len(message) % self.codec.bits_per_symbol:
-            raise ProtocolError(
-                f"message of {len(message)} bits is not a whole number of "
-                f"{self.codec.bits_per_symbol}-bit symbols"
-            )
-        return message
-
     @property
-    def rate_kbps(self) -> float:
-        """Nominal transmission rate of this configuration."""
-        return cycles_to_kbps(self.period_cycles, self.codec.bits_per_symbol)
-
-
-@dataclass(frozen=True)
-class ChannelRunResult:
-    """Everything measured during one covert-channel run."""
-
-    sent_bits: Tuple[int, ...]
-    received_bits: Tuple[int, ...]
-    bit_error_rate: float
-    errors: int
-    alignment_offset: int
-    rate_kbps: float
-    period_cycles: int
-    #: ``(tsc, latency)`` receiver samples, in order.
-    samples: Tuple[Tuple[int, int], ...]
-    decoder: ThresholdDecoder
-    sender_perf: PerfReport
-    receiver_perf: PerfReport
-    elapsed_cycles: float
-    #: Injected-fault event counts (``FaultSchedule.summary()``); ``None``
-    #: for fault-free runs.
-    fault_summary: Optional[Dict[str, object]] = None
-
-    @property
-    def payload_intact(self) -> bool:
-        """True when the transmission was error-free."""
-        return self.errors == 0
-
-    def __str__(self) -> str:
-        return (
-            f"WB channel @ {self.rate_kbps:.0f} Kbps: BER "
-            f"{self.bit_error_rate:.2%} over {len(self.sent_bits)} bits"
-        )
+    def bits_per_symbol(self) -> int:
+        """Message bits per symbol: the codec's."""
+        return self.codec.bits_per_symbol
 
 
 @dataclass(frozen=True)
@@ -376,26 +300,16 @@ def run_wb_channel(config: WBChannelConfig) -> ChannelRunResult:
     trace = transmit_symbol_schedule(config, schedule)
 
     levels = decoder.classify_many(trace.latencies())
-    received_raw = config.codec.decode_message(levels)
-    report = evaluate_transmission(
-        sent=message,
-        received_raw=received_raw,
-        preamble_length=len(config.preamble),
-        alignment_slack=config.alignment_slack_symbols * config.codec.bits_per_symbol,
-    )
-    return ChannelRunResult(
-        sent_bits=tuple(message),
-        received_bits=tuple(report.received),
-        bit_error_rate=report.ber,
-        errors=report.errors,
-        alignment_offset=report.offset,
-        rate_kbps=config.rate_kbps,
-        period_cycles=config.period_cycles,
-        samples=trace.samples,
-        decoder=decoder,
+    return score_run(
+        config,
+        message,
+        config.codec.decode_message(levels),
+        channel="WB channel",
         sender_perf=trace.sender_perf,
         receiver_perf=trace.receiver_perf,
         elapsed_cycles=trace.elapsed_cycles,
+        samples=trace.samples,
+        decoder=decoder,
         fault_summary=trace.fault_summary,
     )
 

@@ -11,12 +11,11 @@ doubling as the next symbol's initialisation phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.ops import Delay, Load, RdTSC, SpinUntil
 from repro.cpu.thread import OpGenerator, Program
-from repro.mem.pointer_chase import PointerChaseList
 
 
 @dataclass
@@ -26,8 +25,9 @@ class WBReceiverProgram(Program):
     Parameters
     ----------
     chase_a, chase_b:
-        The two replacement sets as pointer-chase lists (Algorithm 2's
-        sets A and B).
+        The two replacement sets (Algorithm 2's sets A and B), in
+        traversal order: pointer-chase lists on the L1 channel, plain
+        line lists on the L2 channel.
     period:
         ``Tr`` in cycles (the paper always uses ``Tr = Ts``).
     start_time:
@@ -40,8 +40,8 @@ class WBReceiverProgram(Program):
         sender's encode but before the next window opens.
     """
 
-    chase_a: PointerChaseList
-    chase_b: PointerChaseList
+    chase_a: Sequence[int]
+    chase_b: Sequence[int]
     period: int
     start_time: int
     num_samples: int
@@ -67,7 +67,7 @@ class WBReceiverProgram(Program):
             )
         if not 0.0 <= self.phase < 1.0:
             raise ConfigurationError(f"phase must be in [0, 1), got {self.phase}")
-        overlap = set(self.chase_a.order) & set(self.chase_b.order)
+        overlap = set(self.chase_a) & set(self.chase_b)
         if overlap:
             raise ConfigurationError(
                 "replacement sets A and B share addresses; Algorithm 2 "

@@ -10,6 +10,7 @@ are rare; the experiment includes that column too.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from typing import List
 
@@ -78,12 +79,12 @@ def run(
 
 
 # ----------------------------------------------------------------------
-# Channel-specific noisy runners.  Each clones the standard run but adds
-# a TargetSetNoiseProgram as a third hardware thread.
+# Noisy runners.  The noise is a TargetSetNoiseProgram on a third
+# hardware thread, registered after the channel's sender and receiver.
 # ----------------------------------------------------------------------
 
-def _noise_program(bench: ChannelTestbench, duration: int, store_fraction: float,
-                   seed: int):
+def _add_noise_thread(bench: ChannelTestbench, duration: int,
+                      store_fraction: float, seed: int) -> None:
     from repro.mem.sets import build_set_conflicting_lines
     from repro.noise.models import NoiseConfig, TargetSetNoiseProgram
 
@@ -100,12 +101,19 @@ def _noise_program(bench: ChannelTestbench, duration: int, store_fraction: float
         ),
         seed=seed,
     )
-    return noise_space, program
+    bench.add_thread(NOISE_TID, noise_space, program, name="noise")
 
 
 def _wb_noise_ber(messages: int, message_bits: int, seed: int,
                   store_fraction: float, noisy: bool) -> float:
-    """WB channel BER with an optional noise thread."""
+    """WB channel BER with an optional noise thread.
+
+    This arm keeps its own run loop rather than going through
+    :func:`~repro.channels.wb.protocol.transmit_symbol_schedule`: it
+    draws its replacement sets from the bench's ``"sets"`` stream, not
+    the protocol's ``"replacement-sets"``, so rerouting it would change
+    this experiment's numbers.
+    """
     from repro.analysis.ber import evaluate_transmission
     from repro.channels.wb.receiver import WBReceiverProgram
     from repro.channels.wb.sender import WBSenderProgram
@@ -156,10 +164,7 @@ def _wb_noise_ber(messages: int, message_bits: int, seed: int,
         bench.add_thread(1, receiver_space, receiver, name="wb-receiver")
         if noisy:
             duration = start + (len(schedule) + 6) * PERIOD
-            noise_space, noise = _noise_program(
-                bench, duration, store_fraction, run_seed
-            )
-            bench.add_thread(NOISE_TID, noise_space, noise, name="noise")
+            _add_noise_thread(bench, duration, store_fraction, run_seed)
         bench.run()
         levels = decoder.classify_many(receiver.latencies())
         received = codec.decode_message(levels)
@@ -170,100 +175,39 @@ def _wb_noise_ber(messages: int, message_bits: int, seed: int,
 
 def _baseline_noise_ber(which: str, messages: int, message_bits: int, seed: int,
                         store_fraction: float, noisy: bool) -> float:
-    """LRU / Prime+Probe BER with an optional noise thread.
+    """LRU / Prime+Probe BER, with a noise thread on the noisy arms.
 
-    The baseline runners own their benches, so the noisy variant re-creates
-    their programs here (mirroring their module code) to add the third
-    thread.
+    A noisy arm sends its own message, drawn from the ``"msg"`` stream
+    (the quiet arm's runner draws from ``"message"``).
     """
-    from repro.analysis.ber import evaluate_transmission
-    from repro.channels.lru_channel import LRUReceiverProgram, LRUSenderProgram
-    from repro.channels.prime_probe import (
-        PrimeProbeReceiverProgram,
-        PrimeProbeSenderProgram,
-    )
     from repro.common.bits import random_bits
     from repro.common.rng import derive_rng, ensure_rng
-    from repro.mem.sets import build_set_conflicting_lines
 
-    preamble = [1, 0] * 8
+    if which == "lru":
+        config_cls, runner = LRUChannelConfig, run_lru_channel
+    else:
+        config_cls, runner = PrimeProbeConfig, run_prime_probe_channel
     bers: List[float] = []
     for index in range(messages):
         run_seed = seed * 971 + index
-        if not noisy:
-            if which == "lru":
-                result = run_lru_channel(
-                    LRUChannelConfig(
-                        period_cycles=PERIOD,
-                        message_bits=message_bits,
-                        seed=run_seed,
-                        target_set=TARGET_SET,
-                    )
-                )
-            else:
-                result = run_prime_probe_channel(
-                    PrimeProbeConfig(
-                        period_cycles=PERIOD,
-                        message_bits=message_bits,
-                        seed=run_seed,
-                        target_set=TARGET_SET,
-                    )
-                )
-            bers.append(result.bit_error_rate)
-            continue
-
-        bench = ChannelTestbench(TestbenchConfig(seed=run_seed))
-        layout = bench.l1_layout
-        ways = bench.hierarchy.l1.associativity
-        rng = ensure_rng(run_seed)
-        message = preamble + random_bits(message_bits - len(preamble),
-                                         derive_rng(rng, "msg"))
-        sender_space = bench.new_space(pid=0)
-        receiver_space = bench.new_space(pid=1)
-        start = 30000
-        if which == "lru":
-            sender_line = build_set_conflicting_lines(
-                sender_space, layout, TARGET_SET, 1
-            )[0]
-            receiver_lines = build_set_conflicting_lines(
-                receiver_space, layout, TARGET_SET, ways
+        config = config_cls(
+            period_cycles=PERIOD,
+            message_bits=message_bits,
+            seed=run_seed,
+            target_set=TARGET_SET,
+        )
+        extra_threads = None
+        if noisy:
+            preamble = list(config.preamble)
+            config.message = preamble + random_bits(
+                message_bits - len(preamble),
+                derive_rng(ensure_rng(run_seed), "msg"),
             )
-            sender: object = LRUSenderProgram(
-                line=sender_line, message=message, period=PERIOD, start_time=start
+            extra_threads = functools.partial(
+                _add_noise_thread,
+                duration=config.start_time + (message_bits + 6) * PERIOD,
+                store_fraction=store_fraction,
+                seed=run_seed,
             )
-            receiver: object = LRUReceiverProgram(
-                lines=receiver_lines,
-                period=PERIOD,
-                start_time=start,
-                num_samples=len(message) + 4,
-            )
-        else:
-            sender_lines = build_set_conflicting_lines(
-                sender_space, layout, TARGET_SET, 2
-            )
-            receiver_lines = build_set_conflicting_lines(
-                receiver_space, layout, TARGET_SET, ways
-            )
-            sender = PrimeProbeSenderProgram(
-                lines=sender_lines, message=message, period=PERIOD,
-                start_time=start, evict_lines=2,
-            )
-            receiver = PrimeProbeReceiverProgram(
-                lines=receiver_lines,
-                period=PERIOD,
-                start_time=start,
-                num_samples=len(message) + 4,
-            )
-        bench.add_thread(0, sender_space, sender, name=f"{which}-sender")  # type: ignore[arg-type]
-        bench.add_thread(1, receiver_space, receiver, name=f"{which}-receiver")  # type: ignore[arg-type]
-        duration = start + (len(message) + 6) * PERIOD
-        noise_space, noise = _noise_program(bench, duration, store_fraction, run_seed)
-        bench.add_thread(NOISE_TID, noise_space, noise, name="noise")
-        bench.run()
-        if which == "lru":
-            received = [1 if lat > 8.0 else 0 for lat in receiver.latencies()]  # type: ignore[attr-defined]
-        else:
-            received = [1 if m > 0 else 0 for m in receiver.miss_counts()]  # type: ignore[attr-defined]
-        report = evaluate_transmission(message, received, len(preamble), 4)
-        bers.append(report.ber)
+        bers.append(runner(config, extra_threads=extra_threads).bit_error_rate)
     return statistics.fmean(bers)

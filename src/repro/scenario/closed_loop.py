@@ -60,7 +60,7 @@ from repro.mem.sets import build_replacement_set, build_set_conflicting_lines
 from repro.orchestration.aggregator import FleetAggregator
 from repro.orchestration.responder import DefenseResponder
 from repro.scenario.spec import ClosedLoopParams, ScenarioSpec
-from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.bus import subscribed
 from repro.telemetry.detectors import (
     Baseline,
     suggest_threshold,
@@ -249,13 +249,7 @@ def _run_corun(
             stream_hook(suspect_kind, publisher)
     subscribers.extend(detectors.values())
 
-    bus = hierarchy.telemetry
-    owned_bus = bus is None
-    if owned_bus:
-        bus = hierarchy.attach_telemetry(TelemetryBus())
-    for subscriber in subscribers:
-        bus.subscribe(subscriber)
-    try:
+    with subscribed(hierarchy, subscribers):
         rng = ensure_rng(seed)
         message = random_bits(num_symbols, derive_rng(rng, "msg"))
         if message_override is not None:
@@ -328,14 +322,6 @@ def _run_corun(
         )
         bench.add_thread(RECEIVER_TID, receiver_space, receiver, name="receiver")
         bench.run()
-    finally:
-        for subscriber in subscribers:
-            finish = getattr(subscriber, "finish", None)
-            if finish is not None:
-                finish()
-            bus.unsubscribe(subscriber)
-        if owned_bus:
-            hierarchy.detach_telemetry()
     return _CorunResult(
         receiver=receiver,
         message=message,

@@ -24,7 +24,7 @@ from repro.channels.wb.cross_core import (
 )
 from repro.experiments.profiles import RunProfile
 from repro.scenario.spec import CrossCoreParams, DetectorSpec, ScenarioSpec
-from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.bus import subscribed
 from repro.telemetry.detectors import (
     Baseline,
     detection_rate,
@@ -112,14 +112,7 @@ def _run_benign_corun(
             hierarchy_factory=lambda rng: hierarchy_params.build(rng=rng),
         )
     )
-    hierarchy = bench.hierarchy
-    bus = hierarchy.telemetry
-    owned_bus = bus is None
-    if owned_bus:
-        bus = hierarchy.attach_telemetry(TelemetryBus())
-    for subscriber in subscribers:
-        bus.subscribe(subscriber)
-    try:
+    with subscribed(bench.hierarchy, subscribers):
         for tid in (SENDER_TID, RECEIVER_TID):
             space = bench.new_space(pid=tid)
             program = InstrumentedBenignProcess(
@@ -130,14 +123,6 @@ def _run_benign_corun(
             )
             bench.add_thread(tid, space, program, name=f"benign-core{tid}")
         bench.run()
-    finally:
-        for subscriber in subscribers:
-            finish = getattr(subscriber, "finish", None)
-            if finish is not None:
-                finish()
-            bus.unsubscribe(subscriber)
-        if owned_bus:
-            hierarchy.detach_telemetry()
 
 
 def measure_cross_core(

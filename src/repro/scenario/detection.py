@@ -30,7 +30,7 @@ from repro.experiments.process_models import (
 )
 from repro.mem.sets import build_set_conflicting_lines
 from repro.scenario.spec import OnlineDetectionParams, ScenarioSpec
-from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.bus import subscribed
 from repro.telemetry.detectors import (
     Baseline,
     detection_rate,
@@ -96,14 +96,7 @@ def _run_corun(
     bench = ChannelTestbench(
         TestbenchConfig(seed=seed, hierarchy_factory=factory)
     )
-    hierarchy = bench.hierarchy
-    bus = hierarchy.telemetry
-    owned_bus = bus is None
-    if owned_bus:
-        bus = hierarchy.attach_telemetry(TelemetryBus())
-    for subscriber in subscribers:
-        bus.subscribe(subscriber)
-    try:
+    with subscribed(bench.hierarchy, subscribers):
         rng = ensure_rng(seed)
         message = random_bits(num_symbols, derive_rng(rng, "msg"))
         space = bench.new_space(pid=SUSPECT_TID)
@@ -148,14 +141,6 @@ def _run_corun(
         bench.add_thread(SUSPECT_TID, space, suspect, name=f"{channel}-suspect")
         bench.add_thread(PROBER_TID, prober_space, prober, name="prober")
         bench.run()
-    finally:
-        for subscriber in subscribers:
-            finish = getattr(subscriber, "finish", None)
-            if finish is not None:
-                finish()
-            bus.unsubscribe(subscriber)
-        if owned_bus:
-            hierarchy.detach_telemetry()
 
 
 def _sweep_thresholds(all_scores: List[float], points: int) -> List[float]:

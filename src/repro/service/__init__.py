@@ -57,12 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "fleet": ("FleetConfig", "FleetUnavailableError", "LeaseError"),
-        "keys": (
-            "KEY_SCHEMA_VERSION",
-            "cache_key",
-            "key_material",
-            "wb_config_fingerprint",
-        ),
+        "keys": ("KEY_SCHEMA_VERSION", "cache_key", "key_material"),
         "metrics": ("ServiceTelemetry", "render_prometheus"),
         "scheduler": (
             "JobScheduler",

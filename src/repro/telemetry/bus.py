@@ -12,12 +12,14 @@ Design constraints, in order:
    streams (enforced by the parity suite).
 3. **Composable subscribers.**  A subscriber is any object with an
    ``on_event(event)`` method; ``on_mark(label)`` and ``finish()`` are
-   optional lifecycle hooks (see :class:`Subscriber`).
+   optional lifecycle hooks (see :class:`Subscriber`).  A run feeds its
+   subscribers through :func:`subscribed`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.telemetry.events import CacheEvent
 
@@ -112,3 +114,33 @@ class TelemetryBus:
             finish = getattr(subscriber, "finish", None)
             if finish is not None:
                 finish()
+
+
+@contextmanager
+def subscribed(
+    hierarchy, subscribers: Sequence[object]
+) -> Iterator[Optional[TelemetryBus]]:
+    """Feed ``subscribers`` the events of whatever runs inside the block.
+
+    Attaches a bus to ``hierarchy`` only when there is a subscriber and
+    none is attached yet; a bus already attached (a telemetry session's)
+    is kept.  On exit every subscriber is finished and unsubscribed, in
+    order, and a bus attached here is detached again.  Yields the bus,
+    or ``None`` when there is neither a subscriber nor a bus.
+    """
+    bus = hierarchy.telemetry
+    owned = bool(subscribers) and bus is None
+    if owned:
+        bus = hierarchy.attach_telemetry(TelemetryBus())
+    for subscriber in subscribers:
+        bus.subscribe(subscriber)
+    try:
+        yield bus
+    finally:
+        for subscriber in subscribers:
+            finish = getattr(subscriber, "finish", None)
+            if finish is not None:
+                finish()
+            bus.unsubscribe(subscriber)
+        if owned:
+            hierarchy.detach_telemetry()

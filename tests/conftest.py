@@ -28,6 +28,28 @@ def tiny():
     return make_tiny_hierarchy(rng=random.Random(7))
 
 
+@pytest.fixture(scope="session")
+def quick_result():
+    """``get(experiment_id, engine="reference")``: a quick seed-0 result.
+
+    Each ``(experiment_id, engine)`` runs once per session: the goldens
+    and the per-experiment shape checks read the same results.
+    """
+    from repro.experiments import run_experiment
+    from repro.experiments.profiles import resolve_profile
+
+    cache = {}
+
+    def get(experiment_id: str, engine: str = "reference"):
+        key = (experiment_id, engine)
+        if key not in cache:
+            profile = resolve_profile("quick").with_engine(engine)
+            cache[key] = run_experiment(experiment_id, profile=profile, seed=0)
+        return cache[key]
+
+    return get
+
+
 @pytest.fixture
 def allocator() -> FrameAllocator:
     return FrameAllocator()

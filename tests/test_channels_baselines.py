@@ -8,6 +8,11 @@ from repro.channels import (
     run_lru_channel,
     run_prime_probe_channel,
 )
+from repro.channels.wb import (
+    CrossCoreWBChannelConfig,
+    L2WBChannelConfig,
+    WBChannelConfig,
+)
 from repro.cpu.noise import SchedulerNoise
 
 QUIET = dict(message_bits=48, scheduler_noise=SchedulerNoise.disabled(), seed=3)
@@ -31,7 +36,7 @@ class TestLRUChannel:
             LRUChannelConfig(hierarchy_overrides={"l1_policy": "lru"}, **QUIET)
         )
         assert result.channel == "LRU"
-        assert "LRU" in str(result)
+        assert str(result).startswith("LRU @")
 
 
 class TestPrimeProbe:
@@ -52,6 +57,11 @@ class TestPrimeProbe:
         result = run_prime_probe_channel(PrimeProbeConfig(**QUIET))
         assert result.receiver_perf.l1_accesses > 0
 
+    def test_channel_label(self):
+        result = run_prime_probe_channel(PrimeProbeConfig(**QUIET))
+        assert result.channel == "Prime+Probe"
+        assert str(result).startswith("Prime+Probe @")
+
 
 class TestCommonBehaviour:
     @pytest.mark.parametrize(
@@ -68,7 +78,13 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize(
         "config_cls",
-        [LRUChannelConfig, PrimeProbeConfig],
+        [
+            LRUChannelConfig,
+            PrimeProbeConfig,
+            WBChannelConfig,
+            L2WBChannelConfig,
+            CrossCoreWBChannelConfig,
+        ],
     )
     def test_rate_property(self, config_cls):
         assert config_cls(period_cycles=5500).rate_kbps == pytest.approx(400.0)

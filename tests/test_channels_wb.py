@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.channels import LRUChannelConfig, PrimeProbeConfig
 from repro.channels.encoding import BinaryDirtyCodec, MultiBitDirtyCodec
 from repro.channels.wb import (
+    CrossCoreWBChannelConfig,
+    L2WBChannelConfig,
     WBChannelConfig,
     calibrate_decoder,
     measure_latency_distributions,
@@ -107,24 +110,40 @@ class TestChannelRuns:
         assert result.sender_perf.l1_accesses == expected_accesses
 
 
-class TestConfigValidation:
-    def test_message_must_start_with_preamble(self):
-        with pytest.raises(ProtocolError):
-            WBChannelConfig(message=[0] * 32).resolve_message()
+#: Every channel config inherits the one message framing.
+FRAMED_CONFIGS = [
+    WBChannelConfig,
+    L2WBChannelConfig,
+    CrossCoreWBChannelConfig,
+    LRUChannelConfig,
+    PrimeProbeConfig,
+]
+#: The configs whose symbols carry a codec's bits.
+CODEC_CONFIGS = [WBChannelConfig, L2WBChannelConfig, CrossCoreWBChannelConfig]
 
-    def test_explicit_message_accepted(self):
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("config_cls", FRAMED_CONFIGS)
+    def test_message_must_start_with_preamble(self, config_cls):
+        with pytest.raises(ProtocolError):
+            config_cls(message=[0] * 32).resolve_message()
+
+    @pytest.mark.parametrize("config_cls", FRAMED_CONFIGS)
+    def test_explicit_message_accepted(self, config_cls):
         preamble = [1, 0] * 8
         message = preamble + [1] * 16
-        config = WBChannelConfig(message=message)
+        config = config_cls(message=message)
         assert config.resolve_message() == message
 
-    def test_message_bits_shorter_than_preamble(self):
+    @pytest.mark.parametrize("config_cls", FRAMED_CONFIGS)
+    def test_message_bits_shorter_than_preamble(self, config_cls):
         with pytest.raises(ConfigurationError):
-            WBChannelConfig(message_bits=8).resolve_message()
+            config_cls(message_bits=8).resolve_message()
 
-    def test_symbol_alignment_enforced(self):
+    @pytest.mark.parametrize("config_cls", CODEC_CONFIGS)
+    def test_symbol_alignment_enforced(self, config_cls):
         with pytest.raises(ProtocolError):
-            WBChannelConfig(
+            config_cls(
                 codec=MultiBitDirtyCodec(), message_bits=33
             ).resolve_message()
 
@@ -141,4 +160,5 @@ class TestResultRendering:
     def test_str_mentions_rate_and_ber(self):
         result = quick_channel_run(message_bits=32, seed=7)
         text = str(result)
+        assert text.startswith("WB channel @")
         assert "Kbps" in text and "BER" in text

@@ -20,9 +20,11 @@ from repro.scenario.closed_loop import (
     ModulatingDirtySender,
     PhaseStats,
     _phase_stats,
+    _run_corun,
     measure_closed_loop,
 )
 from repro.scenario.library import closed_loop_defense_spec
+from repro.telemetry.bus import TelemetryBus
 
 SEED = 0
 
@@ -176,6 +178,25 @@ class TestMidRunReconnect:
 
 
 class TestUnits:
+    def test_pilot_corun_emits_no_event(self, monkeypatch):
+        # The decoder's pilot co-run feeds no detector, so no bus is
+        # attached and the walk emits nothing.
+        emitted = []
+        emit = TelemetryBus.emit
+
+        def counting_emit(bus, event):
+            emitted.append(event)
+            emit(bus, event)
+
+        monkeypatch.setattr(TelemetryBus, "emit", counting_emit)
+        pilot_bits = [0, 1] * 4
+        pilot = _run_corun(
+            closed_loop_defense_spec(), "wb", len(pilot_bits), SEED, {},
+            message_override=pilot_bits,
+        )
+        assert len(pilot.receiver.latencies()) == len(pilot_bits)
+        assert emitted == []
+
     def test_phase_stats_of_an_empty_phase_is_none(self):
         assert _phase_stats([], []) is None
 

@@ -5,9 +5,9 @@ import inspect
 import pytest
 
 from repro.channels.encoding import BinaryDirtyCodec
+from repro.channels.wb.sender import WBSenderProgram
 from repro.channels.wb.cross_core import (
     CrossCoreReceiverProgram,
-    CrossCoreSenderProgram,
     CrossCoreWBChannelConfig,
     calibrate_cross_core,
     run_cross_core_wb_channel,
@@ -33,6 +33,7 @@ class TestChannel:
         assert result.payload_intact
         assert result.bit_error_rate == 0.0
         assert result.sent_bits == result.received_bits
+        assert str(result).startswith("WB channel @")
 
     def test_coherence_writebacks_carry_the_signal(self):
         coherence = {}
@@ -77,8 +78,9 @@ class TestChannel:
             config.resolve_hierarchy()
 
     def test_schedule_wider_than_line_pool_is_rejected(self):
+        # The cross-core sender is the single-core WBSenderProgram.
         with pytest.raises(ConfigurationError):
-            CrossCoreSenderProgram(
+            WBSenderProgram(
                 lines=[0x1000], schedule=[2], period=100, start_time=0
             )
 

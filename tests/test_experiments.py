@@ -89,8 +89,8 @@ class TestFramework:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("table2", profile="quick")
+    def result(self, quick_result):
+        return quick_result("table2")
 
     def test_lru_always_100(self, result):
         rows = result.row_dict("N")
@@ -110,8 +110,8 @@ class TestTable2:
 
 
 class TestTable4:
-    def test_latency_bands_match_paper(self):
-        result = run_experiment("table4", profile="quick")
+    def test_latency_bands_match_paper(self, quick_result):
+        result = quick_result("table4")
         _, l1, clean, dirty = result.rows[0]
         assert l1 == "4-5"
         low, high = map(int, clean.split("-"))
@@ -122,8 +122,8 @@ class TestTable4:
 
 class TestTable5:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("table5", profile="quick")
+    def result(self, quick_result):
+        return quick_result("table5")
 
     def test_analytic_formula_paper_anchor(self):
         # Section 6.1: "approximately equal to 99.1% when d=3 and L=10".
@@ -147,61 +147,61 @@ class TestTable5:
 
 
 class TestFig4:
-    def test_median_steps_are_one_writeback_penalty(self):
-        result = run_experiment("fig4", profile="quick")
+    def test_median_steps_are_one_writeback_penalty(self, quick_result):
+        result = quick_result("fig4")
         steps = [float(row[5]) for row in result.rows[1:]]
         for step in steps:
             assert 7.0 <= step <= 15.0
 
-    def test_all_nine_levels_present(self):
-        result = run_experiment("fig4", profile="quick")
+    def test_all_nine_levels_present(self, quick_result):
+        result = quick_result("fig4")
         assert [row[0] for row in result.rows] == list(range(9))
 
 
 class TestFig5:
-    def test_trace_separation_grows_with_d(self):
-        result = run_experiment("fig5", profile="quick")
+    def test_trace_separation_grows_with_d(self, quick_result):
+        result = quick_result("fig5")
         separations = [float(row[3]) for row in result.rows]
         assert separations[0] < separations[1] < separations[2]
 
-    def test_traces_attached(self):
-        result = run_experiment("fig5", profile="quick")
+    def test_traces_attached(self, quick_result):
+        result = quick_result("fig5")
         assert "trace_d1" in result.series
         assert len(result.series["trace_d8"]) > 0
 
 
 class TestFig6And8:
-    def test_fig6_ber_rises_with_rate(self):
-        result = run_experiment("fig6", profile="quick")
+    def test_fig6_ber_rises_with_rate(self, quick_result):
+        result = quick_result("fig6")
         # Compare the slowest and fastest rows for d=8 (last column).
         slowest = float(result.rows[-1][-1].rstrip("%"))
         fastest = float(result.rows[0][-1].rstrip("%"))
         assert fastest >= slowest - 1.0
 
-    def test_fig8_reaches_4400kbps(self):
-        result = run_experiment("fig8", profile="quick")
+    def test_fig8_reaches_4400kbps(self, quick_result):
+        result = quick_result("fig8")
         rates = [float(row[1]) for row in result.rows]
         assert 4400.0 in rates
 
 
 class TestFig7:
-    def test_four_bands(self):
-        result = run_experiment("fig7", profile="quick")
+    def test_four_bands(self, quick_result):
+        result = quick_result("fig7")
         assert [row[1] for row in result.rows] == [0, 3, 5, 8]
         medians = [float(row[2]) for row in result.rows]
         assert medians == sorted(medians)
 
 
 class TestSideChannelExperiment:
-    def test_all_scenarios_recover_most_bits(self):
-        result = run_experiment("sidechannel", profile="quick")
+    def test_all_scenarios_recover_most_bits(self, quick_result):
+        result = quick_result("sidechannel")
         for row in result.rows:
             assert float(row[1].rstrip("%")) >= 90.0
 
 
 class TestStabilityExperiment:
-    def test_wb_stays_below_baselines_under_noise(self):
-        result = run_experiment("stability", profile="quick")
+    def test_wb_stays_below_baselines_under_noise(self, quick_result):
+        result = quick_result("stability")
         noise_row = next(r for r in result.rows if r[0] == "noise loads")
         wb = float(noise_row[1].rstrip("%"))
         lru = float(noise_row[2].rstrip("%"))
@@ -212,8 +212,8 @@ class TestStabilityExperiment:
 
 class TestOnlineDetection:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("online_detection", profile="quick")
+    def result(self, quick_result):
+        return quick_result("online_detection")
 
     def test_stealth_claim_holds_online(self, result):
         # The paper's Section 7 claim in online form: at matched
@@ -244,21 +244,21 @@ class TestOnlineDetection:
 
 
 class TestExtensionsAndAblations:
-    def test_3bit_more_fragile_than_2bit(self):
-        result = run_experiment("extension_3bit", profile="quick")
+    def test_3bit_more_fragile_than_2bit(self, quick_result):
+        result = quick_result("extension_3bit")
         # At the fastest period the adjacent-level codec must not beat
         # the paper's non-adjacent scheme on BER.
         fastest = result.rows[0]
         assert float(fastest[4].rstrip("%")) >= float(fastest[2].rstrip("%"))
 
-    def test_error_sources_fully_accounted(self):
-        result = run_experiment("ablation_errors", profile="quick")
+    def test_error_sources_fully_accounted(self, quick_result):
+        result = quick_result("ablation_errors")
         rows = {row[0]: float(row[1].rstrip("%")) for row in result.rows}
         assert rows["all three removed"] == 0.0
         assert rows["baseline (all sources on)"] >= rows["all three removed"]
 
-    def test_replacement_set_rule(self):
-        result = run_experiment("ablation_replacement_set", profile="quick")
+    def test_replacement_set_rule(self, quick_result):
+        result = quick_result("ablation_replacement_set")
         rows = result.row_dict("L")
         # L=10 (the paper's choice) must be at least as clean as L=8 on
         # the E5-2650 surrogate.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.channels.encoding import BinaryDirtyCodec, MultiBitDirtyCodec
-from repro.channels.results import TransmissionResult
+from repro.channels.results import ChannelRunResult
 from repro.channels.wb import WBChannelConfig, run_wb_channel
 from repro.common.units import cycles_to_kbps
 from repro.cpu.noise import SchedulerNoise
@@ -94,12 +94,13 @@ class TestRateAccounting:
 
 class TestTransmissionResult:
     def test_str(self):
-        result = TransmissionResult(
+        result = ChannelRunResult(
             channel="X",
             sent_bits=(1, 0),
             received_bits=(1, 0),
             bit_error_rate=0.0,
             errors=0,
+            alignment_offset=0,
             rate_kbps=100.0,
             period_cycles=1000,
             sender_perf=None,

@@ -1,60 +1,50 @@
-"""Bit-identity of the spec-rebased experiments against committed goldens.
+"""Bit-identity of every registered experiment against committed goldens.
 
-The WB-channel experiment family was rebased from imperative bodies onto
-``compile_scenario`` + the library specs.  These tests pin the refactor:
-each experiment's quick/seed-0 JSON must equal, byte for byte, the output
-captured from the pre-refactor implementation (``tests/golden/``), on
+Each experiment's quick/seed-0 JSON must equal, byte for byte, the file
+recorded in ``tests/golden/`` (``result.to_json(indent=2) + "\\n"``), on
 both engines.  Any drift — RNG consumption order, loop nesting, seed
 formulas, row shaping, a fast-engine divergence — fails here before it
-can silently change published numbers.
+can silently change published numbers.  The nine spec-backed goldens
+were recorded from the pre-spec implementations (or, for the coherence
+and orchestration experiments, when they were added); the other 13 at
+the commit before the covert channels shared one framing and scoring
+step.  A change that means to move a golden re-records it and says why.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
-from repro.experiments.profiles import resolve_profile
+from repro.experiments import available_experiments
 from repro.scenario.library import available_library_specs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: The spec-backed experiment family (mirrors repro.scenario.library).
-SPEC_BACKED = (
-    "fig6",
-    "fig7",
-    "fig8",
-    "extension_l2",
-    "fault_tolerance",
-    "online_detection",
-    "defenses",
-    # Added with the coherence layer (no pre-refactor ancestor; the
-    # golden pins cross-engine/cross-version determinism from day one).
-    "cross_core_wb",
-    # Added with the orchestration layer; the golden pins alarm times,
-    # the flip event id, and pre/post-flip capacities from day one.
-    "closed_loop_defense",
-)
+EXPERIMENTS = tuple(available_experiments())
 
 
 def test_every_library_spec_has_a_golden():
-    assert sorted(SPEC_BACKED) == sorted(available_library_specs())
-    for experiment_id in SPEC_BACKED:
-        assert (GOLDEN_DIR / f"{experiment_id}.quick-seed0.json").is_file()
+    assert set(available_library_specs()) <= set(EXPERIMENTS)
+    recorded = sorted(
+        path.name[: -len(".quick-seed0.json")]
+        for path in GOLDEN_DIR.glob("*.quick-seed0.json")
+    )
+    assert recorded == sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize(
     "experiment_id, engine",
     # The reference leg keeps the bare experiment id it always had.
-    [pytest.param(e, "reference", id=e) for e in SPEC_BACKED]
-    + [pytest.param(e, "fast", id=f"{e}-fast") for e in SPEC_BACKED],
+    [pytest.param(e, "reference", id=e) for e in EXPERIMENTS]
+    + [pytest.param(e, "fast", id=f"{e}-fast") for e in EXPERIMENTS],
 )
-def test_spec_rebased_experiment_matches_golden(experiment_id, engine):
+def test_spec_rebased_experiment_matches_golden(
+    experiment_id, engine, quick_result
+):
     golden_path = GOLDEN_DIR / f"{experiment_id}.quick-seed0.json"
     golden = golden_path.read_text(encoding="utf-8")
-    profile = resolve_profile("quick").with_engine(engine)
-    result = run_experiment(experiment_id, profile=profile, seed=0)
+    result = quick_result(experiment_id, engine)
     assert result.to_json(indent=2) + "\n" == golden, (
-        f"{experiment_id} on the {engine} engine: spec-compiled output "
-        f"drifted from the pre-refactor golden ({golden_path.name})"
+        f"{experiment_id} on the {engine} engine: quick seed-0 output "
+        f"drifted from its golden ({golden_path.name})"
     )

@@ -1,22 +1,14 @@
-"""Cache-key canonicalisation: stability, sensitivity, live-object refusal."""
+"""Cache-key canonicalisation: stability, sensitivity, the pinned digest."""
 
 import hashlib
 
 import pytest
 
-from repro.channels.wb import WBChannelConfig
-from repro.channels.encoding import BinaryDirtyCodec
 from repro.common import canonical_json
 from repro.common.canonical import canonical_digest
-from repro.common.errors import ConfigurationError
 from repro.experiments.base import SCHEMA_VERSION
 from repro.experiments.profiles import RunProfile
-from repro.service.keys import (
-    KEY_SCHEMA_VERSION,
-    cache_key,
-    key_material,
-    wb_config_fingerprint,
-)
+from repro.service.keys import KEY_SCHEMA_VERSION, cache_key, key_material
 
 
 class TestCacheKey:
@@ -49,52 +41,21 @@ class TestCacheKey:
         assert (cache_key("fig6", profile=reference)
                 != cache_key("fig6", profile=fast))
 
+    def test_stored_key_is_pinned(self):
+        # A stored blob is found only under the key it was written with:
+        # any change to the key material or its digest strands every
+        # blob in every store.
+        assert cache_key("fig6", profile="quick", seed=0) == (
+            "3933013ae59d8f32534f52eea567a4b4103dcdc5ee443603c07cba485eff1e9d"
+        )
+        assert key_material("fig6", profile="quick", seed=0)["wb_config"] is None
+
     def test_material_carries_both_schema_versions(self):
         material = key_material("fig6", profile="quick", seed=0)
         assert material["key_schema_version"] == KEY_SCHEMA_VERSION
         assert material["result_schema_version"] == SCHEMA_VERSION
         # The material must canonicalise under the strict version check.
         canonical_json(material, require_version=True)
-
-
-class TestWBConfigFingerprint:
-    def test_declarative_config_fingerprints(self):
-        config = WBChannelConfig(
-            codec=BinaryDirtyCodec(d_on=4), period_cycles=1600,
-            message_bits=32, seed=9,
-        )
-        fingerprint = wb_config_fingerprint(config)
-        assert fingerprint["period_cycles"] == 1600
-        assert fingerprint["seed"] == 9
-        assert "BinaryDirtyCodec" in fingerprint["codec"]
-        # Same declarative config -> same key; different -> different.
-        same = WBChannelConfig(
-            codec=BinaryDirtyCodec(d_on=4), period_cycles=1600,
-            message_bits=32, seed=9,
-        )
-        other = WBChannelConfig(
-            codec=BinaryDirtyCodec(d_on=4), period_cycles=2200,
-            message_bits=32, seed=9,
-        )
-        key = cache_key("direct", wb_config=config)
-        assert cache_key("direct", wb_config=same) == key
-        assert cache_key("direct", wb_config=other) != key
-
-    def test_codec_distinguishes_configs(self):
-        narrow = WBChannelConfig(codec=BinaryDirtyCodec(d_on=1))
-        wide = WBChannelConfig(codec=BinaryDirtyCodec(d_on=8))
-        assert (wb_config_fingerprint(narrow)["codec"]
-                != wb_config_fingerprint(wide)["codec"])
-
-    def test_live_injected_object_is_refused(self):
-        config = WBChannelConfig(decoder=object())
-        with pytest.raises(ConfigurationError, match="live object"):
-            wb_config_fingerprint(config)
-
-    def test_fingerprint_names_the_live_field(self):
-        config = WBChannelConfig(hierarchy_factory=dict)
-        with pytest.raises(ConfigurationError, match="hierarchy_factory"):
-            wb_config_fingerprint(config)
 
 
 class TestCanonicalDigest:

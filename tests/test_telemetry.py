@@ -24,6 +24,7 @@ from repro.telemetry import (
     session_bus,
     telemetry_session,
 )
+from repro.telemetry.bus import subscribed
 from tests.replay import random_trace, replay
 
 
@@ -120,6 +121,59 @@ class TestBus:
         bus.subscribe(subscriber)
         bus.close()
         assert subscriber.finished == 1
+
+
+class TestSubscribed:
+    def test_no_subscriber_attaches_no_bus(self):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0))
+        with subscribed(hierarchy, []) as bus:
+            assert bus is None
+            assert hierarchy.telemetry is None
+            hierarchy.access(0x4000, False, owner=0)
+        assert hierarchy.telemetry is None
+
+    def test_subscribers_finish_and_detach_in_order(self):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0))
+        seen = []
+
+        class Named(RecordingSubscriber):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+
+            def finish(self):
+                super().finish()
+                seen.append((self.name, [s.name for s in bus.subscribers]))
+
+        first, second = Named("first"), Named("second")
+        with subscribed(hierarchy, [first, second]) as bus:
+            assert hierarchy.telemetry is bus
+            hierarchy.access(0x4000, False, owner=0)
+        # Each subscriber is finished, then unsubscribed, before the next.
+        assert seen == [("first", ["first", "second"]), ("second", ["second"])]
+        assert len(first.events) == len(second.events) == 3
+        assert hierarchy.telemetry is None
+
+    def test_detaches_when_the_run_raises(self):
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0))
+        subscriber = RecordingSubscriber()
+        with pytest.raises(RuntimeError):
+            with subscribed(hierarchy, [subscriber]):
+                raise RuntimeError("run failed")
+        assert subscriber.finished == 1
+        assert hierarchy.telemetry is None
+
+    def test_session_bus_is_kept(self):
+        subscriber = RecordingSubscriber()
+        with telemetry_session() as session:
+            hierarchy = make_xeon_hierarchy(rng=random.Random(0))
+            with subscribed(hierarchy, [subscriber]) as bus:
+                assert bus is session.bus
+                hierarchy.access(0x4000, False, owner=0)
+            assert hierarchy.telemetry is session.bus
+            assert subscriber not in session.bus.subscribers
+        assert subscriber.finished == 1
+        assert len(subscriber.events) == 3
 
 
 class TestHierarchyIntegration:
