@@ -33,6 +33,8 @@ instead of as dead.
 
 Uses only the standard library and writes nothing into the repository.
 The sweep takes about 5 minutes on a shared 2-vCPU VM (CPython 3.11).
+It exits 1 when a step failed, group 2 is not empty or a ``KEPT`` key is
+stale, so CI keeps deleted test-only code from growing back.
 
 Usage::
 
@@ -473,7 +475,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report, indent=2))
     else:
         print_report(report)
-    return 1 if failed else 0
+    clean = not (
+        failed
+        or report["never_called_named_only_in_tests"]
+        or report["stale_kept_keys"]
+    )
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

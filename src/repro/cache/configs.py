@@ -10,16 +10,18 @@ we model a 2 MB slice, which preserves every behaviour the paper measures
 tests that want to force evictions with a handful of addresses.
 
 Both factories route through :class:`HierarchyParams`, the single value
-object describing hierarchy geometry.  ``repro.scenario`` serialises the
-same object inside :class:`~repro.scenario.spec.ScenarioSpec`, so there is
-exactly one source of truth for geometry defaults.
+object describing hierarchy geometry, and so do the defended hierarchies
+of :mod:`repro.defenses`, which differ from the Xeon only in their L1D.
+``repro.scenario`` serialises the same object inside
+:class:`~repro.scenario.spec.ScenarioSpec`, so there is exactly one
+source of truth for geometry defaults.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.records import OMIT_AT_DEFAULT, Record
@@ -242,27 +244,7 @@ class HierarchyParams(Record):
                 engine=engine,
                 latency=latency,
             )
-        cache_cls = _cache_class(engine)
-        master = ensure_rng(rng)
-        caches: List[Cache] = []
-        for index, level in enumerate(self.levels):
-            caches.append(
-                cache_cls(
-                    name=level.name,
-                    size_bytes=level.size_bytes,
-                    associativity=level.ways,
-                    line_size=self.line_size,
-                    policy_factory=make_policy_factory(level.policy),
-                    write_policy=WritePolicy(level.write_policy),
-                    allocation_policy=AllocationPolicy(level.allocation_policy),
-                    rng=derive_rng(master, _LEVEL_RNG_KEYS[index]),
-                )
-            )
-        return CacheHierarchy(
-            levels=caches,
-            latency=latency,
-            rng=derive_rng(master, "hierarchy"),
-        )
+        return _build_single_core(self, rng, engine, latency)
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` where :meth:`build` would,
@@ -290,6 +272,59 @@ class HierarchyParams(Record):
             check_private_l1s(self.levels[:1], self.levels[1:])
         else:
             check_level_order(self.levels)
+
+
+def _build_single_core(
+    params: HierarchyParams,
+    rng: Optional[random.Random],
+    engine: Optional[str],
+    latency: Optional[LatencyModel],
+    make_l1: Optional[Callable[..., Cache]] = None,
+) -> CacheHierarchy:
+    """One cache of ``engine``'s class per level of ``params``, except an
+    L1D from ``make_l1`` when given (see :func:`_defended_xeon_hierarchy`)."""
+    cache_cls = _cache_class(engine)
+    master = ensure_rng(rng)
+    caches: List[Cache] = []
+    for index, level in enumerate(params.levels):
+        kwargs = dict(
+            size_bytes=level.size_bytes,
+            associativity=level.ways,
+            line_size=params.line_size,
+            policy_factory=make_policy_factory(level.policy),
+            write_policy=WritePolicy(level.write_policy),
+            allocation_policy=AllocationPolicy(level.allocation_policy),
+            rng=derive_rng(master, _LEVEL_RNG_KEYS[index]),
+        )
+        if index == 0 and make_l1 is not None:
+            caches.append(make_l1(master, **kwargs))
+        else:
+            caches.append(cache_cls(level.name, **kwargs))
+    return CacheHierarchy(
+        levels=caches,
+        latency=latency,
+        rng=derive_rng(master, "hierarchy"),
+    )
+
+
+def _defended_xeon_hierarchy(
+    make_l1: Callable[..., Cache],
+    config: Optional[XeonE5_2650Config],
+    rng: Optional[random.Random],
+) -> CacheHierarchy:
+    """The Xeon hierarchy of ``config`` with a defense's L1D; only
+    :mod:`repro.defenses` calls it.
+
+    ``make_l1(master, **level)`` gets the arguments every level gets (its
+    ``rng`` already derived as ``l1``) and the master generator, from
+    which random fill derives ``l1-fill`` before L2's stream.  L2 and LLC
+    follow the selected engine like every other hierarchy's.
+    """
+    if config is None:
+        config = XeonE5_2650Config()
+    return _build_single_core(
+        HierarchyParams.xeon(config), rng, None, config.latency, make_l1
+    )
 
 
 def _cache_class(engine: Optional[str]):

@@ -5,6 +5,18 @@ configuration recipe) plus a factory that builds a defended Xeon-like
 hierarchy.  :mod:`repro.defenses.evaluation` runs the WB channel against
 each one and scores mitigation strength and benign-workload overhead.
 
+Every factory builds through the one Xeon construction
+(:class:`~repro.cache.configs.HierarchyParams`), so the L1D is the only
+difference: L2 and LLC run on the selected engine like every other
+hierarchy's.  The four defense L1s (PLcache, partitioned, random fill,
+randomized mapping) subclass the reference ``Cache`` and run on it under
+either engine, because they override the ``lookup``/``fill``/
+``allowed_ways``/``set_index`` hooks that
+:class:`~repro.engine.fast_cache.FastCache` inlines; randomized mapping's
+keyed index cannot ride its shift-and-mask index at all.  The
+write-through L1 is a policy of the plain Xeon L1D, so it runs on the
+selected engine too.
+
 Paper's verdicts, which the evaluation reproduces:
 
 =====================  =============================================

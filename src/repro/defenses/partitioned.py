@@ -13,11 +13,9 @@ import random
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import Cache
-from repro.cache.configs import XeonE5_2650Config
+from repro.cache.configs import XeonE5_2650Config, _defended_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
-from repro.replacement.registry import make_policy_factory
 
 
 class WayPartitionedCache(Cache):
@@ -84,38 +82,12 @@ def make_partitioned_hierarchy(
     rng: Optional[random.Random] = None,
 ) -> CacheHierarchy:
     """Xeon-like hierarchy with a way-partitioned L1 (even split)."""
-    if config is None:
-        config = XeonE5_2650Config()
-    master = ensure_rng(rng)
-    l1 = WayPartitionedCache(
-        "L1D-partitioned",
-        config.l1_size,
-        config.l1_ways,
-        config.line_size,
-        make_policy_factory(config.l1_policy),
-        write_policy=config.l1_write_policy,
-        allocation_policy=config.l1_allocation_policy,
-        rng=derive_rng(master, "l1"),
-        partitions=split_ways_evenly(config.l1_ways, num_threads),
-    )
-    l2 = Cache(
-        "L2",
-        config.l2_size,
-        config.l2_ways,
-        config.line_size,
-        make_policy_factory(config.l2_policy),
-        rng=derive_rng(master, "l2"),
-    )
-    llc = Cache(
-        "LLC",
-        config.llc_size,
-        config.llc_ways,
-        config.line_size,
-        make_policy_factory(config.llc_policy),
-        rng=derive_rng(master, "llc"),
-    )
-    return CacheHierarchy(
-        levels=[l1, l2, llc],
-        latency=config.latency,
-        rng=derive_rng(master, "hierarchy"),
+    return _defended_xeon_hierarchy(
+        lambda master, **level: WayPartitionedCache(
+            "L1D-partitioned",
+            **level,
+            partitions=split_ways_evenly(level["associativity"], num_threads),
+        ),
+        config,
+        rng,
     )

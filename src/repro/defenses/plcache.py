@@ -19,12 +19,10 @@ import random
 from typing import Iterable, Optional, Set
 
 from repro.common.errors import SimulationError
-from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import Cache
-from repro.cache.configs import XeonE5_2650Config
+from repro.cache.configs import XeonE5_2650Config, _defended_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import EvictedLine
-from repro.replacement.registry import make_policy_factory
 
 
 class PLCache(Cache):
@@ -69,38 +67,10 @@ def make_plcache_hierarchy(
     The default protects thread 0 — the channel convention for the sender
     (i.e. the *victim* process a deployment would actually protect).
     """
-    if config is None:
-        config = XeonE5_2650Config()
-    master = ensure_rng(rng)
-    l1 = PLCache(
-        "L1D-PLcache",
-        config.l1_size,
-        config.l1_ways,
-        config.line_size,
-        make_policy_factory(config.l1_policy),
-        write_policy=config.l1_write_policy,
-        allocation_policy=config.l1_allocation_policy,
-        rng=derive_rng(master, "l1"),
-        protected_owners=protected_owners,
-    )
-    l2 = Cache(
-        "L2",
-        config.l2_size,
-        config.l2_ways,
-        config.line_size,
-        make_policy_factory(config.l2_policy),
-        rng=derive_rng(master, "l2"),
-    )
-    llc = Cache(
-        "LLC",
-        config.llc_size,
-        config.llc_ways,
-        config.line_size,
-        make_policy_factory(config.llc_policy),
-        rng=derive_rng(master, "llc"),
-    )
-    return CacheHierarchy(
-        levels=[l1, l2, llc],
-        latency=config.latency,
-        rng=derive_rng(master, "hierarchy"),
+    return _defended_xeon_hierarchy(
+        lambda master, **level: PLCache(
+            "L1D-PLcache", **level, protected_owners=protected_owners
+        ),
+        config,
+        rng,
     )

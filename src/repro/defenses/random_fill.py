@@ -27,10 +27,9 @@ from typing import Optional
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import Cache
-from repro.cache.configs import XeonE5_2650Config
+from repro.cache.configs import XeonE5_2650Config, _defended_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import EvictedLine
-from repro.replacement.registry import make_policy_factory
 
 
 class RandomFillCache(Cache):
@@ -75,39 +74,13 @@ def make_random_fill_hierarchy(
     rng: Optional[random.Random] = None,
 ) -> CacheHierarchy:
     """Xeon-like hierarchy with a random-fill L1."""
-    if config is None:
-        config = XeonE5_2650Config()
-    master = ensure_rng(rng)
-    l1 = RandomFillCache(
-        "L1D-randomfill",
-        config.l1_size,
-        config.l1_ways,
-        config.line_size,
-        make_policy_factory(config.l1_policy),
-        write_policy=config.l1_write_policy,
-        allocation_policy=config.l1_allocation_policy,
-        rng=derive_rng(master, "l1"),
-        window=window,
-        fill_rng=derive_rng(master, "l1-fill"),
-    )
-    l2 = Cache(
-        "L2",
-        config.l2_size,
-        config.l2_ways,
-        config.line_size,
-        make_policy_factory(config.l2_policy),
-        rng=derive_rng(master, "l2"),
-    )
-    llc = Cache(
-        "LLC",
-        config.llc_size,
-        config.llc_ways,
-        config.line_size,
-        make_policy_factory(config.llc_policy),
-        rng=derive_rng(master, "llc"),
-    )
-    return CacheHierarchy(
-        levels=[l1, l2, llc],
-        latency=config.latency,
-        rng=derive_rng(master, "hierarchy"),
+    return _defended_xeon_hierarchy(
+        lambda master, **level: RandomFillCache(
+            "L1D-randomfill",
+            **level,
+            window=window,
+            fill_rng=derive_rng(master, "l1-fill"),
+        ),
+        config,
+        rng,
     )

@@ -12,6 +12,11 @@ The paper's caveats (Section 8), which the evaluation demonstrates:
   only, the way real eviction-set construction works);
 * L1 randomization like this costs latency on the critical path in real
   designs — the model charges ``index_latency_extra`` per access.
+
+:func:`make_randomized_mapping_hierarchy`'s L2 and LLC follow the
+selected engine; this L1 runs on the reference core under either,
+since its keyed ``set_index`` cannot ride the shift-and-mask index
+that :class:`~repro.engine.fast_cache.FastCache` inlines.
 """
 
 from __future__ import annotations
@@ -19,12 +24,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import Cache
-from repro.cache.configs import XeonE5_2650Config
+from repro.cache.configs import XeonE5_2650Config, _defended_xeon_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
-from repro.replacement.registry import make_policy_factory
 
 
 def _feistel_round(value: int, key: int, bits: int) -> int:
@@ -61,8 +63,6 @@ class RandomizedMappingCache(Cache):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if self.num_sets & (self.num_sets - 1):
-            raise ConfigurationError("randomized mapping needs power-of-two sets")
         self.key = key
         #: Accesses between re-keyings; 0 disables re-keying.
         self.rekey_period_accesses = rekey_period_accesses
@@ -190,37 +190,13 @@ def make_randomized_mapping_hierarchy(
             l2_hit=config.latency.l2_hit + 2,
         ),
     )
-    master = ensure_rng(rng)
-    l1 = RandomizedMappingCache(
-        "L1D-randomized",
-        config.l1_size,
-        config.l1_ways,
-        config.line_size,
-        make_policy_factory(config.l1_policy),
-        write_policy=config.l1_write_policy,
-        allocation_policy=config.l1_allocation_policy,
-        rng=derive_rng(master, "l1"),
-        key=key,
-        rekey_period_accesses=rekey_period_accesses,
-    )
-    l2 = Cache(
-        "L2",
-        config.l2_size,
-        config.l2_ways,
-        config.line_size,
-        make_policy_factory(config.l2_policy),
-        rng=derive_rng(master, "l2"),
-    )
-    llc = Cache(
-        "LLC",
-        config.llc_size,
-        config.llc_ways,
-        config.line_size,
-        make_policy_factory(config.llc_policy),
-        rng=derive_rng(master, "llc"),
-    )
-    return CacheHierarchy(
-        levels=[l1, l2, llc],
-        latency=config.latency,
-        rng=derive_rng(master, "hierarchy"),
+    return _defended_xeon_hierarchy(
+        lambda master, **level: RandomizedMappingCache(
+            "L1D-randomized",
+            **level,
+            key=key,
+            rekey_period_accesses=rekey_period_accesses,
+        ),
+        config,
+        rng,
     )

@@ -30,13 +30,9 @@ def make_write_through_hierarchy(
     (Section 2.2 of the paper), and the combination is what real
     write-through L1s (e.g. several AMD designs) shipped.
     """
-    overrides = {
-        "l1_write_policy": WritePolicy.WRITE_THROUGH,
-        "l1_allocation_policy": AllocationPolicy.NO_WRITE_ALLOCATE,
-    }
-    if config is not None:
-        from repro.cache.configs import dataclass_replace
-
-        config = dataclass_replace(config, **overrides)
-        return make_xeon_hierarchy(config=config, rng=rng)
-    return make_xeon_hierarchy(rng=rng, **overrides)
+    return make_xeon_hierarchy(
+        config=config,
+        rng=rng,
+        l1_write_policy=WritePolicy.WRITE_THROUGH,
+        l1_allocation_policy=AllocationPolicy.NO_WRITE_ALLOCATE,
+    )

@@ -417,6 +417,8 @@ def _measure_closed_loop_defense(spec: ScenarioSpec, profile: RunProfile, seed: 
 def _measure_defense_eval(
     spec: ScenarioSpec, profile: RunProfile, seed: int
 ) -> DefenseEvalMeasurement:
+    """Reads only ``params``; ``validate()`` refuses any other
+    ``hierarchy`` or ``channel`` than the defaults."""
     from repro.defenses.evaluation import evaluate_all, evaluate_defense
 
     params: DefenseEvalParams = spec.params

@@ -572,7 +572,17 @@ class ScenarioSpec(Record):
         """Check parts that only fail on construction of live objects or
         against other fields: the codec, the hierarchy, every target set
         against the first level's set count, and a defense subset's
-        names."""
+        names.  A ``defense_eval`` spec must leave ``hierarchy`` and
+        ``channel`` at their defaults: it builds its own defended machines
+        and channel, so any other value would be ignored under a key of
+        its own."""
+        if self.kind == "defense_eval" and (
+            self.hierarchy is not None or self.channel != ChannelSpec()
+        ):
+            raise ConfigurationError(
+                "defense_eval builds its own machines and channel: "
+                "hierarchy must be null and channel at its defaults"
+            )
         self.channel.codec.build()
         hierarchy = self.hierarchy
         if hierarchy is None:

@@ -17,6 +17,18 @@ import pytest
 
 from repro.cache.cache import WritePolicy
 from repro.cache.configs import make_xeon_hierarchy
+from repro.defenses import (
+    PLCache,
+    RandomFillCache,
+    RandomizedMappingCache,
+    WayPartitionedCache,
+    make_partitioned_hierarchy,
+    make_plcache_hierarchy,
+    make_random_fill_hierarchy,
+    make_randomized_mapping_hierarchy,
+    make_write_through_hierarchy,
+)
+from repro.engine.selection import cache_class, engine_context
 from repro.replacement.registry import available_policies
 from tests.replay import event_stream, fig6_trace, random_trace, replay
 
@@ -75,6 +87,50 @@ def test_fig6_trace_parity(policy):
     assert event_stream(reference, trace) == event_stream(fast, trace)
     assert_state_identical(reference, fast)
     assert reference.stats.snapshot() == fast.stats.snapshot()
+
+
+#: Each defended builder with its L1D's class and name; ``None`` is the
+#: engine's own class (the write-through L1D is the plain Xeon one).
+DEFENDED = [
+    (make_plcache_hierarchy, PLCache, "L1D-PLcache"),
+    (make_partitioned_hierarchy, WayPartitionedCache, "L1D-partitioned"),
+    (make_random_fill_hierarchy, RandomFillCache, "L1D-randomfill"),
+    (make_randomized_mapping_hierarchy, RandomizedMappingCache, "L1D-randomized"),
+    (make_write_through_hierarchy, None, "L1D"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, l1_class, l1_name", DEFENDED, ids=[name for _, _, name in DEFENDED]
+)
+def test_defended_hierarchy_parity(build, l1_class, l1_name):
+    """A defended machine runs L2 and LLC on the selected engine, keeps
+    its own L1D, and replays owners 0 and 1 identically on both."""
+    trace = random_trace(
+        num_accesses=4_000, working_set_lines=1024, write_ratio=0.3, seed=SEED
+    )
+    chunk = 500
+    streams, stats = {}, {}
+    for engine in ("reference", "fast"):
+        with engine_context(engine):
+            hierarchy = build(rng=random.Random(SEED))
+        core = cache_class(engine)
+        assert [type(level) for level in hierarchy.levels] == [
+            l1_class or core, core, core
+        ]
+        assert [level.name for level in hierarchy.levels] == [l1_name, "L2", "LLC"]
+        streams[engine] = [
+            event
+            for start in range(0, len(trace), chunk)
+            for event in event_stream(
+                hierarchy,
+                trace[start:start + chunk],
+                owner=start // chunk % 2,
+            )
+        ]
+        stats[engine] = hierarchy.stats.snapshot()
+    assert streams["reference"] == streams["fast"]
+    assert stats["reference"] == stats["fast"]
 
 
 def test_wb_channel_transmission_parity():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache.configs import HierarchyParams
 from repro.common.errors import ConfigurationError
 from repro.scenario import (
     SCENARIO_SCHEMA_VERSION,
@@ -24,7 +25,7 @@ from repro.scenario.spec import (
     CodecSpec,
     DefenseEvalParams,
 )
-from repro.scenario.zoo import campaign_ts_sweep_spec
+from repro.scenario.zoo import campaign_ts_sweep_spec, load_spec_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ZOO_DIR = REPO_ROOT / "scenarios"
@@ -156,6 +157,20 @@ class TestDefenseSubset:
         measurement = compile_scenario(spec, "quick", 0).measure()
         assert evaluated == ["partitioned", "plcache"]
         assert measurement.reports == ("partitioned", "plcache")
+
+
+class TestDefenseEvalFields:
+    @pytest.mark.parametrize(
+        "change",
+        [{"hierarchy": HierarchyParams.xeon()}, {"channel": ChannelSpec(target_set=5)}],
+        ids=["hierarchy", "channel"],
+    )
+    def test_unread_field_off_its_default_rejected(self, change):
+        # defense_eval reads neither field; the committed spec (validated
+        # on load) holds both defaults.
+        committed = load_spec_file(ZOO_DIR / "defenses.json")
+        with pytest.raises(ConfigurationError, match="defense_eval builds its own"):
+            dataclasses.replace(committed, **change).validate()
 
 
 class TestCampaignExpansion:

@@ -286,6 +286,11 @@ class TestErrorEnvelope:
                 0,
             ),
             ("defenses", ("scenario", "params", "defenses"), ["bogus"]),
+            (
+                "defenses",
+                ("scenario", "hierarchy"),
+                HierarchyParams.xeon().to_dict(),
+            ),
             # No scenario: an experiment_id job.
             (None, ("profile",), True),
             (None, ("profile",), {"name": "quick", "reduced": "false"}),
@@ -306,7 +311,7 @@ class TestErrorEnvelope:
             "negative-period", "negative-target-set", "target-set-past-l1",
             "zero-replacement-set", "unknown-sender-kind",
             "unknown-receiver-kind", "unknown-prober-kind",
-            "zero-prober-sweeps", "unknown-defense",
+            "zero-prober-sweeps", "unknown-defense", "defenses-hierarchy",
             "boolean-profile", "string-reduced", "list-scale", "string-scale",
             "unknown-profile-field", "integer-profile-name", "over-cap-scale",
         ],
